@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -176,7 +177,14 @@ def _add_rank_flags(p) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process and shared.
+
+    Parsing does not change it.  Sharing it matters for memory, not only
+    time: a parser is a web of reference cycles, so one parser per call
+    is garbage that only the cyclic collector reclaims.
+    """
     parser = _Parser(prog="heckestab", description=__doc__)
     top = parser.add_subparsers(dest="group", required=True, parser_class=_Parser)
 

@@ -2,10 +2,13 @@
 
 Every Hecke-algebra computation in this package happens over the field
 k = Q(q) with q a formal parameter ("generic q").  Floating point is never
-used.  A polynomial is stored as a tuple of ``Fraction`` coefficients,
-lowest degree first, with no trailing zeros; the zero polynomial is the
-empty tuple.  A :class:`Scalar` is a reduced fraction num/den of two such
-polynomials, normalised so that
+used.  A polynomial is a tuple of coefficients, lowest degree first, with
+no trailing zeros; the zero polynomial is the empty tuple.  A coefficient
+is an ``int`` when it is integral and a ``Fraction`` only when it is not,
+so integer arithmetic, the common case, never builds a ``Fraction``;
+``Fraction(3) == 3`` and ``hash(Fraction(3)) == hash(3)``, so equality,
+hashing and printing do not see the difference.  A :class:`Scalar` is a
+reduced fraction num/den of two such polynomials, normalised so that
 
 * the denominator is monic and nonzero,
 * gcd(num, den) = 1,
@@ -13,6 +16,12 @@ polynomials, normalised so that
 
 Two scalars are equal iff their representations are equal, so ``==`` and
 hashing are structural.
+
+Gcds use the heuristic GCDHEU (Char, Geddes and Gonnet, J. Symb. Comput.
+7, 1989) on the primitive integer parts: the gcd of two integer values
+f(x), g(x), read back as a polynomial in balanced base x.  Its answer is
+certified by exact division, and the Euclidean algorithm takes over when
+the heuristic gives up, so the result is always exact.
 
 >>> str(Q * Q - ONE)
 'q^2-1'
@@ -22,6 +31,7 @@ hashing are structural.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -36,24 +46,59 @@ __all__ = [
     "poly_divmod",
 ]
 
-Poly = tuple  # tuple[Fraction, ...], lowest degree first, no trailing zeros
+Poly = tuple  # int or non-integral Fraction coefficients, lowest degree first
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 _P_ZERO: Poly = ()
-_P_ONE: Poly = (_F1,)
+_P_ONE: Poly = (1,)
+
+# tries of the heuristic gcd, each at a larger evaluation point
+_HEU_TRIES = 6
 
 
 def _trim(coeffs: list) -> Poly:
-    while coeffs and coeffs[-1] == 0:
+    """The polynomial with these coefficients: no trailing zeros, and
+    integral coefficients stored as int."""
+    while coeffs and not coeffs[-1]:
         coeffs.pop()
+    if Fraction in map(type, coeffs):
+        return tuple(c.numerator if c.denominator == 1 else c for c in coeffs)
     return tuple(coeffs)
 
 
-def poly_from_fraction(c) -> Poly:
+def _coeff(c):
+    """A coefficient in normal form: int if integral, else Fraction."""
+    if type(c) is int:
+        return c
     c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(x, y):
+    """The exact quotient x / y of two coefficients, y nonzero, in normal form."""
+    if type(x) is int and type(y) is int:
+        quo, rem = divmod(x, y)
+        return Fraction(x, y) if rem else quo
+    c = x / y  # at least one Fraction, so a Fraction
+    return c.numerator if c.denominator == 1 else c
+
+
+def _poly_over(a: Poly, c) -> Poly:
+    """a / c for a nonzero coefficient c."""
+    return tuple(_div(x, c) for x in a)
+
+
+def poly_from_fraction(c) -> Poly:
+    c = _coeff(c)
     return (c,) if c else ()
+
+
+def _as_poly(x) -> Poly:
+    """A tuple of coefficients, or one coefficient, as a polynomial."""
+    if isinstance(x, tuple):
+        return _trim(list(map(_coeff, x)))
+    return poly_from_fraction(x)
 
 
 def poly_add(a: Poly, b: Poly) -> Poly:
@@ -80,19 +125,12 @@ def poly_sub(a: Poly, b: Poly) -> Poly:
 def poly_mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return _P_ZERO
-    out = [_F0] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
     return _trim(out)
-
-
-def poly_scale(a: Poly, c: Fraction) -> Poly:
-    if not c:
-        return _P_ZERO
-    return tuple(x * c for x in a)
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple:
@@ -104,9 +142,9 @@ def poly_divmod(a: Poly, b: Poly) -> tuple:
     rem = list(a)
     db = len(b) - 1
     lead = b[-1]
-    quot = [_F0] * (len(a) - db)
+    quot = [0] * (len(a) - db)
     for k in range(len(a) - 1 - db, -1, -1):
-        c = rem[k + db] / lead
+        c = _div(rem[k + db], lead)
         if c:
             quot[k] = c
             for j in range(db + 1):
@@ -124,15 +162,99 @@ def poly_div_exact(a: Poly, b: Poly) -> Poly:
 def poly_monic(a: Poly) -> Poly:
     if not a or a[-1] == 1:
         return a
-    inv = 1 / a[-1]
-    return tuple(c * inv for c in a)
+    return _poly_over(a, a[-1])
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd; the zero polynomial only when both inputs are zero.
+
+    GCDHEU on the primitive integer parts, with the Euclidean algorithm
+    when the heuristic gives up.
+    """
+    if not a or not b:
+        return poly_monic(a or b)
+    if len(a) == 1 or len(b) == 1:
+        return _P_ONE
+    g = _heuristic_gcd(_primitive(a), _primitive(b))
+    if g is None:
+        return _euclid_gcd(a, b)
+    return poly_monic(g)
+
+
+def _euclid_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd via the Euclidean algorithm (remainders kept monic)."""
     while b:
         a, b = b, poly_monic(poly_divmod(a, b)[1])
     return poly_monic(a)
+
+
+def _primitive(a: Poly) -> list:
+    """The primitive integer polynomial that is a rational multiple of a != 0."""
+    if Fraction in map(type, a):
+        d = math.lcm(*(c.denominator for c in a))
+        a = [c.numerator * (d // c.denominator) for c in a]
+    g = math.gcd(*a)
+    return list(a) if g == 1 else [c // g for c in a]
+
+
+def _heuristic_gcd(f: list, g: list):
+    """The primitive gcd in Z[q] of primitive f and g of degree >= 1, or
+    None if the heuristic gives up.
+
+    Each try reads a candidate G off gcd(f(x), g(x)) in balanced base x.
+    For x >= 2 min(|f|, |g|) + 2, max norms, a primitive G dividing both
+    f and g is their gcd (Geddes, Czapor and Labahn, Algorithms for
+    Computer Algebra, 1992, Thm 7.7), so exact division certifies it.
+    """
+    x = 2 * min(max(map(abs, f)), max(map(abs, g))) + 2
+    for _ in range(_HEU_TRIES):
+        G = _balanced_digits(math.gcd(_eval_int(f, x), _eval_int(g, x)), x)
+        if len(G) == 1:
+            return _P_ONE
+        content = math.gcd(*G)
+        if content != 1:
+            G = [c // content for c in G]
+        if _divides(G, f) and _divides(G, g):
+            return tuple(G)
+        x = x * 73794 * math.isqrt(math.isqrt(x)) // 27011
+    return None
+
+
+def _eval_int(f: list, x: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def _balanced_digits(h: int, x: int) -> list:
+    """Digits of h > 0 in base x, each in (-x/2, x/2], lowest first."""
+    digits = []
+    half = x // 2
+    while h:
+        d = h % x
+        if d > half:
+            d -= x
+        digits.append(d)
+        h = (h - d) // x
+    return digits
+
+
+def _divides(g: list, f: list) -> bool:
+    """Whether g divides f in Z[q]; both nonzero."""
+    dg = len(g) - 1
+    if dg >= len(f):
+        return False
+    rem = list(f)
+    lead = g[-1]
+    for k in range(len(f) - 1 - dg, -1, -1):
+        c, r = divmod(rem[k + dg], lead)
+        if r:
+            return False
+        if c:
+            for j in range(dg):
+                rem[k + j] -= c * g[j]
+    return not any(rem[:dg])
 
 
 def poly_eval(a: Poly, point: Fraction) -> Fraction:
@@ -140,10 +262,6 @@ def poly_eval(a: Poly, point: Fraction) -> Fraction:
     for c in reversed(a):
         acc = acc * point + c
     return acc
-
-
-def _fmt_coeff(c: Fraction) -> str:
-    return str(c)
 
 
 def poly_wire(a: Poly) -> str:
@@ -166,10 +284,13 @@ def poly_parse_wire(s: str) -> Poly:
         c, _, k = term.partition("*q^")
         if not k:
             raise ValueError(f"bad polynomial term {term!r}")
-        coeffs[int(k)] = coeffs.get(int(k), _F0) + Fraction(c)
+        try:
+            coeffs[int(k)] = coeffs.get(int(k), 0) + Fraction(c)
+        except ZeroDivisionError:
+            raise ValueError(f"bad polynomial term {term!r}") from None
     if not coeffs:
         return _P_ZERO
-    out = [_F0] * (max(coeffs) + 1)
+    out = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():
         out[k] = c
     return _trim(out)
@@ -186,10 +307,10 @@ def poly_human(a: Poly) -> str:
             continue
         mag = abs(c)
         if k == 0:
-            body = _fmt_coeff(mag)
+            body = str(mag)
         else:
             var = "q" if k == 1 else f"q^{k}"
-            body = var if mag == 1 else f"{_fmt_coeff(mag)}*{var}"
+            body = var if mag == 1 else f"{mag}*{var}"
         sign = "-" if c < 0 else ("+" if parts else "")
         parts.append(sign + body)
     return "".join(parts)
@@ -203,9 +324,7 @@ class Scalar:
     def __init__(self, num, den=1):
         if isinstance(num, Scalar) or isinstance(den, Scalar):
             raise TypeError("use arithmetic operators to combine scalars")
-        n = _trim(list(num)) if isinstance(num, tuple) else poly_from_fraction(num)
-        d = _trim(list(den)) if isinstance(den, tuple) else poly_from_fraction(den)
-        n, d = _reduce(n, d)
+        n, d = _reduce(_as_poly(num), _as_poly(den))
         self.num = n
         self.den = d
         self._hash = None
@@ -234,7 +353,7 @@ class Scalar:
         """The value of a constant scalar, as a Fraction."""
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return self.num[0] if self.num else _F0
+        return Fraction(self.num[0]) if self.num else _F0
 
     def as_integer(self):
         """The value of an integer-constant scalar, or None."""
@@ -297,9 +416,8 @@ class Scalar:
         inv_num, inv_den = other.den, other.num
         lead = inv_den[-1]
         if lead != 1:
-            inv = 1 / lead
-            inv_num = poly_scale(inv_num, inv)
-            inv_den = poly_scale(inv_den, inv)
+            inv_num = _poly_over(inv_num, lead)
+            inv_den = _poly_over(inv_den, lead)
         return self * Scalar._new(inv_num, inv_den)
 
     def __rtruediv__(self, other):
@@ -385,9 +503,8 @@ def _reduce(num: Poly, den: Poly) -> tuple:
         num, den = _cancel(num, den)
         lead = den[-1]
         if lead != 1:
-            inv = 1 / lead
-            num = poly_scale(num, inv)
-            den = poly_scale(den, inv)
+            num = _poly_over(num, lead)
+            den = _poly_over(den, lead)
     return num, den
 
 
@@ -398,9 +515,9 @@ def _make(num: Poly, den: Poly) -> Scalar:
 
 ZERO = Scalar._new(_P_ZERO, _P_ONE)
 ONE = Scalar._new(_P_ONE, _P_ONE)
-Q = Scalar._new((_F0, _F1), _P_ONE)
+Q = Scalar._new((0, 1), _P_ONE)
 
-_SMALL = {0: ZERO, 1: ONE, -1: Scalar._new((Fraction(-1),), _P_ONE)}
+_SMALL = {0: ZERO, 1: ONE, -1: Scalar._new((-1,), _P_ONE)}
 
 
 def scal(x) -> Scalar:

@@ -827,8 +827,11 @@ def noetherian_experiment(m: int, trials: int, seed: int, n_max: int) -> dict:
     is what makes stabilization observable before the window ends.  A
     submodule born in the last degree would be flagged unstable on
     vacuous evidence, which measures the truncation, not the module.
-    Evidence, not proof; identical seeds give identical reports.
+    Evidence, not proof; identical seeds give identical reports.  At
+    least one trial is required: zero trials would be a vacuous verdict.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     V = build_Mm(m, n_max)
     rng = random.Random(seed)
     deg_cap = max(0, n_max - m - 1)
@@ -1009,16 +1012,63 @@ def sequence_to_json_obj(V: ConsistentSequence) -> dict:
     }
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", int: "an integer"}
+
+
+def _expect(value, kind: type, path: str):
+    """value, which must be of JSON type ``kind``; path names it in the error."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"malformed tower file: {path} must be {_JSON_KINDS[kind]}")
+    return value
+
+
+def _get(obj: dict, key: str, kind: type, path: str):
+    where = f"{path}.{key}" if path else key
+    if key not in obj:
+        raise ValueError(f"malformed tower file: {where} is missing")
+    return _expect(obj[key], kind, where)
+
+
+def _matrix_from_json(obj, path: str) -> ExactMatrix:
+    _expect(obj, dict, path)
+    _get(obj, "rows", int, path)
+    _get(obj, "cols", int, path)
+    for k, entry in enumerate(_get(obj, "entries", list, path)):
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 3
+            and all(type(i) is int for i in entry[:2])
+            and isinstance(entry[2], str)
+        ):
+            raise ValueError(
+                f"malformed tower file: {path}.entries[{k}] must be [row, col, value]"
+            )
+    return ExactMatrix.from_json_obj(obj)
+
+
 def sequence_from_json_obj(obj) -> ConsistentSequence:
+    """The tower a JSON object describes.
+
+    Raises ValueError, naming the failing path, when the object does not
+    have the structure of a tower file.
+    """
+    _expect(obj, dict, "the top level")
     if obj.get("schema") != SCHEMA:
         raise ValueError(f"unknown schema {obj.get('schema')!r}")
     modules = []
-    for rec in obj["modules"]:
-        gens = [ExactMatrix.from_json_obj(g) for g in rec["generators"]]
-        modules.append(
-            ModulePresentation(rec["n"], rec["dim"], gens, label="")
-        )
-    connectors = [ExactMatrix.from_json_obj(f) for f in obj["connectors"]]
+    for k, rec in enumerate(_get(obj, "modules", list, "")):
+        path = f"modules[{k}]"
+        _expect(rec, dict, path)
+        gens = [
+            _matrix_from_json(g, f"{path}.generators[{i}]")
+            for i, g in enumerate(_get(rec, "generators", list, path))
+        ]
+        n, dim = _get(rec, "n", int, path), _get(rec, "dim", int, path)
+        modules.append(ModulePresentation(n, dim, gens, label=""))
+    connectors = [
+        _matrix_from_json(f, f"connectors[{k}]")
+        for k, f in enumerate(_get(obj, "connectors", list, ""))
+    ]
     return ConsistentSequence(modules, connectors, label=obj.get("label", ""))
 
 

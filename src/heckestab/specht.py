@@ -161,8 +161,6 @@ class CharacterTable:
             raise ValueError("degenerate character table")
         self._solve_matrix = mat
 
-    __slots__ = __slots__ + ("_solve_matrix",)
-
     def multiplicities(self, traces) -> dict:
         """Solve sum_lam m_lam chi_lam(w_mu) = traces[mu] for the m_lam."""
         rhs = {ci: t for ci, t in enumerate(traces) if t}

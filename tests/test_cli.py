@@ -206,3 +206,27 @@ class TestErrorsAndDeterminism:
         run(capsys, "seq", "build", "--kind", "Mm", "--m", "2",
             "--nmax", "4", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_noetherian_needs_a_trial(self, capsys, trials):
+        code, out, err = run(capsys, "seq", "noetherian", "--m", "1", "--trials",
+                             trials, "--seed", "1", "--nmax", "4")
+        assert code == 2
+        assert out == ""
+        assert "trials" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "content, path",
+        [
+            ([1, 2], "top level"),
+            ({"schema": "hecke-stab/1", "connectors": []}, "modules"),
+        ],
+    )
+    def test_malformed_tower_file(self, capsys, tmp_path, content, path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        for command in ("check-stable", "weight"):
+            code, out, err = run(capsys, "seq", command, "--in", str(bad))
+            assert code == 2
+            assert out == ""
+            assert path in json.loads(err)["error"]
