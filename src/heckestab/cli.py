@@ -161,9 +161,7 @@ def _cmd_seq_noetherian(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    if args.nmax < 1:
-        raise ValueError("nmax must be at least 1")
-    return verify_all(args.nmax)
+    return verify_all()
 
 
 def _add_rank_flags(p) -> None:
@@ -244,7 +242,6 @@ def build_parser() -> _Parser:
     verify = top.add_parser("verify", help="acceptance battery")
     verify_sub = verify.add_subparsers(dest="command", required=True, parser_class=_Parser)
     all_p = verify_sub.add_parser("all", help="run every criterion")
-    all_p.add_argument("--nmax", type=int, default=6)
     all_p.set_defaults(func=_cmd_verify_all)
 
     return parser

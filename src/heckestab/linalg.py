@@ -291,10 +291,6 @@ class EchelonBasis:
             return None
         return coords
 
-    def basis_vectors(self):
-        """Basis vectors in insertion order."""
-        return list(self.vectors)
-
 
 def rank(matrix: ExactMatrix, mode: str = "exact", count: int = 3, seed: int = 0) -> int:
     """Rank of a matrix, exactly or by specialisation at random points.

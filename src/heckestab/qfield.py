@@ -118,10 +118,6 @@ def poly_neg(a: Poly) -> Poly:
     return tuple(-c for c in a)
 
 
-def poly_sub(a: Poly, b: Poly) -> Poly:
-    return poly_add(a, poly_neg(b))
-
-
 def poly_mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return _P_ZERO
@@ -462,9 +458,6 @@ class Scalar:
         if d == 0:
             raise ValueError(f"pole at q = {point}")
         return poly_eval(self.num, point) / d
-
-    def degree_pair(self) -> tuple:
-        return (len(self.num) - 1, len(self.den) - 1)
 
     def __str__(self):
         if self.den == _P_ONE:

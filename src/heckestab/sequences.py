@@ -572,21 +572,17 @@ def degrees(
 
 def weight(V: ConsistentSequence) -> int:
     """Max of |unpad(mu)| over all irreducible constituents of all V_n."""
-    best = 0
-    for module in V.modules:
-        if module.dim == 0:
-            continue
-        for mu in decompose(module):
-            best = max(best, sum(unpad(mu)))
-    return best
+    return _table_weight(multiplicity_table(V))
+
+
+def _table_weight(table: dict) -> int:
+    return max(map(sum, table["rows"]), default=0)
 
 
 def multiplicity_table(V: ConsistentSequence) -> dict:
     """The table c_{lam,n}: multiplicity of S^{lam[n]} inside V_n.
 
-    Row labels are unpadded partitions; a constituent whose unpadded label
-    cannot be re-padded at its own rank (impossible for true partitions,
-    kept as a defensive channel) would be filed under ("invalid-pad", mu).
+    Row labels are unpadded partitions, sorted by size, then by shape.
     """
     rows = {}
     for n, module in enumerate(V.modules):
@@ -594,25 +590,18 @@ def multiplicity_table(V: ConsistentSequence) -> dict:
             continue
         for mu, c in decompose(module).items():
             lam = unpad(mu)
-            key = lam if pad(lam, n) == mu else ("invalid-pad", mu)
-            rows.setdefault(key, [0] * (V.n_max + 1))[n] = c
-    def row_key(key):
-        if key and isinstance(key[0], str):
-            return (1, 0, key[1])
-        return (0, sum(key), key)
-
-    order = sorted(rows, key=row_key)
+            assert pad(lam, n) == mu
+            rows.setdefault(lam, [0] * (V.n_max + 1))[n] = c
+    order = sorted(rows, key=lambda lam: (sum(lam), lam))
     return {
         "label": V.label,
         "n_values": list(range(V.n_max + 1)),
-        "rows": {key: rows[key] for key in order},
+        "rows": {lam: rows[lam] for lam in order},
     }
 
 
 def multiplicity_row_label(key) -> str:
     """Printable label for a multiplicity-table row key."""
-    if key and isinstance(key[0], str):
-        return f"invalid-pad:{partition_label(key[1])}"
     return partition_label(key)
 
 
@@ -671,7 +660,7 @@ def is_uniformly_stable(
     }
     if a_max is not None:
         report = degrees(V, a_max, mode=mode, count=count, seed=seed)
-        m = weight(V)
+        m = _table_weight(table)
         s = report["stability_degree"]
         out["weight"] = m
         out["stability_degree"] = s

@@ -13,20 +13,22 @@ d = content(i+1) - content(i) in t:
                                     (into s_i.t, when d < 0, with |d|),
 
 so each block has trace q - 1 and determinant -q.  All defining relations
-are re-verified exactly at construction; nothing relies on the formulas
-being transcribed correctly.
+are re-verified exactly at construction, once per shape and process;
+nothing relies on the formulas being transcribed correctly.
 
 Decomposition of an arbitrary ModulePresentation uses characters: traces
-at minimal-length class representatives form an invertible p(n) x p(n)
-system over Q(q), solved exactly.
+at minimal-length class representatives form a p(n) x p(n) system whose
+value at q = 1 is the S_n character table; it is solved there over Q and
+the solution is certified exactly over Q(q).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from .hecke import ModulePresentation
-from .linalg import ExactMatrix, quotient_structure, rank, solve_unique
+from .linalg import ExactMatrix, quotient_structure
 from .partitions import (
     partition_label,
     partitions_of,
@@ -34,7 +36,7 @@ from .partitions import (
     syt_count,
     syt_enumerate,
 )
-from .qfield import ONE, Q, Scalar, q_power, scal
+from .qfield import ONE, Q, ZERO, Scalar, q_power, scal
 from .symgroup import Permutation, conjugacy_min_reps
 
 __all__ = [
@@ -84,10 +86,20 @@ def _cross(d: int) -> Scalar:
 
 
 def specht_module(lam, bound: int = SPECHT_BOUND) -> ModulePresentation:
-    """The seminormal presentation of S^lam, basis in syt_enumerate order."""
+    """The seminormal presentation of S^lam, basis in syt_enumerate order.
+
+    Built and verified once per shape, then shared by every caller; sound
+    because ModulePresentation and ExactMatrix are never mutated.
+    """
     n = sum(lam)
     if n > bound:
         raise ValueError(f"size bound: |lam| = {n} exceeds {bound}")
+    return _verified_specht(tuple(lam))
+
+
+@lru_cache(maxsize=None)
+def _verified_specht(lam: tuple) -> ModulePresentation:
+    n = sum(lam)
     basis = syt_enumerate(lam)
     index = {t: a for a, t in enumerate(basis)}
     dim = len(basis)
@@ -122,8 +134,8 @@ class CharacterTable:
 
     Rows run over partitions of n in the partitions_of order; columns over
     cycle types with the identity class first (reversed partitions_of
-    order).  The matrix is invertible over Q(q), which is what makes exact
-    decomposition possible.
+    order).  At q = 1 it is the S_n character table, inverted once over Q;
+    its nonzero determinant there makes the table invertible over Q(q).
     """
 
     __slots__ = (
@@ -132,7 +144,7 @@ class CharacterTable:
         "classes",
         "class_reps",
         "values",
-        "_solve_matrix",
+        "_inverse_at_one",
     )
 
     def __init__(self, n: int):
@@ -145,27 +157,43 @@ class CharacterTable:
         self.values = tuple(
             tuple(character(V, w) for w in self.class_reps) for V in modules
         )
-        # columns as a matrix: entry (class, lam); singularity is fatal
-        m = len(self.row_labels)
-        mat = ExactMatrix(
-            m,
-            m,
-            {
-                (ci, li): self.values[li][ci]
-                for li in range(m)
-                for ci in range(m)
-                if self.values[li][ci]
-            },
-        )
-        if rank(mat) != m:
-            raise ValueError("degenerate character table")
-        self._solve_matrix = mat
+        # the q = 1 system has entry (class, lam); singularity is fatal
+        at_one = [[v.specialize(1) for v in row] for row in self.values]
+        self._inverse_at_one = _inverse([list(col) for col in zip(*at_one)])
 
     def multiplicities(self, traces) -> dict:
-        """Solve sum_lam m_lam chi_lam(w_mu) = traces[mu] for the m_lam."""
-        rhs = {ci: t for ci, t in enumerate(traces) if t}
-        sol = solve_unique(self._solve_matrix, rhs)
-        return {lam: sol[li] for li, lam in enumerate(self.row_labels)}
+        """The m_lam in Q with sum_lam m_lam chi_lam(w_mu) = traces[mu].
+
+        Solved at q = 1, then certified exactly over Q(q).  A pole at q = 1
+        or a failed certificate means the Q(q) solution is not constant.
+        """
+        try:
+            at_one = [t.specialize(1) for t in traces]
+        except ValueError:
+            raise ValueError("not a module") from None
+        sol = [sum(x * y for x, y in zip(row, at_one)) for row in self._inverse_at_one]
+        for ci, t in enumerate(traces):
+            if sum((m * row[ci] for m, row in zip(sol, self.values) if m), ZERO) != t:
+                raise ValueError("not a module")
+        return dict(zip(self.row_labels, sol))
+
+
+def _inverse(rows) -> list:
+    """Inverse of a square rational matrix, by Gauss-Jordan elimination."""
+    m = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if aug[r][col]), None)
+        if pivot is None:
+            raise ValueError("degenerate character table")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        lead = Fraction(aug[col][col])
+        aug[col] = [x / lead for x in aug[col]]
+        for r in range(m):
+            c = aug[r][col]
+            if r != col and c:
+                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
+    return [row[m:] for row in aug]
 
 
 @lru_cache(maxsize=None)
@@ -187,13 +215,10 @@ def decompose(V: ModulePresentation) -> dict:
     for lam, c in sol.items():
         if not c:
             continue
-        if not c.is_constant():
+        if c.denominator != 1 or c < 0:
             raise ValueError("not a module")
-        frac = c.as_fraction()
-        if frac.denominator != 1 or frac < 0:
-            raise ValueError("not a module")
-        out[lam] = int(frac)
-        total += int(frac) * syt_count(lam)
+        out[lam] = int(c)
+        total += int(c) * syt_count(lam)
     if total != V.dim:
         raise ValueError("not a module")
     return out

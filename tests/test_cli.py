@@ -156,6 +156,13 @@ class TestErrorsAndDeterminism:
         assert code == 2
         assert "nmax" in json.loads(err)["error"]
 
+    def test_verify_all_has_no_nmax(self, capsys):
+        # the battery runs at its fixed window; --nmax is not an option
+        code, out, err = run(capsys, "verify", "all", "--nmax", "2")
+        assert code == 2
+        assert out == ""
+        assert "--nmax" in json.loads(err)["error"]
+
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "seq", "weight", "--in", str(tmp_path / "absent.json")

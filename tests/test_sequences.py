@@ -319,7 +319,6 @@ class TestWeightAndMultiplicities:
     def test_row_labels(self):
         assert multiplicity_row_label(()) == ""
         assert multiplicity_row_label((2, 1)) == "2,1"
-        assert multiplicity_row_label(("invalid-pad", (3, 1))) == "invalid-pad:3,1"
 
 
 class TestUniformStability:

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckestab.hecke import (
     ModulePresentation,
@@ -12,9 +13,9 @@ from heckestab.hecke import (
     regular_representation,
     sign_rep,
 )
-from heckestab.linalg import ExactMatrix
+from heckestab.linalg import ExactMatrix, solve_unique
 from heckestab.partitions import pad, partitions_of, syt_count
-from heckestab.qfield import ONE, Q, scal
+from heckestab.qfield import ONE, Q, ZERO, scal
 from heckestab.specht import (
     branching_check,
     character,
@@ -24,6 +25,49 @@ from heckestab.specht import (
     specht_module,
 )
 from heckestab.symgroup import Permutation
+
+
+def reference_multiplicities(table, traces):
+    """The unique solution over Q(q), by elimination on the Q(q) table."""
+    m = len(table.row_labels)
+    mat = ExactMatrix(
+        m,
+        m,
+        {(ci, li): table.values[li][ci] for li in range(m) for ci in range(m)},
+    )
+    sol = solve_unique(mat, {ci: t for ci, t in enumerate(traces) if t})
+    return dict(zip(table.row_labels, sol))
+
+
+def reference_decompose(V):
+    """decompose through the Q(q) solve, with the same module checks."""
+    table = character_table(V.n)
+    traces = [character(V, w) for w in table.class_reps]
+    out = {}
+    for lam, c in reference_multiplicities(table, traces).items():
+        if not c:
+            continue
+        value = c.as_integer()
+        if value is None or value < 0:
+            raise ValueError("not a module")
+        out[lam] = value
+    if sum(c * syt_count(lam) for lam, c in out.items()) != V.dim:
+        raise ValueError("not a module")
+    return out
+
+
+def table_traces(table, coeffs):
+    """sum_lam coeffs[lam] chi_lam at each class, as a trace vector."""
+    traces = [ZERO] * len(table.classes)
+    for li, lam in enumerate(table.row_labels):
+        for ci, v in enumerate(table.values[li]):
+            traces[ci] = traces[ci] + coeffs.get(lam, 0) * v
+    return traces
+
+
+def one_dim(x):
+    """A rank-2 presentation with T_1 acting by x, relations unchecked."""
+    return ModulePresentation(2, 1, [ExactMatrix(1, 1, {(0, 0): x})], check=False)
 
 
 def direct_sum(V, W):
@@ -65,6 +109,20 @@ class TestSeminormal:
         assert V.generator(2).to_lists() == [[d2, b2], [ONE, d2m]]
 
     def test_size_bound(self):
+        with pytest.raises(ValueError, match="size bound"):
+            specht_module((8,))
+
+    def test_one_module_per_shape(self):
+        assert specht_module([2, 1]) is specht_module((2, 1))
+        assert specht_module((2, 1)) is specht_module((2, 1), bound=3)
+
+    def test_size_bound_after_smaller_shapes_are_cached(self):
+        for lam in partitions_of(3):
+            specht_module(lam)
+        with pytest.raises(ValueError, match="size bound"):
+            specht_module((2, 1), bound=2)
+        with pytest.raises(ValueError, match="size bound"):
+            specht_module((4, 2, 1), bound=6)
         with pytest.raises(ValueError, match="size bound"):
             specht_module((8,))
 
@@ -158,6 +216,101 @@ class TestDecompose:
         )
         with pytest.raises(ValueError, match="not a module"):
             decompose(fake)
+
+
+class TestDecomposeAgainstQqSolve:
+    """decompose solves at q = 1; solve_unique over Q(q) is the reference."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_specht_modules(self, n):
+        for lam in partitions_of(n):
+            V = specht_module(lam)
+            assert decompose(V) == reference_decompose(V) == {lam: 1}
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_induced_pairs(self, n):
+        for k in range(n + 1):
+            for lam in partitions_of(n - k):
+                V = induce_pair(specht_module(lam), index_rep(k))
+                assert decompose(V) == reference_decompose(V)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_regular_representations(self, n):
+        V = regular_representation(n)
+        assert decompose(V) == reference_decompose(V)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_agrees_at_one_but_not_over_qq(self, n):
+        table = character_table(n)
+        traces = table.values[0]
+        for li, lam in enumerate(table.row_labels):
+            bent = [t + (Q - 1) * v for t, v in zip(traces, table.values[li])]
+            assert [t.specialize(1) for t in bent] == [
+                t.specialize(1) for t in traces
+            ]
+            ref = reference_multiplicities(table, bent)
+            assert not all(c.is_constant() for c in ref.values())
+            with pytest.raises(ValueError, match="not a module"):
+                table.multiplicities(bent)
+
+    def test_certificate_fails_on_fake_module(self):
+        # traces (1, 2q-1) read (1, 1) at q = 1, the index module's
+        fake = one_dim(2 * Q - 1)
+        with pytest.raises(ValueError, match="not a module"):
+            reference_decompose(fake)
+        with pytest.raises(ValueError, match="not a module"):
+            decompose(fake)
+
+    def test_pole_at_one(self):
+        fake = one_dim(ONE / (Q - 1))
+        with pytest.raises(ValueError, match="not a module"):
+            reference_decompose(fake)
+        with pytest.raises(ValueError, match="not a module"):
+            decompose(fake)
+        table = character_table(3)
+        traces = [t / (Q - 1) for t in table.values[1]]
+        with pytest.raises(ValueError, match="not a module"):
+            table.multiplicities(traces)
+
+    @pytest.mark.parametrize(
+        "x, solution",
+        [
+            ((Q - 1) / 2, {(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)}),
+            (-Q - 2, {(2,): -1, (1, 1): 2}),
+        ],
+    )
+    def test_constant_solution_not_a_module(self, x, solution):
+        fake = one_dim(x)
+        table = character_table(2)
+        traces = [character(fake, w) for w in table.class_reps]
+        assert table.multiplicities(traces) == solution
+        assert reference_multiplicities(table, traces) == {
+            lam: scal(c) for lam, c in solution.items()
+        }
+        with pytest.raises(ValueError, match="not a module"):
+            reference_decompose(fake)
+        with pytest.raises(ValueError, match="not a module"):
+            decompose(fake)
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_random_table_combinations(self, data):
+        n = data.draw(st.integers(1, 5))
+        table = character_table(n)
+        coeffs = {
+            lam: data.draw(st.integers(-3, 3)) for lam in table.row_labels
+        }
+        bend = data.draw(st.integers(0, 2))
+        traces = table_traces(table, coeffs)
+        traces[-1] = traces[-1] + bend * (Q - 1)
+        ref = reference_multiplicities(table, traces)
+        if bend:
+            assert not all(c.is_constant() for c in ref.values())
+            with pytest.raises(ValueError, match="not a module"):
+                table.multiplicities(traces)
+        else:
+            assert ref == {lam: scal(c) for lam, c in coeffs.items()}
+            assert table.multiplicities(traces) == coeffs
 
 
 class TestCoinvariants:
