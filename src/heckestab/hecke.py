@@ -6,11 +6,30 @@ H_n is generated by T_{s_1}, ..., T_{s_{n-1}} subject to
     T_{s_i} T_{s_j} = T_{s_j} T_{s_i}          for |i - j| > 1,
     T_{s_i} T_{s_{i+1}} T_{s_i} = T_{s_{i+1}} T_{s_i} T_{s_{i+1}},
 
-with k-basis {T_w : w in S_n} and H_0 = H_1 = k.  The single computational
-primitive is left multiplication by a generator:
+with k-basis {T_w : w in S_n} and H_0 = H_1 = k.  Left multiplication by
+a generator is
 
     T_s T_w = T_{sw}                 if l(sw) > l(w),
-    T_s T_w = q T_{sw} + (q-1) T_w   otherwise.
+    T_s T_w = q T_{sw} + (q-1) T_w   otherwise,
+
+and T_w = T_{s_i} T_{s_i w} for any left descent i of w.
+
+The product ``mult`` folds these rules over integers, not over Q(q).
+Write x = X / D_x and y = Y / D_y, where D is the lcm of the coefficient
+denominators times an integer, so that X and Y have Z[q] coefficients.
+Evaluation at q = 2^k is a ring map Z[q] -> Z, so XY can be computed with
+each coefficient packed into one Python int: a generator step is c, c << k
+or (c << k) - c.  Each step at most triples the l1 norm of the
+coefficients, so every coefficient of XY is bounded in absolute value by
+
+    B = (sum_w |X_w|_1 3^{l(w)}) (sum_v |Y_v|_1).
+
+With 2^(k-1) > B, a polynomial with coefficients in (-2^(k-1), 2^(k-1)) is
+the only one with its value at 2^k: its coefficients are the balanced
+base-2^k digits of that value.  So decoding is exact, and only the final
+coefficients need the bound.  The terms of x are grouped by their smallest
+left descent, so terms whose reduced words share a leading letter share
+that generator pass.
 
 Modules are given concretely as ModulePresentation: one exact matrix per
 generator, acting on column vectors, with all defining relations verified
@@ -19,11 +38,18 @@ at construction time.
 
 from __future__ import annotations
 
-from math import comb, factorial
+import math
 
 from .linalg import ExactMatrix
-from .qfield import ONE, Q, ZERO, Scalar, scal
-from .symgroup import Permutation, coset_min_reps, is_distinguished, permutations_of
+from .qfield import ONE, Q, ZERO, Scalar, poly_div_exact, poly_gcd, poly_mul, scal
+from .symgroup import (
+    Permutation,
+    coset_min_reps,
+    first_descent,
+    is_distinguished,
+    left_step,
+    permutations_of,
+)
 
 __all__ = [
     "HeckeElement",
@@ -123,44 +149,123 @@ class HeckeElement:
         return f"HeckeElement(H_{self.n}, {' + '.join(parts)})"
 
 
-def gen_left_mult(i: int, x: HeckeElement) -> HeckeElement:
-    """T_{s_i} * x via the two-case rule."""
-    out: dict = {}
-    for w, c in x.coeffs.items():
-        sw = w.swap_values(i)
-        if sw.length > w.length:
-            s = out.get(sw, ZERO) + c
-            if s:
-                out[sw] = s
-            else:
-                out.pop(sw, None)
-        else:
-            s = out.get(sw, ZERO) + Q * c
-            if s:
-                out[sw] = s
-            else:
-                out.pop(sw, None)
-            s = out.get(w, ZERO) + Q_MINUS_ONE * c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    res = HeckeElement(x.n)
-    res.coeffs = out
-    return res
-
-
 def mult(x: HeckeElement, y: HeckeElement) -> HeckeElement:
-    """The product xy, folding generators of each left factor basis word."""
+    """The product xy, computed exactly over packed integers.
+
+    x = X / D_x and y = Y / D_y with Z[q] coefficients; XY is folded at
+    q = 2^k with 2^(k-1) above the bound B on its coefficients (see the
+    module docstring), decoded, and divided by D_x D_y.
+    """
     if x.n != y.n:
         raise ValueError("rank mismatch")
-    total = HeckeElement(x.n)
-    for w, c in x.coeffs.items():
-        acc = y
-        for i in reversed(w.reduced_word()):
-            acc = gen_left_mult(i, acc)
-        total = total + acc.scale(c)
-    return total
+    out = HeckeElement(x.n)
+    if not x.coeffs or not y.coeffs:
+        return out
+    X, dx = _integral(x)
+    Y, dy = _integral(y)
+    bound = sum(
+        sum(map(abs, X[w.one_line])) * 3**w.length for w in x.coeffs
+    ) * sum(sum(map(abs, c)) for c in Y.values())
+    k = bound.bit_length() + 1
+    xs = {w: _pack(c, k) for w, c in X.items()}
+    ys = {w: _pack(c, k) for w, c in Y.items()}
+    den = poly_mul(dx, dy)
+    for w, h in _fold(xs, ys, k).items():
+        if h:
+            num = _unpack(h, k)
+            out.coeffs[Permutation(w)] = (
+                Scalar._new(num, den) if den == (1,) else Scalar(num, den)
+            )
+    return out
+
+
+def _integral(x: HeckeElement) -> tuple:
+    """({one-line w: X_w}, D) with X_w in Z[q] and x = sum_w (X_w / D) T_w.
+
+    D is the lcm of the coefficient denominators times the integer lcm of
+    the rational coefficients that remain after clearing them.
+    """
+    den = (1,)
+    for c in x.coeffs.values():
+        if c.den != den:
+            den = poly_mul(den, poly_div_exact(c.den, poly_gcd(den, c.den)))
+    polys = {
+        w.one_line: c.num if c.den == den
+        else poly_mul(c.num, poly_div_exact(den, c.den))
+        for w, c in x.coeffs.items()
+    }
+    scale = math.lcm(*(a.denominator for p in polys.values() for a in p))
+    if scale != 1:
+        polys = {w: tuple(int(a * scale) for a in p) for w, p in polys.items()}
+        den = tuple(a * scale for a in den)
+    return polys, den
+
+
+def _pack(p, k: int) -> int:
+    """The value of the Z[q] polynomial p at q = 2^k."""
+    h = 0
+    for a in reversed(p):
+        h = (h << k) + a
+    return h
+
+
+def _unpack(h: int, k: int) -> tuple:
+    """The Z[q] polynomial with coefficients below 2^(k-1) in absolute
+    value whose value at q = 2^k is h: its balanced base-2^k digits."""
+    digits = []
+    base = 1 << k
+    mask = base - 1
+    half = base >> 1
+    while h:
+        d = h & mask
+        h >>= k
+        if d >= half:
+            d -= base
+            h += 1
+        digits.append(d)
+    return tuple(digits)
+
+
+def _fold(xs: dict, ys: dict, k: int) -> dict:
+    """sum_w c_w T_w y at q = 2^k, for xs = {one-line w: c_w} and y = ys.
+
+    T_w = T_{s_i} T_{s_i w} for the smallest left descent i of w, so the
+    terms are grouped by i and each group costs one generator pass, after
+    the product of its shorter words, which recurse the same way.
+    """
+    groups: dict = {}
+    parts = []
+    for w, c in xs.items():
+        i = first_descent(w)
+        if i:
+            groups.setdefault(i, {})[left_step(w, i)[0]] = c
+        else:
+            parts.append({v: c * b for v, b in ys.items()})
+    for i, sub in groups.items():
+        parts.append(_left_mult(i, _fold(sub, ys, k), k))
+    out = max(parts, key=len)
+    for part in parts:
+        if part is not out:
+            for w, c in part.items():
+                out[w] = out.get(w, 0) + c
+    return out
+
+
+def _left_mult(i: int, acc: dict, k: int) -> dict:
+    """T_{s_i} acc at q = 2^k: c, c << k and (c << k) - c are c, qc and (q-1)c."""
+    out: dict = {}
+    get = out.get
+    for w, c in acc.items():
+        if not c:
+            continue
+        sw, longer = left_step(w, i)
+        if longer:
+            out[sw] = get(sw, 0) + c
+        else:
+            qc = c << k
+            out[sw] = get(sw, 0) + qc
+            out[w] = get(w, 0) + qc - c
+    return out
 
 
 def tau(x: HeckeElement) -> HeckeElement:
@@ -239,17 +344,17 @@ def regular_representation(n: int, bound: int = REGULAR_BOUND) -> ModulePresenta
     """Left multiplication of H_n on itself in the T_w basis (lex order)."""
     if n > bound:
         raise ValueError(f"size bound: n = {n} exceeds {bound}")
-    basis = list(permutations_of(n))
-    index = {w.one_line: t for t, w in enumerate(basis)}
+    basis = [w.one_line for w in permutations_of(n)]
+    index = {w: t for t, w in enumerate(basis)}
     gens = []
     for i in range(1, n):
         entries = {}
         for t, w in enumerate(basis):
-            sw = w.swap_values(i)
-            if sw.length > w.length:
-                entries[(index[sw.one_line], t)] = ONE
+            sw, longer = left_step(w, i)
+            if longer:
+                entries[(index[sw], t)] = ONE
             else:
-                entries[(index[sw.one_line], t)] = Q
+                entries[(index[sw], t)] = Q
                 entries[(t, t)] = Q_MINUS_ONE
         gens.append(ExactMatrix(len(basis), len(basis), entries))
     return ModulePresentation(n, len(basis), gens, label=f"regular H_{n}")
@@ -339,10 +444,11 @@ def induce_pair(V: ModulePresentation, W: ModulePresentation) -> ModulePresentat
     for s in range(1, n):
         entries: dict = {}
         for di, d in enumerate(reps):
-            sd = d.swap_values(s)
+            sd_line, longer = left_step(d.one_line, s)
+            sd = Permutation(sd_line)
             if is_distinguished(sd, comp):
-                ti = rep_index[sd.one_line]
-                if sd.length > d.length:
+                ti = rep_index[sd_line]
+                if longer:
                     for i in range(p):
                         for j in range(r):
                             entries[(idx(ti, i, j), idx(di, i, j))] = ONE
@@ -369,6 +475,6 @@ def induce_pair(V: ModulePresentation, W: ModulePresentation) -> ModulePresentat
                         for i in range(p):
                             entries[(idx(di, i, jj), idx(di, i, j))] = c
         gens.append(ExactMatrix(dim, dim, entries))
-    assert dim == comb(n, m) * p * r
+    assert dim == math.comb(n, m) * p * r
     label = f"Ind({V.label or 'V'}, {W.label or 'W'})"
     return ModulePresentation(n, dim, gens, label=label)

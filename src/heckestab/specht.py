@@ -224,7 +224,7 @@ def decompose(V: ModulePresentation) -> dict:
     return out
 
 
-def coinvariant_quotient(V: ModulePresentation, a: int, literal: bool = False):
+def coinvariant_quotient(V: ModulePresentation, a: int):
     """Like coinvariants, but returns the full quotient structure.
 
     Callers that need the section (to build induced maps between
@@ -234,11 +234,10 @@ def coinvariant_quotient(V: ModulePresentation, a: int, literal: bool = False):
     N = V.n
     if not 0 <= a <= N:
         raise ValueError(f"retained rank {a} outside 0..{N}")
-    shift = ONE if literal else Q
     subspace = []
     eye = ExactMatrix.identity(V.dim)
     for j in range(a + 1, N):
-        g = V.gen_action[j - 1] - eye.scale(shift)
+        g = V.gen_action[j - 1] - eye.scale(Q)
         subspace.extend(g.columns())
     front = V.gen_action[: max(a - 1, 0)]
     qs = quotient_structure(V.dim, subspace, front)
@@ -252,7 +251,7 @@ def coinvariant_quotient(V: ModulePresentation, a: int, literal: bool = False):
     return quotient, qs
 
 
-def coinvariants(V: ModulePresentation, a: int, literal: bool = False):
+def coinvariants(V: ModulePresentation, a: int):
     """Quotient of V by the tail coinvariant subspace, as an H_a-module.
 
     For V over H_N the tail generators are s_{a+1}, ..., s_{N-1}; the
@@ -261,14 +260,9 @@ def coinvariants(V: ModulePresentation, a: int, literal: bool = False):
     front generators s_1, ..., s_{a-1} commute with the tail, so they
     descend to the quotient, the index-isotypic part of the restriction.
 
-    With literal=True the untwisted generators (T_{s_j} - 1) are used
-    instead; at generic q both eigenvalues of T_s - 1 are nonzero, so the
-    quotient is zero whenever a tail generator exists.  This mode exists
-    to make that degeneration observable, not for production use.
-
     Returns (quotient ModulePresentation over H_a, projection matrix).
     """
-    quotient, qs = coinvariant_quotient(V, a, literal=literal)
+    quotient, qs = coinvariant_quotient(V, a)
     return quotient, qs.projection
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,24 @@ class TestHeckeMult:
         code, _, err = run(capsys, "hecke", "mult", "--n", "3", "--left", "a b", "--right", "1")
         assert code == 2
         assert "error" in json.loads(err)
+
+
+# stdout of `hecke mult` for fixed words, as printed by the Scalar fold
+# that preceded the packed-integer product (tests/hecke_reference.py)
+GOLDEN_MULT = json.loads((Path(__file__).parent / "golden" / "hecke_mult.json").read_text())
+
+
+class TestHeckeMultGolden:
+    @pytest.mark.parametrize(
+        "case", GOLDEN_MULT, ids=[f"{t}-n{c['n']}" for t, c in enumerate(GOLDEN_MULT)]
+    )
+    def test_stdout_is_pinned(self, capsys, case):
+        code, out, err = run(
+            capsys, "hecke", "mult", "--n", str(case["n"]),
+            "--left", case["left"], "--right", case["right"],
+        )
+        assert (code, err) == (0, "")
+        assert out == case["stdout"]
 
 
 class TestSeqPipeline:

@@ -1,0 +1,153 @@
+"""Differential tests of the packed-integer T-basis product.
+
+``hecke_reference`` is the product ``mult`` replaced: a fold of Scalar
+arithmetic over Q(q), one generator at a time.  Both must give equal
+elements.  The coefficients drawn below reach every branch of the packed
+path: integers, non-integral rationals, integers of at least 2^80 (a wide
+packing width) and the denominators q, q - 1 and q^2 + 1.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import hecke_reference as ref
+from heckestab.hecke import HeckeElement, _pack, _unpack, mult
+from heckestab.qfield import ONE, Q, Scalar
+from heckestab.symgroup import Permutation, permutations_of
+
+DENOMINATORS = (ONE, Q, Q - 1, Q * Q + 1)
+
+constants = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-4, max_value=4, max_denominator=9).filter(
+        lambda c: c.denominator != 1
+    ),
+    st.integers(2**80, 2**90),
+    st.integers(-(2**90), -(2**80)),
+)
+
+coefficients = st.builds(
+    lambda num, den: Scalar(tuple(num)) / den,
+    st.lists(constants, min_size=1, max_size=3).filter(any),
+    st.sampled_from(DENOMINATORS),
+)
+
+
+@st.composite
+def elements(draw, n):
+    words = draw(
+        st.lists(st.permutations(range(1, n + 1)), max_size=3, unique_by=tuple)
+    )
+    return HeckeElement(n, {Permutation(w): draw(coefficients) for w in words})
+
+
+@st.composite
+def pairs(draw):
+    n = draw(st.integers(1, 6))
+    return draw(elements(n)), draw(elements(n))
+
+
+def in_normal_form(x: HeckeElement) -> bool:
+    """No zero coefficient, and integral coefficients stored as int."""
+    return all(
+        c and all(type(a) is int or a.denominator != 1 for a in c.num + c.den)
+        for c in x.coeffs.values()
+    )
+
+
+def max_coefficient(x: HeckeElement) -> int:
+    """The largest absolute value of a Z[q] coefficient of x."""
+    return max((abs(a) for c in x.coeffs.values() for a in c.num), default=0)
+
+
+def longest(n: int) -> HeckeElement:
+    return HeckeElement.basis(n, Permutation(tuple(range(n, 0, -1))))
+
+
+class TestAgainstScalarFold:
+    @settings(max_examples=150)
+    @given(pairs())
+    def test_random_pairs(self, xy):
+        x, y = xy
+        got = mult(x, y)
+        assert got == ref.mult(x, y)
+        assert in_normal_form(got)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_basis_pair(self, n):
+        for u, v in product(permutations_of(n), repeat=2):
+            x, y = HeckeElement.basis(n, u), HeckeElement.basis(n, v)
+            got = mult(x, y)
+            assert got == ref.mult(x, y)
+            assert max_coefficient(got) <= 3**u.length
+
+    def test_longest_squared_rank_six(self):
+        w0 = longest(6)
+        got = mult(w0, w0)
+        assert got == ref.mult(w0, w0)
+        assert len(got.coeffs) == 720
+        assert max_coefficient(got) <= 3**15
+
+    def test_rational_and_wide_coefficients(self):
+        x = longest(4).scale(Scalar((2**100, Fraction(1, 3))) / (Q - 1))
+        y = (longest(4) + HeckeElement.one(4)).scale(Fraction(-5, 7) * Q / (Q * Q + 1))
+        assert mult(x, y) == ref.mult(x, y)
+        assert mult(y, x) == ref.mult(y, x)
+
+    def test_denominators_with_rational_coefficients(self):
+        # monic denominators such as q + 1/2 make D_x rational, not integral
+        x = HeckeElement(3, {
+            Permutation((2, 1, 3)): ONE / (Q + Fraction(1, 2)),
+            Permutation((3, 2, 1)): Scalar((Fraction(1, 3), 2)) / (Q * Q + Fraction(2, 7)),
+        })
+        y = HeckeElement(3, {
+            Permutation((1, 3, 2)): (Q - Fraction(1, 2)) / (Q + Fraction(1, 2)),
+            Permutation((1, 2, 3)): Scalar(Fraction(5, 4)),
+        })
+        for a, b in product((x, y), repeat=2):
+            assert mult(a, b) == ref.mult(a, b)
+
+    def test_denominators_cancel(self):
+        # (q - 1) / q times q / (q - 1) is 1: the cleared denominators
+        # must divide out of the product, not only the shared one
+        x = HeckeElement.one(3).scale((Q - 1) / Q)
+        y = HeckeElement.basis(3, Permutation((2, 1, 3))).scale(Q / (Q - 1))
+        assert mult(x, y) == HeckeElement.basis(3, Permutation((2, 1, 3)))
+
+
+class TestPacking:
+    @given(st.integers(2, 200), st.data())
+    def test_round_trip_up_to_the_width(self, k, data):
+        # every coefficient of absolute value below 2^(k-1) decodes exactly
+        top = (1 << (k - 1)) - 1
+        coeff = st.sampled_from((-top, top)) | st.integers(-top, top)
+        p = list(data.draw(st.lists(coeff, max_size=8)))
+        while p and not p[-1]:
+            p.pop()
+        assert _unpack(_pack(p, k), k) == tuple(p)
+
+
+class TestEdges:
+    def test_zero_element(self):
+        zero = HeckeElement(4)
+        assert mult(zero, longest(4)).is_zero()
+        assert mult(longest(4), zero).is_zero()
+        assert mult(zero, zero).is_zero()
+
+    def test_cancellation_to_zero(self):
+        # (T_s - q)(T_s + 1) = 0 in H_2
+        s = HeckeElement.basis(2, Permutation((2, 1)))
+        one = HeckeElement.one(2)
+        assert mult(s - one.scale(Q), s + one).is_zero()
+
+    def test_rank_mismatch(self):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            mult(HeckeElement.one(3), HeckeElement.one(4))
+
+    def test_rank_zero_and_one(self):
+        for n in (0, 1):
+            x = HeckeElement.one(n).scale(Fraction(3, 2))
+            assert mult(x, x) == HeckeElement.one(n).scale(Fraction(9, 4))

@@ -333,12 +333,6 @@ class TestCoinvariants:
         quotient, _ = coinvariants(V, 0)
         assert quotient.dim == 0
 
-    def test_literal_untwisted_quotient_vanishes(self):
-        # T_s - 1 is invertible at generic q: both eigenvalues move off 0
-        V = specht_module((2, 1))
-        quotient, _ = coinvariants(V, 1, literal=True)
-        assert quotient.dim == 0
-
     def test_counts_index_isotypic_part(self):
         # regular H_3 restricted to the tail <s_2> is 3 copies of regular
         # H_2, so the q-eigenspace of the tail has dimension 3

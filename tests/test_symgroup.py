@@ -17,7 +17,9 @@ from heckestab.symgroup import (
     coset_min_reps,
     double_coset_min_reps,
     double_coset_stabilization,
+    first_descent,
     is_distinguished,
+    left_step,
     permutations_of,
 )
 
@@ -117,6 +119,16 @@ class TestBasics:
         w = Permutation.from_word(4, (1, 2, 1, 3))
         assert w.length == 4
         assert Permutation.from_word(4, w.reduced_word()) == w
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_left_step_agrees_with_length(self, n):
+        for w in permutations_of(n):
+            for i in range(1, n):
+                sw, longer = left_step(w.one_line, i)
+                expected = Permutation.simple(n, i) * w
+                assert sw == expected.one_line
+                assert longer == (expected.length > w.length)
+            assert first_descent(w.one_line) == min(w.left_descents(), default=0)
 
 
 class TestReducedWords:
