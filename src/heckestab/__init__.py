@@ -1,8 +1,8 @@
 """Exact computations with Iwahori-Hecke algebras of type A at generic q.
 
 Everything is carried out over the rational function field Q(q): no
-floating point, no specialization unless explicitly requested through a
-rank-checking mode.  The package covers the T-basis algebra itself,
+floating point and no sampled values of q; every rank, solve and verdict
+is exact.  The package covers the T-basis algebra itself,
 seminormal (Young) representations, Specht module decompositions, and
 towers of compatible modules with their induction, degree, weight, and
 stability invariants.

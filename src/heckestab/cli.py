@@ -101,15 +101,8 @@ def _cmd_seq_build(args) -> int:
     return 0
 
 
-def _rank_options(args) -> dict:
-    if args.strict and args.mode == "specialized":
-        raise ValueError("--strict forbids --mode specialized")
-    return {"mode": args.mode, "count": args.spec_count, "seed": args.spec_seed}
-
-
 def _cmd_seq_degrees(args) -> int:
-    report = degrees(load_sequence(args.infile), args.amax, **_rank_options(args))
-    _emit(report)
+    _emit(degrees(load_sequence(args.infile), args.amax))
     return 0
 
 
@@ -137,9 +130,7 @@ def _cmd_seq_multiplicities(args) -> int:
 
 
 def _cmd_seq_check_stable(args) -> int:
-    verdict = is_uniformly_stable(
-        load_sequence(args.infile), a_max=args.amax, **_rank_options(args)
-    )
+    verdict = is_uniformly_stable(load_sequence(args.infile), a_max=args.amax)
     _emit(verdict)
     return 0 if verdict["stable"] else 1
 
@@ -162,17 +153,6 @@ def _cmd_seq_noetherian(args) -> int:
 
 def _cmd_verify_all(args) -> int:
     return verify_all()
-
-
-def _add_rank_flags(p) -> None:
-    p.add_argument("--mode", choices=("exact", "specialized"), default="exact")
-    p.add_argument("--spec-count", type=int, default=3)
-    p.add_argument("--spec-seed", type=int, default=0)
-    p.add_argument(
-        "--strict",
-        action="store_true",
-        help="refuse specialized arithmetic; exact only",
-    )
 
 
 @functools.cache
@@ -208,7 +188,6 @@ def build_parser() -> _Parser:
     degrees_p = seq_sub.add_parser("degrees", help="injective/surjective/stability degrees")
     degrees_p.add_argument("--in", dest="infile", required=True)
     degrees_p.add_argument("--amax", type=int, required=True)
-    _add_rank_flags(degrees_p)
     degrees_p.set_defaults(func=_cmd_seq_degrees)
 
     weight_p = seq_sub.add_parser("weight", help="maximal constituent size")
@@ -223,7 +202,6 @@ def build_parser() -> _Parser:
     stable_p = seq_sub.add_parser("check-stable", help="uniform stability verdict")
     stable_p.add_argument("--in", dest="infile", required=True)
     stable_p.add_argument("--amax", type=int, default=2)
-    _add_rank_flags(stable_p)
     stable_p.set_defaults(func=_cmd_seq_check_stable)
 
     shift_p = seq_sub.add_parser("shift-decompose", help="split the shifted M(m)")

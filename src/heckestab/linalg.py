@@ -2,16 +2,12 @@
 
 Matrices act on column vectors: column j of a matrix is the image of the
 j-th basis vector.  Entries are :class:`~heckestab.qfield.Scalar` values and
-only nonzero entries are stored.  Rank, kernel and quotient computations run
-fully symbolically; an optional specialised mode evaluates a matrix at
-random rational points q0 (never 0 or +-1) as a fast probabilistic check,
-but it is opt-in and nothing downstream defaults to it.
+only nonzero entries are stored.  Rank, kernel, solve and quotient
+computations all run through one exact echelon elimination over Q(q);
+nothing is evaluated at sample points.
 """
 
 from __future__ import annotations
-
-import random
-from fractions import Fraction
 
 from .qfield import ONE, ZERO, Scalar, scal
 
@@ -292,73 +288,12 @@ class EchelonBasis:
         return coords
 
 
-def rank(matrix: ExactMatrix, mode: str = "exact", count: int = 3, seed: int = 0) -> int:
-    """Rank of a matrix, exactly or by specialisation at random points.
-
-    The specialised mode evaluates all entries at ``count`` random rational
-    points q0 (never 0 or +-1, redrawn away from poles), computes ranks over
-    Q, and returns the maximum observed value.  Specialisation can only drop
-    the rank, so the maximum is a lower bound that is generically exact.
-    If the observations disagree, one fresh batch is drawn; persistent
-    disagreement raises ``ValueError('unstable specialization')``.
-    """
-    if mode == "exact":
-        basis = EchelonBasis(matrix.rows)
-        for col in matrix.columns():
-            basis.insert(col)
-        return len(basis)
-    if mode != "specialized":
-        raise ValueError(f"unknown rank mode {mode!r}")
-    rng = random.Random(seed)
-    observed = _specialized_ranks(matrix, rng, count)
-    if len(set(observed)) > 1:
-        retry = _specialized_ranks(matrix, rng, count)
-        if len(set(retry)) > 1:
-            raise ValueError("unstable specialization")
-        observed += retry
-    return max(observed)
-
-
-def _specialized_ranks(matrix: ExactMatrix, rng: random.Random, count: int) -> list:
-    out = []
-    for _ in range(count):
-        for _attempt in range(100):
-            q0 = Fraction(rng.randint(-99, 99), rng.randint(1, 99))
-            if q0 in (0, 1, -1):
-                continue
-            try:
-                out.append(_rank_at_point(matrix, q0))
-                break
-            except ValueError:
-                continue  # drawn onto a pole; redraw
-        else:
-            raise ValueError("unstable specialization")
-    return out
-
-
-def _rank_at_point(matrix: ExactMatrix, q0: Fraction) -> int:
-    cols: list = [dict() for _ in range(matrix.cols)]
-    for (i, j), v in matrix.entries.items():
-        cols[j][i] = v.specialize(q0)
-    pivots: dict = {}
-    for col in cols:
-        v = {i: c for i, c in col.items() if c}
-        while v:
-            p = min(v)
-            if p in pivots:
-                base = pivots[p]
-                c = v[p]
-                for i, x in base.items():
-                    w = v.get(i, 0) - c * x
-                    if w:
-                        v[i] = w
-                    else:
-                        v.pop(i, None)
-            else:
-                inv = 1 / v[p]
-                pivots[p] = {i: c * inv for i, c in v.items()}
-                break
-    return len(pivots)
+def rank(matrix: ExactMatrix) -> int:
+    """Exact rank over Q(q): the size of an echelon basis of the columns."""
+    basis = EchelonBasis(matrix.rows)
+    for col in matrix.columns():
+        basis.insert(col)
+    return len(basis)
 
 
 def kernel_basis(matrix: ExactMatrix) -> list:

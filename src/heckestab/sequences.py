@@ -332,12 +332,33 @@ def _restriction_matrix(basis_from, basis_to, mat) -> ExactMatrix:
     return ExactMatrix(len(basis_to.vectors), len(basis_from.vectors), entries)
 
 
+def _generated(V: ConsistentSequence) -> list:
+    """Entry n: is V_{n+1} the H_{n+1}-span of phi_n(V_n)?  One per n < n_max.
+
+    This one closure per degree decides every generation degree.  The
+    sub-sequence spanned by seeds of degree <= d is, in degree n, the
+    closure of phi_{n-1} of its degree-(n-1) part plus the degree-n seeds,
+    so its degree-n part depends only on seeds of degree <= n.  If all the
+    seeds span V, those of degree <= d therefore already give V_n for
+    every n <= d; above d no seed is added, so by induction on n they give
+    V_n exactly when generated[d], ..., generated[n-1] all hold.  Hence
+    the seeds of degree <= d span V iff all(generated[d:]); the full
+    bases in degrees <= d are one such seed set.
+    """
+    return [
+        len(_closure(V.modules[n + 1], V.connectors[n].columns()).vectors)
+        == V.modules[n + 1].dim
+        for n in range(V.n_max)
+    ]
+
+
 def span(V: ConsistentSequence, seeds, label: str = "") -> tuple:
     """The subsequence generated by (degree, vector) seeds, plus a report.
 
-    The report's generation_degree is the least d such that the seeds of
-    degree <= d already generate the whole ambient V within truncation
-    (None when even the full seed set does not).
+    The report's generation_degree is the least d in {0} and the seed
+    degrees such that the seeds of degree <= d already generate the whole
+    ambient V within truncation (None when even the full seed set does
+    not); see _generated for why all(generated[d:]) decides it.
     """
     seeds = list(seeds)
     bases = _span_bases(V, seeds)
@@ -359,12 +380,10 @@ def span(V: ConsistentSequence, seeds, label: str = "") -> tuple:
     ambient = V.dims()
     generation = None
     if dims == ambient:
-        occupied = sorted({0, *(deg for deg, _ in seeds)})
-        for d in occupied:
-            prefix = [(deg, vec) for deg, vec in seeds if deg <= d]
-            if [len(b.vectors) for b in _span_bases(V, prefix)] == ambient:
-                generation = d
-                break
+        generated = _generated(V)
+        generation = min(
+            d for d in {0, *(deg for deg, _ in seeds)} if all(generated[d:])
+        )
     report = {
         "dims": dims,
         "ambient_dims": ambient,
@@ -376,24 +395,15 @@ def span(V: ConsistentSequence, seeds, label: str = "") -> tuple:
     return sub, report
 
 
-def generation_degree(V: ConsistentSequence):
+def generation_degree(V: ConsistentSequence) -> int:
     """Least d with span of the full bases in degrees <= d equal to V.
 
-    The value n_max is possible and carries no predictive content; every
+    That is the least d with all(generated[d:]) (see _generated).  The
+    value n_max is possible and carries no predictive content; every
     answer is relative to the truncation window.
     """
-    ambient = V.dims()
-    target = None
-    for d in range(V.n_max + 1):
-        seeds = [
-            (n, {i: ONE})
-            for n in range(d + 1)
-            for i in range(V.modules[n].dim)
-        ]
-        if [len(b.vectors) for b in _span_bases(V, seeds)] == ambient:
-            target = d
-            break
-    return target
+    generated = _generated(V)
+    return next(d for d in range(V.n_max + 1) if all(generated[d:]))
 
 
 def free_cover(V: ConsistentSequence, d: int) -> SequenceMorphism:
@@ -406,7 +416,7 @@ def free_cover(V: ConsistentSequence, d: int) -> SequenceMorphism:
     exactly and raises otherwise.
     """
     gen = generation_degree(V)
-    if gen is None or gen > d:
+    if gen > d:
         raise ValueError(
             f"insufficient degree: V needs generation degree {gen}, got {d}"
         )
@@ -483,13 +493,7 @@ def phi_a(V: ConsistentSequence, a: int) -> PhiSequence:
     return PhiSequence(a, spaces, maps, [qs.projection for qs in structures])
 
 
-def degrees(
-    V: ConsistentSequence,
-    a_max: int,
-    mode: str = "exact",
-    count: int = 3,
-    seed: int = 0,
-) -> dict:
+def degrees(V: ConsistentSequence, a_max: int) -> dict:
     """Observed injective / surjective / stability degrees of Phi_a maps.
 
     Probes every pair 0 <= a <= a_max, 0 <= n < n_max - a.  An observed
@@ -505,7 +509,7 @@ def degrees(
         tower = phi_a(V, a)
         results = []
         for n, T in enumerate(tower.maps):
-            r = rank(T, mode=mode, count=count, seed=seed + 977 * a + n)
+            r = rank(T)
             results.append(
                 {
                     "n": n,
@@ -560,7 +564,8 @@ def degrees(
         "label": V.label,
         "n_max": V.n_max,
         "a_max": a_max,
-        "mode": mode,
+        # ranks are always exact; the key stays so reports keep their bytes
+        "mode": "exact",
         "probes": probes,
         "injective_degree": injective,
         "surjective_degree": surjective,
@@ -605,32 +610,24 @@ def multiplicity_row_label(key) -> str:
     return partition_label(key)
 
 
-def is_uniformly_stable(
-    V: ConsistentSequence,
-    a_max=None,
-    mode: str = "exact",
-    count: int = 3,
-    seed: int = 0,
-) -> dict:
+def is_uniformly_stable(V: ConsistentSequence, a_max=None) -> dict:
     """Uniform representation stability verdict within the truncation.
 
     Finds the least N < n_max such that for every N <= n < n_max the
     connector is injective, V_{n+1} is generated over H_{n+1} by its
-    image, and the multiplicity columns at n and n+1 agree.  N = n_max is
-    never reported: that window is empty, and vacuous evidence must not
-    certify a sequence that acquires new generators at the last computed
-    degree.  When a_max is given the report also carries the predicted
-    onset bound s + m (stability degree plus weight) for comparison;
-    mode, count and seed configure the rank backend of that probe, while
-    the clause checks themselves stay exact.
+    image (the _generated flags), and the multiplicity columns at n and
+    n+1 agree.  N = n_max is never reported: that window is empty, and
+    vacuous evidence must not certify a sequence that acquires new
+    generators at the last computed degree.  So n_max = 0, which has no
+    connector to check, is never stable.  When a_max is given the report
+    also carries the predicted onset bound s + m (stability degree of the
+    exact degrees probe plus weight) for comparison.
     """
     table = multiplicity_table(V)
     clauses = []
-    for n in range(V.n_max):
+    for n, generated in enumerate(_generated(V)):
         f = V.connectors[n]
         injective = rank(f) == f.cols
-        image = _closure(V.modules[n + 1], f.columns())
-        generated = len(image.vectors) == V.modules[n + 1].dim
         constant = all(col[n] == col[n + 1] for col in table["rows"].values())
         clauses.append(
             {
@@ -641,8 +638,6 @@ def is_uniformly_stable(
             }
         )
     observed = None
-    if V.n_max == 0:
-        observed = 0
     for N in range(V.n_max):
         if all(
             c["injective"] and c["generated"] and c["multiplicities_match"]
@@ -659,7 +654,7 @@ def is_uniformly_stable(
         "qualifier": f"within truncation n_max={V.n_max}",
     }
     if a_max is not None:
-        report = degrees(V, a_max, mode=mode, count=count, seed=seed)
+        report = degrees(V, a_max)
         m = _table_weight(table)
         s = report["stability_degree"]
         out["weight"] = m
@@ -800,7 +795,7 @@ def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:
         ),
         "matches_fresh_Mm": matches,
         "complement_generation_degree": gen_deg,
-        "bound_ok": gen_deg is not None and gen_deg <= m - 1,
+        "bound_ok": gen_deg <= m - 1,
         "complement": complement,
     }
 
@@ -817,10 +812,13 @@ def noetherian_experiment(m: int, trials: int, seed: int, n_max: int) -> dict:
     submodule born in the last degree would be flagged unstable on
     vacuous evidence, which measures the truncation, not the module.
     Evidence, not proof; identical seeds give identical reports.  At
-    least one trial is required: zero trials would be a vacuous verdict.
+    least one trial and n_max >= 1 are required: zero trials, or a window
+    with no connector, would be a vacuous verdict.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     V = build_Mm(m, n_max)
     rng = random.Random(seed)
     deg_cap = max(0, n_max - m - 1)

@@ -57,6 +57,27 @@ class TestHeckeMultGolden:
         assert out == case["stdout"]
 
 
+# stdout and exit code of the tower commands, as printed before every
+# generation degree came from one closure per degree (tests/sequences_reference.py)
+GOLDEN_SEQ = json.loads((Path(__file__).parent / "golden" / "seq.json").read_text())
+
+
+class TestSeqGolden:
+    @pytest.mark.parametrize(
+        "case", GOLDEN_SEQ,
+        ids=[f"{t}-{c['argv'][1]}" for t, c in enumerate(GOLDEN_SEQ)],
+    )
+    def test_stdout_is_pinned(self, capsys, tmp_path, case):
+        argv = list(case["argv"])
+        if case["tower"]:
+            tower = str(tmp_path / "tower.json")
+            assert run(capsys, "seq", "build", *case["tower"], "--out", tower)[0] == 0
+            argv += ["--in", tower]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (case["exit"], "")
+        assert out == case["stdout"]
+
+
 class TestSeqPipeline:
     def test_build_then_degrees(self, capsys, tmp_path):
         out_file = str(tmp_path / "ms1.json")
@@ -182,34 +203,33 @@ class TestErrorsAndDeterminism:
         assert out == ""
         assert "--nmax" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize(
+        "command, removed",
+        [
+            (["degrees", "--amax", "1"], ["--mode", "exact"]),
+            (["degrees", "--amax", "1"], ["--spec-count", "3", "--spec-seed", "11"]),
+            (["check-stable"], ["--strict"]),
+        ],
+    )
+    def test_rank_flags_are_gone(self, capsys, tmp_path, command, removed):
+        # ranks are always exact; there is no mode to pick or to refuse
+        out_file = str(tmp_path / "m1.json")
+        run(capsys, "seq", "build", "--kind", "Mm", "--m", "1",
+            "--nmax", "3", "--out", out_file)
+        code, out, err = run(capsys, "seq", *command, "--in", out_file, *removed)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert json.loads(err) == {
+            "error": "unrecognized arguments: " + " ".join(removed)
+        }
+
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "seq", "weight", "--in", str(tmp_path / "absent.json")
         )
         assert code == 2
         assert "error" in json.loads(err)
-
-    def test_strict_refuses_specialized(self, capsys, tmp_path):
-        out_file = str(tmp_path / "m1.json")
-        run(capsys, "seq", "build", "--kind", "Mm", "--m", "1",
-            "--nmax", "4", "--out", out_file)
-        code, _, err = run(
-            capsys, "seq", "degrees", "--in", out_file, "--amax", "1",
-            "--mode", "specialized", "--strict",
-        )
-        assert code == 2
-        assert "strict" in json.loads(err)["error"]
-
-    def test_specialized_mode_runs(self, capsys, tmp_path):
-        out_file = str(tmp_path / "m1.json")
-        run(capsys, "seq", "build", "--kind", "Mm", "--m", "1",
-            "--nmax", "4", "--out", out_file)
-        code, out, _ = run(
-            capsys, "seq", "degrees", "--in", out_file, "--amax", "1",
-            "--mode", "specialized", "--spec-count", "3", "--spec-seed", "11",
-        )
-        assert code == 0
-        assert json.loads(out)["mode"] == "specialized"
 
     def test_identical_invocations_identical_bytes(self, capsys, tmp_path):
         out_file = str(tmp_path / "m2.json")
@@ -240,6 +260,14 @@ class TestErrorsAndDeterminism:
         assert code == 2
         assert out == ""
         assert "trials" in json.loads(err)["error"]
+
+    def test_noetherian_needs_a_connector(self, capsys):
+        # n_max = 0 has no connector, so all_stable would be vacuous
+        code, out, err = run(capsys, "seq", "noetherian", "--m", "2", "--trials",
+                             "1", "--seed", "1", "--nmax", "0")
+        assert code == 2
+        assert out == ""
+        assert "n_max" in json.loads(err)["error"]
 
     @pytest.mark.parametrize(
         "content, path",

@@ -107,22 +107,6 @@ class TestEchelonBasis:
         assert rank(mat) == r
 
 
-class TestRankModes:
-    def test_specialized_agrees_on_generic_example(self):
-        a = M([[Q, 1, Q + 1], [Q * Q, Q, Q * Q + Q], [0, 1, 1]])
-        assert rank(a) == 2
-        assert rank(a, mode="specialized", seed=11) == 2
-
-    def test_specialized_handles_poles(self):
-        # every specialisation must avoid q = 1 where these entries blow up
-        a = M([[ONE / (Q - 1), 1], [0, Q]])
-        assert rank(a, mode="specialized", seed=3) == 2
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown rank mode"):
-            rank(M([[1]]), mode="float")
-
-
 class TestKernel:
     def test_known_kernel(self):
         a = M([[1, Q, 0], [0, 0, 1]])

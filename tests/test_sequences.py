@@ -288,12 +288,6 @@ class TestDegrees:
         with pytest.raises(ValueError, match="a_max"):
             degrees(build_Mm(1, 3), 9)
 
-    def test_specialized_mode_agrees(self):
-        exact = degrees(build_Mm(1, 4), 1)
-        spec = degrees(build_Mm(1, 4), 1, mode="specialized", count=3, seed=5)
-        assert spec["injective_degree"] == exact["injective_degree"]
-        assert spec["surjective_degree"] == exact["surjective_degree"]
-
 
 class TestWeightAndMultiplicities:
     def test_weights(self):
@@ -339,6 +333,14 @@ class TestUniformStability:
         verdict = is_uniformly_stable(zero_sequence(4))
         assert verdict["stable"]
         assert verdict["observed_N"] == 0
+
+    def test_empty_window_never_certifies(self):
+        # n_max = 0 has no connector: no clause, so no evidence of stability
+        verdict = is_uniformly_stable(build_Mm(1, 0), a_max=0)
+        assert verdict["clauses"] == []
+        assert not verdict["stable"]
+        assert verdict["observed_N"] is None
+        assert not verdict["within_predicted"]
 
     def test_doubling_tower_fails(self):
         verdict = is_uniformly_stable(non_finitely_generated(5))
@@ -496,6 +498,11 @@ class TestNoetherianExperiment:
         for row in report["per_trial"]:
             assert row["generation_degree"] is not None
             assert set(row["multiplicities"]) >= set()
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_needs_a_connector(self, n_max):
+        with pytest.raises(ValueError, match="n_max must be at least 1"):
+            noetherian_experiment(2, 1, 1, n_max)
 
     def test_json_safe(self):
         report = noetherian_experiment(1, 3, 1, 4)
