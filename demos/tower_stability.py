@@ -13,7 +13,7 @@ from heckestab import (
     degrees,
     is_uniformly_stable,
     multiplicity_table,
-    multiplicity_row_label,
+    partition_label,
     weight,
 )
 
@@ -36,7 +36,7 @@ print("weight:", weight(V))
 # becomes constant once n is large enough; that is the point.
 table = multiplicity_table(V)
 for key in sorted(table["rows"], key=lambda k: (sum(k), k)):
-    label = multiplicity_row_label(key) or "(empty)"
+    label = partition_label(key) or "(empty)"
     print(f"  {label:8s} {table['rows'][key]}")
 
 # The packaged verdict: stable, with the observed onset no later than

@@ -14,9 +14,7 @@ from .hecke import (
     index_rep,
     induce_pair,
     mult,
-    one_dim_rep,
     regular_representation,
-    restrict,
     sign_rep,
     tau,
 )
@@ -24,7 +22,6 @@ from .linalg import (
     EchelonBasis,
     ExactMatrix,
     kernel_basis,
-    kron,
     quotient_structure,
     rank,
 )
@@ -52,25 +49,21 @@ from .sequences import (
     generation_degree,
     is_uniformly_stable,
     load_sequence,
-    multiplicity_row_label,
     multiplicity_table,
     noetherian_experiment,
     non_finitely_generated,
     phi_a,
     save_sequence,
-    seq_cokernel,
     seq_kernel,
     shift,
     shift_decompose_Mm,
     span,
-    tensor,
     weight,
 )
 from .specht import (
     character,
     character_table,
     coinvariant_quotient,
-    coinvariants,
     decompose,
     specht_module,
 )
@@ -86,23 +79,21 @@ from .verify import run_criteria, verify_all
 __all__ = [
     "Scalar", "scal", "q_power", "ZERO", "ONE", "Q",
     "ExactMatrix", "EchelonBasis", "rank", "kernel_basis",
-    "quotient_structure", "kron",
+    "quotient_structure",
     "Permutation", "permutations_of", "coset_min_reps",
     "double_coset_min_reps", "double_coset_stabilization",
     "partitions_of", "syt_count", "syt_enumerate", "row_standard_tableaux",
     "pieri_add", "unpad", "partition_label", "stable_multiplicity_oracle",
     "HeckeElement", "mult", "tau", "ModulePresentation",
-    "regular_representation", "one_dim_rep", "index_rep", "sign_rep",
-    "restrict", "induce_pair",
+    "regular_representation", "index_rep", "sign_rep", "induce_pair",
     "specht_module", "character", "character_table", "decompose",
-    "coinvariants", "coinvariant_quotient",
+    "coinvariant_quotient",
     "ConsistentSequence", "SequenceMorphism", "check_consistency",
     "build_M", "build_Mm", "build_M_specht", "non_finitely_generated",
     "span", "generation_degree", "free_cover", "phi_a", "degrees",
-    "weight", "multiplicity_table", "multiplicity_row_label",
-    "is_uniformly_stable",
+    "weight", "multiplicity_table", "is_uniformly_stable",
     "shift", "shift_decompose_Mm", "noetherian_experiment",
-    "direct_sum", "seq_kernel", "seq_cokernel", "tensor",
+    "direct_sum", "seq_kernel",
     "save_sequence", "load_sequence",
     "run_criteria", "verify_all",
 ]

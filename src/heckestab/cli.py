@@ -17,14 +17,13 @@ import json
 import sys
 
 from .hecke import HeckeElement, mult
-from .partitions import parse_partition_label
+from .partitions import parse_partition_label, partition_label
 from .sequences import (
     build_M_specht,
     build_Mm,
     degrees,
     is_uniformly_stable,
     load_sequence,
-    multiplicity_row_label,
     multiplicity_table,
     noetherian_experiment,
     save_sequence,
@@ -114,9 +113,7 @@ def _cmd_seq_weight(args) -> int:
 
 def _cmd_seq_multiplicities(args) -> int:
     table = multiplicity_table(load_sequence(args.infile))
-    rows = {
-        multiplicity_row_label(key): counts for key, counts in table["rows"].items()
-    }
+    rows = {partition_label(key): counts for key, counts in table["rows"].items()}
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

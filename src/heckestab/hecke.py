@@ -57,10 +57,8 @@ __all__ = [
     "tau",
     "ModulePresentation",
     "regular_representation",
-    "one_dim_rep",
     "index_rep",
     "sign_rep",
-    "restrict",
     "induce_pair",
 ]
 
@@ -327,23 +325,15 @@ class ModulePresentation:
             out = out @ self.gen_action[i - 1]
         return out
 
-    def act_element(self, x: HeckeElement) -> ExactMatrix:
-        if x.n != self.n:
-            raise ValueError("rank mismatch")
-        out = ExactMatrix.zeros(self.dim, self.dim)
-        for w, c in x.coeffs.items():
-            out = out + self.word_matrix(w.reduced_word()).scale(c)
-        return out
-
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
         return f"ModulePresentation(H_{self.n}, dim {self.dim}{tag})"
 
 
-def regular_representation(n: int, bound: int = REGULAR_BOUND) -> ModulePresentation:
+def regular_representation(n: int) -> ModulePresentation:
     """Left multiplication of H_n on itself in the T_w basis (lex order)."""
-    if n > bound:
-        raise ValueError(f"size bound: n = {n} exceeds {bound}")
+    if n > REGULAR_BOUND:
+        raise ValueError(f"size bound: n = {n} exceeds {REGULAR_BOUND}")
     basis = [w.one_line for w in permutations_of(n)]
     index = {w: t for t, w in enumerate(basis)}
     gens = []
@@ -360,56 +350,20 @@ def regular_representation(n: int, bound: int = REGULAR_BOUND) -> ModulePresenta
     return ModulePresentation(n, len(basis), gens, label=f"regular H_{n}")
 
 
-def one_dim_rep(n: int, kind: str) -> ModulePresentation:
-    """The two one-dimensional modules: every generator acts by q or by -1."""
-    if kind == "index":
-        value = Q
-    elif kind == "sign":
-        value = scal(-1)
-    else:
-        raise ValueError(f"unknown one-dimensional kind {kind!r}")
-    g = ExactMatrix(1, 1, {(0, 0): value})
-    return ModulePresentation(
-        n, 1, [g] * max(n - 1, 0), label=f"{kind} H_{n}", check=False
-    )
-
-
 def index_rep(n: int) -> ModulePresentation:
-    return one_dim_rep(n, "index")
+    """The one-dimensional module on which every generator acts by q."""
+    g = ExactMatrix(1, 1, {(0, 0): Q})
+    return ModulePresentation(
+        n, 1, [g] * max(n - 1, 0), label=f"index H_{n}", check=False
+    )
 
 
 def sign_rep(n: int) -> ModulePresentation:
-    return one_dim_rep(n, "sign")
-
-
-class RestrictedPair:
-    """Restriction of an H_n-module to the Young subalgebra H_(n-m, m).
-
-    Same underlying space; ``front`` keeps the generators s_1..s_{n-m-1}
-    and ``tail`` the generators s_{n-m+1}..s_{n-1} (relabelled to H_m).
-    The generator s_{n-m} linking the factors is dropped.
-    """
-
-    __slots__ = ("front", "tail")
-
-    def __init__(self, front, tail):
-        self.front = front
-        self.tail = tail
-
-
-def restrict(V: ModulePresentation, split) -> RestrictedPair:
-    a, m = split
-    if a < 0 or m < 0 or a + m != V.n:
-        raise ValueError(f"composition size: {split} does not split {V.n}")
-    front = ModulePresentation(
-        a, V.dim, V.gen_action[: max(a - 1, 0)],
-        label=f"{V.label}|front({a})", check=False,
+    """The one-dimensional module on which every generator acts by -1."""
+    g = ExactMatrix(1, 1, {(0, 0): scal(-1)})
+    return ModulePresentation(
+        n, 1, [g] * max(n - 1, 0), label=f"sign H_{n}", check=False
     )
-    tail = ModulePresentation(
-        m, V.dim, V.gen_action[a:],
-        label=f"{V.label}|tail({m})", check=False,
-    )
-    return RestrictedPair(front, tail)
 
 
 def _simple_index(u: Permutation):

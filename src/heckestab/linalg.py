@@ -19,7 +19,6 @@ __all__ = [
     "solve_unique",
     "QuotientStructure",
     "quotient_structure",
-    "kron",
 ]
 
 
@@ -432,11 +431,3 @@ def quotient_structure(dim: int, subspace_vectors, maps=()) -> QuotientStructure
         induced.append(ind)
     return QuotientStructure(dim, len(basis), projection, section, induced)
 
-
-def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Kronecker product, row-major block layout."""
-    entries = {}
-    for (ia, ja), ca in a.entries.items():
-        for (ib, jb), cb in b.entries.items():
-            entries[(ia * b.rows + ib, ja * b.cols + jb)] = ca * cb
-    return ExactMatrix(a.rows * b.rows, a.cols * b.cols, entries)

@@ -11,7 +11,6 @@ so they can serve as oracles for algebraic decompositions.
 
 from __future__ import annotations
 
-import itertools
 from functools import cache
 from math import factorial
 
@@ -278,8 +277,3 @@ def parse_partition_label(s: str) -> tuple:
         return ()
     return _check(tuple(int(p) for p in s.replace(",", " ").split()))
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

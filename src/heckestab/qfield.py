@@ -272,6 +272,11 @@ def poly_wire(a: Poly) -> str:
 
 
 def poly_parse_wire(s: str) -> Poly:
+    """The polynomial a poly_wire string names.
+
+    Raises ValueError("bad polynomial term ...") on a malformed term,
+    a negative exponent included.
+    """
     s = s.strip()
     if s == "0":
         return _P_ZERO
@@ -281,8 +286,11 @@ def poly_parse_wire(s: str) -> Poly:
         if not k:
             raise ValueError(f"bad polynomial term {term!r}")
         try:
-            coeffs[int(k)] = coeffs.get(int(k), 0) + Fraction(c)
-        except ZeroDivisionError:
+            exp = int(k)
+            if exp < 0:
+                raise ValueError("negative exponent")
+            coeffs[exp] = coeffs.get(exp, 0) + Fraction(c)
+        except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad polynomial term {term!r}") from None
     if not coeffs:
         return _P_ZERO

@@ -7,8 +7,7 @@ builds the whole stability toolkit:
 
   * M(W), the induced sequence sum_{m<=n} H_n (x)_{H_(m,n-m)} (W_m (x) index),
     whose connectors are inclusions of distinguished coset bases;
-  * span / generation degree, free covers, kernels, cokernels, sums,
-    tensor with an index-like factor;
+  * span / generation degree, free covers, kernels and sums;
   * the coinvariant tower Phi_a with its maps T, and the observed
     injective / surjective / stability degrees;
   * weight, multiplicity tables c_{lam,n}, and the uniform-stability
@@ -29,9 +28,9 @@ from collections import deque
 from fractions import Fraction
 
 from .hecke import ModulePresentation, index_rep, induce_pair, regular_representation
-from .linalg import EchelonBasis, ExactMatrix, kernel_basis, kron, quotient_structure, rank
+from .linalg import EchelonBasis, ExactMatrix, kernel_basis, rank
 from .partitions import pad, partition_label, unpad
-from .qfield import ONE, Q, Scalar, scal
+from .qfield import ONE, scal
 from .specht import coinvariant_quotient, decompose, specht_module
 from .symgroup import coset_min_reps
 
@@ -53,15 +52,12 @@ __all__ = [
     "degrees",
     "weight",
     "multiplicity_table",
-    "multiplicity_row_label",
     "is_uniformly_stable",
     "shift",
     "shift_decompose_Mm",
     "noetherian_experiment",
     "direct_sum",
     "seq_kernel",
-    "seq_cokernel",
-    "tensor",
     "sequence_to_json_obj",
     "sequence_from_json_obj",
     "save_sequence",
@@ -402,8 +398,12 @@ def generation_degree(V: ConsistentSequence) -> int:
     value n_max is possible and carries no predictive content; every
     answer is relative to the truncation window.
     """
-    generated = _generated(V)
-    return next(d for d in range(V.n_max + 1) if all(generated[d:]))
+    return _least_generated(_generated(V))
+
+
+def _least_generated(generated: list) -> int:
+    """The least d with all(generated[d:]); len(generated) always qualifies."""
+    return next(d for d in range(len(generated) + 1) if all(generated[d:]))
 
 
 def free_cover(V: ConsistentSequence, d: int) -> SequenceMorphism:
@@ -522,30 +522,22 @@ def degrees(V: ConsistentSequence, a_max: int) -> dict:
             max_n = max(max_n, n)
         probes.append({"a": a, "results": results})
 
-    def least_degree(key):
-        for s in range(max_n + 2):
-            ok = all(
-                row[key]
-                for block in probes
-                for row in block["results"]
-                if row["n"] >= s
-            )
-            if ok:
-                return s if s <= max_n else None
-        return None
+    probed = [row for block in probes for row in block["results"]]
+
+    def least_degree(*keys):
+        """Least s <= max_n with every key true at every probed n >= s."""
+        return next(
+            (
+                s
+                for s in range(max_n + 1)
+                if all(row[k] for row in probed if row["n"] >= s for k in keys)
+            ),
+            None,
+        )
 
     injective = least_degree("injective")
     surjective = least_degree("surjective")
-    stability = None
-    for s in range(max_n + 1):
-        if all(
-            row["injective"] and row["surjective"]
-            for block in probes
-            for row in block["results"]
-            if row["n"] >= s
-        ):
-            stability = s
-            break
+    stability = least_degree("injective", "surjective")
     violations = []
     for block in probes:
         rows = block["results"]
@@ -603,11 +595,6 @@ def multiplicity_table(V: ConsistentSequence) -> dict:
         "n_values": list(range(V.n_max + 1)),
         "rows": {lam: rows[lam] for lam in order},
     }
-
-
-def multiplicity_row_label(key) -> str:
-    """Printable label for a multiplicity-table row key."""
-    return partition_label(key)
 
 
 def is_uniformly_stable(V: ConsistentSequence, a_max=None) -> dict:
@@ -811,9 +798,11 @@ def noetherian_experiment(m: int, trials: int, seed: int, n_max: int) -> dict:
     is what makes stabilization observable before the window ends.  A
     submodule born in the last degree would be flagged unstable on
     vacuous evidence, which measures the truncation, not the module.
-    Evidence, not proof; identical seeds give identical reports.  At
-    least one trial and n_max >= 1 are required: zero trials, or a window
-    with no connector, would be a vacuous verdict.
+    A trial's generation degree is read off its verdict's generated flags,
+    so each trial closes them once.  Evidence, not proof; identical seeds
+    give identical reports.  At least one trial and n_max >= 1 are
+    required: zero trials, or a window with no connector, would be a
+    vacuous verdict.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -838,8 +827,8 @@ def noetherian_experiment(m: int, trials: int, seed: int, n_max: int) -> dict:
                         vec[i] = scal(Fraction(c))
             seeds.append((deg, vec))
         sub, _ = span(V, seeds, label=f"trial {t}")
-        gen_deg = generation_degree(sub)
         verdict = is_uniformly_stable(sub)
+        gen_deg = _least_generated([c["generated"] for c in verdict["clauses"]])
         table = multiplicity_table(sub)
         per_trial.append(
             {
@@ -850,7 +839,7 @@ def noetherian_experiment(m: int, trials: int, seed: int, n_max: int) -> dict:
                 "stable": verdict["stable"],
                 "observed_N": verdict["observed_N"],
                 "multiplicities": {
-                    multiplicity_row_label(key): counts
+                    partition_label(key): counts
                     for key, counts in table["rows"].items()
                 },
             }
@@ -862,9 +851,7 @@ def noetherian_experiment(m: int, trials: int, seed: int, n_max: int) -> dict:
         "seed": seed,
         "n_max": n_max,
         "per_trial": per_trial,
-        "max_generation_degree": max(
-            (g for g in gen_degrees if g is not None), default=0
-        ),
+        "max_generation_degree": max(gen_degrees),
         "all_finitely_generated": all(g is not None for g in gen_degrees),
         "all_stable": all(row["stable"] for row in per_trial),
     }
@@ -912,74 +899,6 @@ def seq_kernel(f: SequenceMorphism) -> ConsistentSequence:
         for n in range(V.n_max)
     ]
     return ConsistentSequence(modules, connectors, label=f"ker({V.label})")
-
-
-def seq_cokernel(f: SequenceMorphism) -> ConsistentSequence:
-    """Degreewise cokernel with the induced connectors."""
-    W = f.target
-    structures = []
-    modules = []
-    for n in range(W.n_max + 1):
-        qs = quotient_structure(
-            W.modules[n].dim,
-            f.components[n].columns(),
-            W.modules[n].gen_action,
-        )
-        structures.append(qs)
-        modules.append(
-            ModulePresentation(
-                n, qs.quotient_dim, qs.induced, label=f"coker_{n}", check=False
-            )
-        )
-    connectors = []
-    for n in range(W.n_max):
-        g = W.connectors[n]
-        T = structures[n + 1].projection @ g @ structures[n].section
-        if T @ structures[n].projection != structures[n + 1].projection @ g:
-            raise ValueError("not invariant")
-        connectors.append(T)
-    return ConsistentSequence(modules, connectors, label=f"coker({W.label})")
-
-
-def _is_index_like(module: ModulePresentation) -> bool:
-    eye_q = ExactMatrix.identity(module.dim).scale(Q)
-    return all(g == eye_q for g in module.gen_action)
-
-
-def tensor(V: ConsistentSequence, W: ConsistentSequence) -> ConsistentSequence:
-    """Degreewise tensor product when one factor is index-like.
-
-    At generic q the T-basis carries no coproduct, so a module structure
-    on V_n (x) W_n exists only when one factor acts by q everywhere; the
-    other factor then acts on its slot and the connectors are phi (x) psi.
-    """
-    if V.n_max != W.n_max:
-        raise ValueError("truncation mismatch")
-    modules = []
-    for n in range(V.n_max + 1):
-        a, b = V.modules[n], W.modules[n]
-        if _is_index_like(b):
-            gens = [
-                kron(g, ExactMatrix.identity(b.dim)) for g in a.gen_action
-            ]
-        elif _is_index_like(a):
-            gens = [
-                kron(ExactMatrix.identity(a.dim), g) for g in b.gen_action
-            ]
-        else:
-            raise ValueError("tensor requires an index-like factor")
-        modules.append(
-            ModulePresentation(
-                n, a.dim * b.dim, gens, label=f"({a.label})(x)({b.label})",
-                check=False,
-            )
-        )
-    connectors = [
-        kron(V.connectors[n], W.connectors[n]) for n in range(V.n_max)
-    ]
-    return ConsistentSequence(
-        modules, connectors, label=f"({V.label})(x)({W.label})"
-    )
 
 
 def sequence_to_json_obj(V: ConsistentSequence) -> dict:

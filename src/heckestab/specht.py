@@ -29,13 +29,7 @@ from functools import lru_cache
 
 from .hecke import ModulePresentation
 from .linalg import ExactMatrix, quotient_structure
-from .partitions import (
-    partition_label,
-    partitions_of,
-    pieri_add,
-    syt_count,
-    syt_enumerate,
-)
+from .partitions import partition_label, partitions_of, syt_count, syt_enumerate
 from .qfield import ONE, Q, ZERO, Scalar, q_power, scal
 from .symgroup import Permutation, conjugacy_min_reps
 
@@ -47,8 +41,6 @@ __all__ = [
     "character_table",
     "decompose",
     "coinvariant_quotient",
-    "coinvariants",
-    "branching_check",
 ]
 
 SPECHT_BOUND = 7
@@ -85,15 +77,15 @@ def _cross(d: int) -> Scalar:
     return (q_power(d) - Q) * (q_power(d + 1) - 1) / (q_power(d) - 1) ** 2
 
 
-def specht_module(lam, bound: int = SPECHT_BOUND) -> ModulePresentation:
+def specht_module(lam) -> ModulePresentation:
     """The seminormal presentation of S^lam, basis in syt_enumerate order.
 
     Built and verified once per shape, then shared by every caller; sound
     because ModulePresentation and ExactMatrix are never mutated.
     """
     n = sum(lam)
-    if n > bound:
-        raise ValueError(f"size bound: |lam| = {n} exceeds {bound}")
+    if n > SPECHT_BOUND:
+        raise ValueError(f"size bound: |lam| = {n} exceeds {SPECHT_BOUND}")
     return _verified_specht(tuple(lam))
 
 
@@ -225,11 +217,16 @@ def decompose(V: ModulePresentation) -> dict:
 
 
 def coinvariant_quotient(V: ModulePresentation, a: int):
-    """Like coinvariants, but returns the full quotient structure.
+    """Quotient of V by the tail coinvariant subspace, as an H_a-module.
 
-    Callers that need the section (to build induced maps between
-    quotients) use this; everyone else goes through coinvariants.
-    Returns (quotient ModulePresentation over H_a, QuotientStructure).
+    For V over H_N the tail generators are s_{a+1}, ..., s_{N-1}; the
+    subspace Q is spanned by the images of (T_{s_j} - q) for tail j, which
+    equals span{T_sigma v - q^{l(sigma)} v} over the tail subalgebra.  The
+    front generators s_1, ..., s_{a-1} commute with the tail, so they
+    descend to the quotient, the index-isotypic part of the restriction.
+
+    Returns (quotient ModulePresentation over H_a, QuotientStructure); the
+    structure's section builds the induced maps between quotients.
     """
     N = V.n
     if not 0 <= a <= N:
@@ -249,44 +246,3 @@ def coinvariant_quotient(V: ModulePresentation, a: int):
         check=False,
     )
     return quotient, qs
-
-
-def coinvariants(V: ModulePresentation, a: int):
-    """Quotient of V by the tail coinvariant subspace, as an H_a-module.
-
-    For V over H_N the tail generators are s_{a+1}, ..., s_{N-1}; the
-    subspace Q is spanned by the images of (T_{s_j} - q) for tail j, which
-    equals span{T_sigma v - q^{l(sigma)} v} over the tail subalgebra.  The
-    front generators s_1, ..., s_{a-1} commute with the tail, so they
-    descend to the quotient, the index-isotypic part of the restriction.
-
-    Returns (quotient ModulePresentation over H_a, projection matrix).
-    """
-    quotient, qs = coinvariant_quotient(V, a)
-    return quotient, qs.projection
-
-
-def branching_check(lam, m: int) -> dict:
-    """Compare coinvariants of S^lam against the one-strip branching oracle.
-
-    Removing a horizontal strip of size m: the quotient of S^lam by the
-    tail coinvariants of size m decomposes over H_{|lam|-m} as the sum of
-    S^mu over mu with lam in pieri_add(mu, m), each once.
-    """
-    n = sum(lam)
-    if not 0 <= m <= n:
-        raise ValueError(f"strip size {m} outside 0..{n}")
-    a = n - m
-    V = specht_module(lam)
-    quotient, _ = coinvariants(V, a)
-    computed = decompose(quotient) if quotient.dim else {}
-    expected = {
-        mu: 1 for mu in partitions_of(a) if tuple(lam) in pieri_add(mu, m)
-    }
-    return {
-        "lam": tuple(lam),
-        "m": m,
-        "computed": computed,
-        "expected": expected,
-        "match": computed == expected,
-    }

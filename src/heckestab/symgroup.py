@@ -330,8 +330,3 @@ def double_coset_stabilization(a: int, m: int, n_max: int) -> dict:
         "stabilized_by_m": stabilized_at is not None and stabilized_at <= m,
     }
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

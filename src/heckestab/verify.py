@@ -37,7 +37,7 @@ from .sequences import (
     shift_decompose_Mm,
     weight,
 )
-from .specht import coinvariants, decompose, specht_module
+from .specht import coinvariant_quotient, decompose, specht_module
 from .symgroup import double_coset_stabilization
 
 __all__ = ["CRITERIA", "run_criteria", "verify_all"]
@@ -102,7 +102,7 @@ def coinvariants_lemmas(n_max=6):
             for n in range(size + lam1, 7):
                 V = specht_module(pad(lam, n))
                 for a in range(n + 1):
-                    quotient, _ = coinvariants(V, a)
+                    quotient, _ = coinvariant_quotient(V, a)
                     checked += 1
                     if (quotient.dim == 0) != (a < size):
                         return False, f"vanishing wrong at lam={lam}, n={n}, a={a}"

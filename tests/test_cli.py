@@ -6,7 +6,12 @@ from pathlib import Path
 import pytest
 
 from heckestab.cli import main
-from heckestab.sequences import non_finitely_generated, save_sequence
+from heckestab.sequences import (
+    build_Mm,
+    non_finitely_generated,
+    save_sequence,
+    sequence_to_json_obj,
+)
 
 
 def run(capsys, *argv):
@@ -284,3 +289,16 @@ class TestErrorsAndDeterminism:
             assert code == 2
             assert out == ""
             assert path in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("wire", ["1*q^-1", "1*q^2+1*q^-1"])
+    def test_negative_exponent_in_tower_file(self, capsys, tmp_path, wire):
+        obj = sequence_to_json_obj(build_Mm(1, 3))
+        obj["connectors"][-1]["entries"][0][2] = wire
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "seq", "weight", "--in", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert "bad polynomial term" in json.loads(err)["error"]

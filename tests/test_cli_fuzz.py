@@ -8,6 +8,7 @@ exception, which the installed script would print as a traceback.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -18,6 +19,15 @@ from heckestab.sequences import build_Mm, non_finitely_generated, save_sequence
 VERDICT_COMMANDS = {"check-stable", "shift-decompose", "noetherian"}
 
 small_ints = st.integers(-1, 3).map(str)
+
+# wire strings: sums of c*q^k terms, negative exponents included, and junk
+wire_terms = st.tuples(st.integers(-2, 2), st.integers(-3, 3)).map(
+    lambda t: f"{t[0]}*q^{t[1]}"
+)
+wires = st.one_of(
+    st.lists(wire_terms, min_size=1, max_size=3).map("+".join),
+    st.sampled_from(["", "0", "1", "1*q^x", "1/0*q^0", "1*q^0 / 0", "1*q^1 / 1*q^-1"]),
+)
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +50,19 @@ def tower_files(tmp_path_factory):
 
 
 @st.composite
+def rewired_towers(draw, valid: str):
+    """The valid tower file with one matrix entry's wire string redrawn."""
+    obj = json.loads(Path(valid).read_text())
+    generators = [g for rec in obj["modules"] for g in rec["generators"]]
+    matrices = obj["connectors"] + generators
+    entry = draw(st.sampled_from([e for m in matrices for e in m["entries"]]))
+    entry[2] = draw(wires)
+    path = Path(valid).with_name("rewired.json")
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@st.composite
 def flags(draw, required: dict, optional: dict = None):
     """--flag value pairs; each flag may go missing, unknown ones may join."""
     argv = []
@@ -55,7 +78,8 @@ def flags(draw, required: dict, optional: dict = None):
 
 
 def argvs(files: dict):
-    tower = st.sampled_from(sorted(files.values()))
+    tower = st.one_of(st.sampled_from(sorted(files.values())),
+                      rewired_towers(files["valid"]))
     # mostly letters in range for n = 3, so that products do get computed
     words = st.one_of(st.text(alphabet="12 ,", max_size=6),
                       st.text(alphabet="0123 ,x", max_size=6))

@@ -1,0 +1,16 @@
+"""The examples in the module docstrings run as part of the suite."""
+
+import doctest
+
+import pytest
+
+from heckestab import partitions, qfield, symgroup
+
+
+@pytest.mark.parametrize(
+    "module", [qfield, symgroup, partitions], ids=lambda m: m.__name__
+)
+def test_examples_pass(module):
+    result = doctest.testmod(module)
+    assert result.attempted > 0
+    assert result.failed == 0

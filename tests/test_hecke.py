@@ -11,9 +11,7 @@ from heckestab.hecke import (
     index_rep,
     induce_pair,
     mult,
-    one_dim_rep,
     regular_representation,
-    restrict,
     sign_rep,
     tau,
 )
@@ -150,10 +148,6 @@ class TestOneDimensional:
         assert index_rep(4).generator(2).to_lists() == [[Q]]
         assert sign_rep(4).generator(3).to_lists() == [[scal(-1)]]
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            one_dim_rep(3, "trivial")
-
 
 class TestPresentation:
     def test_relation_failure_detected(self):
@@ -176,25 +170,6 @@ class TestPresentation:
     def test_word_matrix_respects_braid(self):
         V = regular_representation(3)
         assert V.word_matrix((1, 2, 1)) == V.word_matrix((2, 1, 2))
-
-    def test_act_element_linear(self):
-        V = regular_representation(3)
-        x = T(3, 1).scale(Q) + T(3, 2)
-        m = V.act_element(x)
-        assert m == V.generator(1).scale(Q) + V.generator(2)
-
-
-class TestRestrict:
-    def test_split_shapes(self):
-        V = regular_representation(4)
-        pair = restrict(V, (2, 2))
-        assert pair.front.n == 2 and pair.tail.n == 2
-        assert pair.front.generator(1) == V.generator(1)
-        assert pair.tail.generator(1) == V.generator(3)
-
-    def test_bad_split(self):
-        with pytest.raises(ValueError, match="composition size"):
-            restrict(regular_representation(3), (2, 2))
 
 
 class TestInduce:

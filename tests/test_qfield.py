@@ -10,6 +10,7 @@ from heckestab.qfield import (
     Scalar,
     poly_gcd,
     poly_mul,
+    poly_parse_wire,
     q_power,
     scal,
 )
@@ -157,3 +158,11 @@ class TestStrings:
         assert (Q - 1).to_wire() == "1*q^1+-1*q^0"
         assert ZERO.to_wire() == "0"
         assert ((Q - 1) / (Q + 1)).to_wire() == "1*q^1+-1*q^0 / 1*q^1+1*q^0"
+
+    @pytest.mark.parametrize(
+        "wire", ["1*q^-1", "1*q^2+1*q^-1", "-3*q^-2+1*q^0", "1*q^x", "x*q^0", "1/0*q^0"]
+    )
+    def test_parse_wire_rejects_bad_terms(self, wire):
+        # a negative exponent is malformed wherever its term stands
+        with pytest.raises(ValueError, match="bad polynomial term"):
+            poly_parse_wire(wire)

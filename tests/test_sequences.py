@@ -24,20 +24,17 @@ from heckestab.sequences import (
     generation_degree,
     is_uniformly_stable,
     load_sequence,
-    multiplicity_row_label,
     multiplicity_table,
     noetherian_experiment,
     non_finitely_generated,
     phi_a,
     save_sequence,
-    seq_cokernel,
     seq_kernel,
     sequence_from_json_obj,
     sequence_to_json_obj,
     shift,
     shift_decompose_Mm,
     span,
-    tensor,
     zero_sequence,
 )
 from heckestab.symgroup import permutations_of
@@ -310,10 +307,6 @@ class TestWeightAndMultiplicities:
             (1,): [0, 0, 1, 1, 1, 1],
         }
 
-    def test_row_labels(self):
-        assert multiplicity_row_label(()) == ""
-        assert multiplicity_row_label((2, 1)) == "2,1"
-
 
 class TestUniformStability:
     def test_column_specht(self):
@@ -421,37 +414,6 @@ class TestPointwise:
             ],
         )
         assert seq_kernel(proj).dims() == W.dims()
-
-    def test_cokernel_of_inclusion(self):
-        V = build_Mm(1, 4)
-        W = build_M_specht((1,), 4)
-        S = direct_sum(V, W)
-        inc = SequenceMorphism(
-            V,
-            S,
-            [
-                ExactMatrix(
-                    S.modules[n].dim,
-                    V.modules[n].dim,
-                    {(i, i): ONE for i in range(V.modules[n].dim)},
-                )
-                for n in range(5)
-            ],
-        )
-        assert seq_cokernel(inc).dims() == W.dims()
-
-    def test_tensor_with_index_sequence(self):
-        V = build_Mm(1, 4)
-        unit = build_Mm(0, 4)
-        T = tensor(V, unit)
-        assert T.dims() == V.dims()
-        for a, b in zip(T.modules, V.modules):
-            assert a.gen_action == b.gen_action
-
-    def test_tensor_needs_index_factor(self):
-        V = build_Mm(1, 4)
-        with pytest.raises(ValueError, match="index-like"):
-            tensor(V, V)
 
 
 class TestSerialization:

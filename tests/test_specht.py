@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from branching_reference import branching_check
+from heckestab import specht
 from heckestab.hecke import (
     ModulePresentation,
     index_rep,
@@ -17,10 +19,9 @@ from heckestab.linalg import ExactMatrix, solve_unique
 from heckestab.partitions import pad, partitions_of, syt_count
 from heckestab.qfield import ONE, Q, ZERO, scal
 from heckestab.specht import (
-    branching_check,
     character,
     character_table,
-    coinvariants,
+    coinvariant_quotient,
     decompose,
     specht_module,
 )
@@ -114,17 +115,17 @@ class TestSeminormal:
 
     def test_one_module_per_shape(self):
         assert specht_module([2, 1]) is specht_module((2, 1))
-        assert specht_module((2, 1)) is specht_module((2, 1), bound=3)
+        assert specht_module((2, 1)) is specht_module([2, 1])
 
-    def test_size_bound_after_smaller_shapes_are_cached(self):
+    def test_size_bound_after_smaller_shapes_are_cached(self, monkeypatch):
+        # the bound is checked before the per-shape cache is consulted
         for lam in partitions_of(3):
             specht_module(lam)
         with pytest.raises(ValueError, match="size bound"):
-            specht_module((2, 1), bound=2)
+            specht_module((4, 2, 1, 1))
+        monkeypatch.setattr(specht, "SPECHT_BOUND", 2)
         with pytest.raises(ValueError, match="size bound"):
-            specht_module((4, 2, 1), bound=6)
-        with pytest.raises(ValueError, match="size bound"):
-            specht_module((8,))
+            specht_module((2, 1))
 
     def test_classical_limit_of_block(self):
         # at q = 1 the (2,1) module becomes Young's seminormal form
@@ -316,34 +317,35 @@ class TestDecomposeAgainstQqSolve:
 class TestCoinvariants:
     def test_no_tail_is_identity_quotient(self):
         V = specht_module((2, 1))
-        quotient, proj = coinvariants(V, 3)
+        quotient, qs = coinvariant_quotient(V, 3)
         assert quotient.dim == V.dim
         assert quotient.n == 3
-        assert proj.rows == V.dim
+        assert qs.projection.rows == V.dim
 
     def test_single_tail_generator(self):
         # image of (T_{s_2} - q) is the (-1)-eigenspace, which is a line
         V = specht_module((2, 1))
-        quotient, _ = coinvariants(V, 1)
+        quotient, _ = coinvariant_quotient(V, 1)
         assert quotient.n == 1
         assert quotient.dim == 1
 
     def test_sign_has_no_index_part(self):
         V = specht_module((1, 1, 1))
-        quotient, _ = coinvariants(V, 0)
+        quotient, _ = coinvariant_quotient(V, 0)
         assert quotient.dim == 0
 
     def test_counts_index_isotypic_part(self):
         # regular H_3 restricted to the tail <s_2> is 3 copies of regular
         # H_2, so the q-eigenspace of the tail has dimension 3
         V = regular_representation(3)
-        quotient, _ = coinvariants(V, 1)
+        quotient, _ = coinvariant_quotient(V, 1)
         assert quotient.dim == 3
 
     def test_projection_intertwines_front(self):
         # rank 4 with a = 2 exercises front and tail generators at once
         V = regular_representation(4)
-        quotient, proj = coinvariants(V, 2)
+        quotient, qs = coinvariant_quotient(V, 2)
+        proj = qs.projection
         assert quotient.dim == 12
         assert proj @ V.generator(1) == quotient.generator(1) @ proj
 
@@ -365,15 +367,27 @@ class TestBranching:
         assert report["match"]
         assert report["computed"] == {(2,): 1}
 
+    @pytest.mark.parametrize(
+        "lam", [lam for n in range(7) for lam in partitions_of(n)], ids=str
+    )
+    def test_every_strip_matches_pieri(self, lam):
+        for m in range(sum(lam) + 1):
+            report = branching_check(lam, m)
+            assert report["computed"] == report["expected"], (lam, m)
+
+    def test_strip_size_outside_range(self):
+        with pytest.raises(ValueError, match="strip size"):
+            branching_check((2, 1), 4)
+
     def test_vanishing_below_weight(self):
         # removing more than a full horizontal strip can ever supply
         for lam, n, a in [((1, 1), 4, 1), ((2, 1), 5, 2), ((1,), 3, 0)]:
             V = specht_module(pad(lam, n))
-            quotient, _ = coinvariants(V, a)
+            quotient, _ = coinvariant_quotient(V, a)
             assert quotient.dim == 0
 
     def test_quotient_at_weight_is_the_shape(self):
         for lam, n in [((1, 1), 4), ((2,), 5)]:
             V = specht_module(pad(lam, n))
-            quotient, _ = coinvariants(V, sum(lam))
+            quotient, _ = coinvariant_quotient(V, sum(lam))
             assert decompose(quotient) == {lam: 1}
