@@ -3,8 +3,15 @@
 Matrices act on column vectors: column j of a matrix is the image of the
 j-th basis vector.  Entries are :class:`~heckestab.qfield.Scalar` values and
 only nonzero entries are stored.  Rank, kernel, solve and quotient
-computations all run through one exact echelon elimination over Q(q);
-nothing is evaluated at sample points.
+computations all run through one exact elimination over Q(q),
+:meth:`EchelonBasis.reduce`; nothing is evaluated at sample points.
+
+Kernel and solve reduce the columns of the graph [M; I].  Column j enters
+as (M e_j, e_j), so every stored vector, and every combination a reduction
+subtracts, has the form (M y, y).  A column whose real part reduces to zero
+leaves (0, y) with M y = 0; reducing (b, 0) leaves (b - M x, -x), which
+gives the solution x once its real part is zero.  A quotient needs no more
+than reduction either: reduce leaves only non-pivot coordinates.
 """
 
 from __future__ import annotations
@@ -295,12 +302,10 @@ def rank(matrix: ExactMatrix) -> int:
     return len(basis)
 
 
-def kernel_basis(matrix: ExactMatrix) -> list:
-    """Basis of the right kernel, as sparse column vectors of length cols.
+def _graph_basis(matrix: ExactMatrix) -> tuple:
+    """Reduce the columns of [M; I]: the graph's echelon basis and ker M.
 
-    Kernel vectors are found by reducing the columns augmented with identity
-    coordinates: whenever a column becomes dependent, the bookkeeping part is
-    a kernel element.
+    The real part of a vector is its first ``rows`` coordinates.
     """
     n = matrix.rows
     basis = EchelonBasis(n + matrix.cols)
@@ -308,60 +313,47 @@ def kernel_basis(matrix: ExactMatrix) -> list:
     for j, col in enumerate(matrix.columns()):
         v = dict(col)
         v[n + j] = ONE
-        # only pivots inside the first n coordinates count as "real";
-        # reduce fully, then check whether anything real is left
         residue = basis.reduce(v)
-        real = {i: c for i, c in residue.items() if i < n}
-        if real:
+        if any(i < n for i in residue):
             basis.insert(residue)
         else:
-            kernel.append({i - n: c for i, c in residue.items() if i >= n})
-    return kernel
+            kernel.append({i - n: c for i, c in residue.items()})
+    return basis, kernel
+
+
+def kernel_basis(matrix: ExactMatrix) -> list:
+    """Basis of the right kernel, as sparse column vectors of length cols.
+
+    >>> from heckestab.qfield import Q
+    >>> m = ExactMatrix.from_rows([[1, Q], [Q + 1, Q * Q + Q]])
+    >>> [[(j, str(c)) for j, c in sorted(v.items())] for v in kernel_basis(m)]
+    [[(0, '-q'), (1, '1')]]
+    """
+    return _graph_basis(matrix)[1]
 
 
 def solve_unique(matrix: ExactMatrix, rhs: dict) -> list:
     """Solve M x = rhs when M has full column rank; returns dense list.
 
+    The solution is read off the residue (rhs - M x, -x) of (rhs, 0).
+
+    >>> from heckestab.qfield import Q
+    >>> m = ExactMatrix.from_rows([[Q, 1], [1, 1]])
+    >>> [str(c) for c in solve_unique(m, {0: ONE})]
+    ['(1)/(q-1)', '(-1)/(q-1)']
+
     Raises ValueError if the system is inconsistent or underdetermined.
     """
+    basis, kernel = _graph_basis(matrix)
+    if kernel:
+        raise ValueError("matrix does not have full column rank")
     n = matrix.rows
-    basis = EchelonBasis(n)
-    for col in matrix.columns():
-        if basis.insert(col) is None:
-            raise ValueError("matrix does not have full column rank")
-    # Express rhs in the echelon basis, then unwind to original columns.
-    coords = basis.coordinates(dict(rhs))
-    if coords is None:
+    residue = basis.reduce(rhs)
+    if any(i < n for i in residue):
         raise ValueError("inconsistent linear system")
-    # The echelon vectors are triangular combinations of the columns; redo
-    # the elimination keeping track of the change of basis.
-    change = []  # change[t] = coords of echelon vector t in original columns
-    basis2 = EchelonBasis(n)
-    for j, col in enumerate(matrix.columns()):
-        v = {i: c for i, c in col.items() if c}
-        combo = {j: ONE}
-        for p in basis2.pivot_order:
-            c = v.get(p)
-            if c:
-                t = basis2.pivots[p]
-                vec_add_scaled(v, basis2.vectors[t], -c)
-                vec_add_scaled(combo, change[t], -c)
-        p = min(v)
-        lead = v[p]
-        if not lead.is_one():
-            inv = ONE / lead
-            v = vec_scale(v, inv)
-            combo = vec_scale(combo, inv)
-        basis2.pivots[p] = len(basis2.vectors)
-        basis2.vectors.append(v)
-        basis2.pivot_order.append(p)
-        basis2.pivot_order.sort()
-        change.append(combo)
     out = [ZERO] * matrix.cols
-    for t, c in enumerate(coords):
-        if c:
-            for j, x in change[t].items():
-                out[j] = out[j] + c * x
+    for i, c in residue.items():
+        out[i - n] = -c
     return out
 
 
@@ -373,18 +365,16 @@ class QuotientStructure:
     by the supplied U-invariant maps.
     """
 
-    __slots__ = ("dim", "subspace_dim", "projection", "section", "induced")
+    __slots__ = ("projection", "section", "induced")
 
-    def __init__(self, dim, subspace_dim, projection, section, induced):
-        self.dim = dim
-        self.subspace_dim = subspace_dim
+    def __init__(self, projection, section, induced):
         self.projection = projection
         self.section = section
         self.induced = induced
 
     @property
     def quotient_dim(self):
-        return self.dim - self.subspace_dim
+        return self.projection.rows
 
 
 def quotient_structure(dim: int, subspace_vectors, maps=()) -> QuotientStructure:
@@ -392,34 +382,25 @@ def quotient_structure(dim: int, subspace_vectors, maps=()) -> QuotientStructure
 
     Each map (a dim x dim ExactMatrix) must send the subspace into itself;
     otherwise ValueError('not invariant') is raised.  The quotient basis is
-    the set of non-pivot coordinates of the fully reduced subspace basis, so
-    projection * section = identity and the induced maps satisfy
-    projection @ map = induced @ projection exactly.
+    the set of non-pivot coordinates of the subspace's echelon basis.
+    Reduction leaves only those coordinates, so column j of the projection
+    is reduce(e_j) read in them: projection * section = identity, and the
+    induced maps satisfy projection @ map = induced @ projection exactly.
+
+    >>> from heckestab.qfield import Q
+    >>> qs = quotient_structure(2, [{0: Q, 1: ONE}])
+    >>> [[str(c) for c in row] for row in qs.projection.to_lists()]
+    [['(-1)/(q)', '1']]
     """
     basis = EchelonBasis(dim)
     for v in subspace_vectors:
-        basis.insert(dict(v))
-    # full Gauss-Jordan: clear every pivot coordinate from the other vectors
-    reduced = [dict(v) for v in basis.vectors]
-    for t, v in enumerate(reduced):
-        for p in basis.pivot_order:
-            if p == min(v):
-                continue
-            c = v.get(p)
-            if c:
-                vec_add_scaled(v, reduced[basis.pivots[p]], -c)
-    pivot_set = set(basis.pivot_order)
-    free = [j for j in range(dim) if j not in pivot_set]
-    proj_entries = {}
-    for t, j in enumerate(free):
-        proj_entries[(t, j)] = ONE
-    for v in reduced:
-        p = min(v)
-        for t, j in enumerate(free):
-            c = v.get(j)
-            if c:
-                proj_entries[(t, p)] = -c
-    projection = ExactMatrix(len(free), dim, proj_entries)
+        basis.insert(v)
+    free = [j for j in range(dim) if j not in basis.pivots]
+    where = {j: t for t, j in enumerate(free)}
+    projection = ExactMatrix.from_columns(
+        len(free),
+        ({where[i]: c for i, c in basis.reduce({j: ONE}).items()} for j in range(dim)),
+    )
     section = ExactMatrix(dim, len(free), {(j, t): ONE for t, j in enumerate(free)})
     induced = []
     for m in maps:
@@ -429,5 +410,4 @@ def quotient_structure(dim: int, subspace_vectors, maps=()) -> QuotientStructure
         if projection @ m != ind @ projection:
             raise ValueError("not invariant")
         induced.append(ind)
-    return QuotientStructure(dim, len(basis), projection, section, induced)
-
+    return QuotientStructure(projection, section, induced)

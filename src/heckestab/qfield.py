@@ -56,6 +56,11 @@ _P_ONE: Poly = (1,)
 # tries of the heuristic gcd, each at a larger evaluation point
 _HEU_TRIES = 6
 
+# The largest exponent a wire string may carry.  Parsing allocates a dense
+# list as long as the largest exponent, so this caps what a tower file can
+# ask for; the Specht generators with |lam| <= 7 reach q^11.
+WIRE_EXPONENT_BOUND = 64
+
 
 def _trim(coeffs: list) -> Poly:
     """The polynomial with these coefficients: no trailing zeros, and
@@ -275,7 +280,7 @@ def poly_parse_wire(s: str) -> Poly:
     """The polynomial a poly_wire string names.
 
     Raises ValueError("bad polynomial term ...") on a malformed term,
-    a negative exponent included.
+    a negative exponent or one above WIRE_EXPONENT_BOUND included.
     """
     s = s.strip()
     if s == "0":
@@ -287,8 +292,8 @@ def poly_parse_wire(s: str) -> Poly:
             raise ValueError(f"bad polynomial term {term!r}")
         try:
             exp = int(k)
-            if exp < 0:
-                raise ValueError("negative exponent")
+            if not 0 <= exp <= WIRE_EXPONENT_BOUND:
+                raise ValueError("exponent out of range")
             coeffs[exp] = coeffs.get(exp, 0) + Fraction(c)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad polynomial term {term!r}") from None

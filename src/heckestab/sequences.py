@@ -66,6 +66,11 @@ __all__ = [
 
 SCHEMA = "hecke-stab/1"
 
+# The largest dim, rows or cols a tower file may declare.  The relation
+# check and decompose build a dim x dim identity whatever the file holds,
+# so this caps what a small file can make the loader allocate.
+FILE_DIM_BOUND = 1 << 15
+
 
 class ConsistentSequence:
     """Modules V_0..V_{n_max} with intertwining connectors."""
@@ -113,15 +118,21 @@ class ConsistentSequence:
 
 def check_consistency(V: ConsistentSequence) -> dict:
     """Verify every commuting square phi_n T_{s_i} = T_{s_i} phi_n exactly."""
-    violations = []
-    for n in range(V.n_max):
-        f = V.connectors[n]
-        for i in range(1, n):
-            left = f @ V.modules[n].generator(i)
-            right = V.modules[n + 1].generator(i) @ f
-            if left != right:
-                violations.append((n, i))
+    violations = [
+        (n, i)
+        for n in range(V.n_max)
+        for i in _not_intertwined(V.connectors[n], V.modules[n], V.modules[n + 1])
+    ]
     return {"ok": not violations, "violations": violations}
+
+
+def _not_intertwined(f: ExactMatrix, source, target) -> list:
+    """The i < source.n with f T_{s_i} != T_{s_i} f, in increasing order."""
+    return [
+        i
+        for i in range(1, source.n)
+        if f @ source.generator(i) != target.generator(i) @ f
+    ]
 
 
 class SequenceMorphism:
@@ -141,13 +152,11 @@ class SequenceMorphism:
         self.components = components
         if check:
             for n, f in enumerate(components):
-                for i in range(1, n):
-                    if f @ source.modules[n].generator(i) != target.modules[
-                        n
-                    ].generator(i) @ f:
-                        raise ValueError(
-                            f"not a morphism: fails H_{n}-action at s_{i}"
-                        )
+                bad = _not_intertwined(f, source.modules[n], target.modules[n])
+                if bad:
+                    raise ValueError(
+                        f"not a morphism: fails H_{n}-action at s_{bad[0]}"
+                    )
             for n in range(source.n_max):
                 left = components[n + 1] @ source.connectors[n]
                 right = target.connectors[n] @ components[n]
@@ -168,18 +177,24 @@ def zero_sequence(n_max: int) -> ConsistentSequence:
     return ConsistentSequence(modules, connectors, label="0", check=False)
 
 
+def _block_diagonal(blocks) -> ExactMatrix:
+    entries = {}
+    rows = cols = 0
+    for b in blocks:
+        for (i, j), v in b.entries.items():
+            entries[(rows + i, cols + j)] = v
+        rows += b.rows
+        cols += b.cols
+    return ExactMatrix(rows, cols, entries)
+
+
 def _presentation_direct_sum(n, parts, label="") -> ModulePresentation:
     """Block-diagonal sum of presentations of the same rank."""
+    gens = [
+        _block_diagonal([p.gen_action[i] for p in parts])
+        for i in range(max(n - 1, 0))
+    ]
     dim = sum(p.dim for p in parts)
-    gens = []
-    for i in range(max(n - 1, 0)):
-        entries = {}
-        offset = 0
-        for p in parts:
-            for (r, c), v in p.gen_action[i].entries.items():
-                entries[(offset + r, offset + c)] = v
-            offset += p.dim
-        gens.append(ExactMatrix(dim, dim, entries))
     return ModulePresentation(n, dim, gens, label=label, check=False)
 
 
@@ -299,22 +314,6 @@ def _span_bases(V: ConsistentSequence, seeds) -> list:
     return bases
 
 
-def _sub_presentation(module, basis: EchelonBasis, label="") -> ModulePresentation:
-    dim = len(basis.vectors)
-    gens = []
-    for g in module.gen_action:
-        entries = {}
-        for k, v in enumerate(basis.vectors):
-            coords = basis.coordinates(g.apply(v))
-            if coords is None:
-                raise ValueError("subspace is not stable under the action")
-            for i, c in enumerate(coords):
-                if c:
-                    entries[(i, k)] = c
-        gens.append(ExactMatrix(dim, dim, entries))
-    return ModulePresentation(module.n, dim, gens, label=label, check=False)
-
-
 def _restriction_matrix(basis_from, basis_to, mat) -> ExactMatrix:
     """mat restricted to span(basis_from) -> span(basis_to), in coordinates."""
     entries = {}
@@ -326,6 +325,25 @@ def _restriction_matrix(basis_from, basis_to, mat) -> ExactMatrix:
             if c:
                 entries[(i, k)] = c
     return ExactMatrix(len(basis_to.vectors), len(basis_from.vectors), entries)
+
+
+def _subsequence(V: ConsistentSequence, bases, label: str) -> ConsistentSequence:
+    """The subsequence of V spanned in degree n by bases[n], in its coordinates."""
+    modules = [
+        ModulePresentation(
+            n,
+            len(basis),
+            [_restriction_matrix(basis, basis, g) for g in V.modules[n].gen_action],
+            label=f"{label}_{n}",
+            check=False,
+        )
+        for n, basis in enumerate(bases)
+    ]
+    connectors = [
+        _restriction_matrix(bases[n], bases[n + 1], V.connectors[n])
+        for n in range(V.n_max)
+    ]
+    return ConsistentSequence(modules, connectors, label=label)
 
 
 def _generated(V: ConsistentSequence) -> list:
@@ -358,15 +376,7 @@ def span(V: ConsistentSequence, seeds, label: str = "") -> tuple:
     """
     seeds = list(seeds)
     bases = _span_bases(V, seeds)
-    modules = [
-        _sub_presentation(V.modules[n], bases[n], label=f"{label}_{n}")
-        for n in range(V.n_max + 1)
-    ]
-    connectors = [
-        _restriction_matrix(bases[n], bases[n + 1], V.connectors[n])
-        for n in range(V.n_max)
-    ]
-    sub = ConsistentSequence(modules, connectors, label=label or "span")
+    sub = _subsequence(V, bases, label or "span")
     inclusions = [
         ExactMatrix.from_columns(V.modules[n].dim, bases[n].vectors)
         for n in range(V.n_max + 1)
@@ -376,10 +386,8 @@ def span(V: ConsistentSequence, seeds, label: str = "") -> tuple:
     ambient = V.dims()
     generation = None
     if dims == ambient:
-        generated = _generated(V)
-        generation = min(
-            d for d in {0, *(deg for deg, _ in seeds)} if all(generated[d:])
-        )
+        onset = _onset(_generated(V))
+        generation = min(d for d in {0, *(deg for deg, _ in seeds)} if d >= onset)
     report = {
         "dims": dims,
         "ambient_dims": ambient,
@@ -398,12 +406,12 @@ def generation_degree(V: ConsistentSequence) -> int:
     value n_max is possible and carries no predictive content; every
     answer is relative to the truncation window.
     """
-    return _least_generated(_generated(V))
+    return _onset(_generated(V))
 
 
-def _least_generated(generated: list) -> int:
-    """The least d with all(generated[d:]); len(generated) always qualifies."""
-    return next(d for d in range(len(generated) + 1) if all(generated[d:]))
+def _onset(flags: list) -> int:
+    """The least d with all(flags[d:]); len(flags) always qualifies."""
+    return next(d for d in range(len(flags) + 1) if all(flags[d:]))
 
 
 def free_cover(V: ConsistentSequence, d: int) -> SequenceMorphism:
@@ -449,13 +457,12 @@ def free_cover(V: ConsistentSequence, d: int) -> SequenceMorphism:
 class PhiSequence:
     """The coinvariant tower Phi_a(V): H_a-modules with maps T."""
 
-    __slots__ = ("a", "spaces", "maps", "projections")
+    __slots__ = ("a", "spaces", "maps")
 
-    def __init__(self, a, spaces, maps, projections):
+    def __init__(self, a, spaces, maps):
         self.a = a
         self.spaces = spaces
         self.maps = maps
-        self.projections = projections
 
     def dims(self):
         return [s.dim for s in self.spaces]
@@ -484,13 +491,13 @@ def phi_a(V: ConsistentSequence, a: int) -> PhiSequence:
             raise ValueError(
                 f"tail coinvariants not preserved by the connector at n = {n}"
             )
-        for i in range(1, a):
-            if T @ spaces[n].generator(i) != spaces[n + 1].generator(i) @ T:
-                raise ValueError(
-                    f"induced map not H_{a}-equivariant at n = {n}, s_{i}"
-                )
+        bad = _not_intertwined(T, spaces[n], spaces[n + 1])
+        if bad:
+            raise ValueError(
+                f"induced map not H_{a}-equivariant at n = {n}, s_{bad[0]}"
+            )
         maps.append(T)
-    return PhiSequence(a, spaces, maps, [qs.projection for qs in structures])
+    return PhiSequence(a, spaces, maps)
 
 
 def degrees(V: ConsistentSequence, a_max: int) -> dict:
@@ -526,14 +533,13 @@ def degrees(V: ConsistentSequence, a_max: int) -> dict:
 
     def least_degree(*keys):
         """Least s <= max_n with every key true at every probed n >= s."""
-        return next(
-            (
-                s
-                for s in range(max_n + 1)
-                if all(row[k] for row in probed if row["n"] >= s for k in keys)
-            ),
-            None,
+        onset = _onset(
+            [
+                all(row[k] for row in probed if row["n"] == n for k in keys)
+                for n in range(max_n + 1)
+            ]
         )
+        return None if onset > max_n else onset
 
     injective = least_degree("injective")
     surjective = least_degree("surjective")
@@ -610,7 +616,11 @@ def is_uniformly_stable(V: ConsistentSequence, a_max=None) -> dict:
     also carries the predicted onset bound s + m (stability degree of the
     exact degrees probe plus weight) for comparison.
     """
-    table = multiplicity_table(V)
+    return _verdict(V, multiplicity_table(V), a_max)
+
+
+def _verdict(V: ConsistentSequence, table: dict, a_max=None) -> dict:
+    """is_uniformly_stable on V, given its multiplicity table."""
     clauses = []
     for n, generated in enumerate(_generated(V)):
         f = V.connectors[n]
@@ -624,15 +634,14 @@ def is_uniformly_stable(V: ConsistentSequence, a_max=None) -> dict:
                 "multiplicities_match": constant,
             }
         )
-    observed = None
-    for N in range(V.n_max):
-        if all(
+    observed = _onset(
+        [
             c["injective"] and c["generated"] and c["multiplicities_match"]
             for c in clauses
-            if c["n"] >= N
-        ):
-            observed = N
-            break
+        ]
+    )
+    if observed == V.n_max:
+        observed = None
     out = {
         "label": V.label,
         "stable": observed is not None,
@@ -799,10 +808,11 @@ def noetherian_experiment(m: int, trials: int, seed: int, n_max: int) -> dict:
     submodule born in the last degree would be flagged unstable on
     vacuous evidence, which measures the truncation, not the module.
     A trial's generation degree is read off its verdict's generated flags,
-    so each trial closes them once.  Evidence, not proof; identical seeds
-    give identical reports.  At least one trial and n_max >= 1 are
-    required: zero trials, or a window with no connector, would be a
-    vacuous verdict.
+    so each trial closes them once, and the verdict reads the trial's own
+    multiplicity table, so each module is decomposed once.  Evidence, not
+    proof; identical seeds give identical reports.  At least one trial and
+    n_max >= 1 are required: zero trials, or a window with no connector,
+    would be a vacuous verdict.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -827,9 +837,9 @@ def noetherian_experiment(m: int, trials: int, seed: int, n_max: int) -> dict:
                         vec[i] = scal(Fraction(c))
             seeds.append((deg, vec))
         sub, _ = span(V, seeds, label=f"trial {t}")
-        verdict = is_uniformly_stable(sub)
-        gen_deg = _least_generated([c["generated"] for c in verdict["clauses"]])
         table = multiplicity_table(sub)
+        verdict = _verdict(sub, table)
+        gen_deg = _onset([c["generated"] for c in verdict["clauses"]])
         per_trial.append(
             {
                 "trial": t,
@@ -866,16 +876,9 @@ def direct_sum(V: ConsistentSequence, W: ConsistentSequence) -> ConsistentSequen
         )
         for n in range(V.n_max + 1)
     ]
-    connectors = []
-    for n in range(V.n_max):
-        f, g = V.connectors[n], W.connectors[n]
-        entries = dict(f.entries)
-        entries.update(
-            {(i + f.rows, j + f.cols): c for (i, j), c in g.entries.items()}
-        )
-        connectors.append(
-            ExactMatrix(f.rows + g.rows, f.cols + g.cols, entries)
-        )
+    connectors = [
+        _block_diagonal([V.connectors[n], W.connectors[n]]) for n in range(V.n_max)
+    ]
     return ConsistentSequence(
         modules, connectors, label=f"({V.label})(+)({W.label})", check=False
     )
@@ -890,15 +893,7 @@ def seq_kernel(f: SequenceMorphism) -> ConsistentSequence:
         for v in kernel_basis(f.components[n]):
             basis.insert(v)
         bases.append(basis)
-    modules = [
-        _sub_presentation(V.modules[n], bases[n], label=f"ker_{n}")
-        for n in range(V.n_max + 1)
-    ]
-    connectors = [
-        _restriction_matrix(bases[n], bases[n + 1], V.connectors[n])
-        for n in range(V.n_max)
-    ]
-    return ConsistentSequence(modules, connectors, label=f"ker({V.label})")
+    return _subsequence(V, bases, f"ker({V.label})")
 
 
 def sequence_to_json_obj(V: ConsistentSequence) -> dict:
@@ -935,10 +930,19 @@ def _get(obj: dict, key: str, kind: type, path: str):
     return _expect(obj[key], kind, where)
 
 
+def _get_size(obj: dict, key: str, path: str) -> int:
+    value = _get(obj, key, int, path)
+    if value > FILE_DIM_BOUND:
+        raise ValueError(
+            f"malformed tower file: {path}.{key} = {value} exceeds {FILE_DIM_BOUND}"
+        )
+    return value
+
+
 def _matrix_from_json(obj, path: str) -> ExactMatrix:
     _expect(obj, dict, path)
-    _get(obj, "rows", int, path)
-    _get(obj, "cols", int, path)
+    _get_size(obj, "rows", path)
+    _get_size(obj, "cols", path)
     for k, entry in enumerate(_get(obj, "entries", list, path)):
         if not (
             isinstance(entry, list)
@@ -969,7 +973,7 @@ def sequence_from_json_obj(obj) -> ConsistentSequence:
             _matrix_from_json(g, f"{path}.generators[{i}]")
             for i, g in enumerate(_get(rec, "generators", list, path))
         ]
-        n, dim = _get(rec, "n", int, path), _get(rec, "dim", int, path)
+        n, dim = _get(rec, "n", int, path), _get_size(rec, "dim", path)
         modules.append(ModulePresentation(n, dim, gens, label=""))
     connectors = [
         _matrix_from_json(f, f"connectors[{k}]")

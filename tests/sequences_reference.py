@@ -1,15 +1,18 @@
-"""Reference generation degrees: re-close the whole tower for each candidate.
+"""Reference generation degrees and consistency checks.
 
 This is how ``heckestab.sequences`` computed generation degrees before one
-closure per degree (``_generated``) served them all.  It is kept only as the
-slow, obviously correct side of the differential tests:
+closure per degree (``_generated``) served them all, and checked the
+commuting squares before one intertwining test served every map.  It is
+kept only as the slow, obviously correct side of the differential tests:
 
   * ``generation_degree`` spans the full bases of degrees <= d, for
     d = 0, 1, ..., and stops at the first d whose span is all of V;
   * ``span_report`` spans each prefix of the seeds (degree <= d, for d in
     {0} and the seed degrees) and keeps the first that gives V;
   * ``stability_clauses`` decides "V_{n+1} is generated by phi_n(V_n)" by
-    spanning the full basis of V_n alone.
+    spanning the full basis of V_n alone;
+  * ``check_consistency`` compares phi_n T_{s_i} with T_{s_i} phi_n square
+    by square.
 """
 
 from heckestab.linalg import rank
@@ -71,3 +74,15 @@ def stability_clauses(V) -> list:
             }
         )
     return clauses
+
+
+def check_consistency(V) -> dict:
+    violations = []
+    for n in range(V.n_max):
+        f = V.connectors[n]
+        for i in range(1, n):
+            left = f @ V.modules[n].generator(i)
+            right = V.modules[n + 1].generator(i) @ f
+            if left != right:
+                violations.append((n, i))
+    return {"ok": not violations, "violations": violations}

@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -302,3 +303,38 @@ class TestErrorsAndDeterminism:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
         assert "bad polynomial term" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            (("connectors", -1, "entries", 0, 2), "1*q^999999999",
+             "bad polynomial term"),
+            # at n = 2 the relation check would build a 200000 x 200000 identity
+            (("modules", 2), {"n": 2, "dim": 200000, "generators": [
+                {"rows": 200000, "cols": 200000, "entries": []}]},
+             "modules[2].generators[0].rows = 200000 exceeds"),
+            # n = 1 has no generator whose shape could contradict the dim
+            (("modules", 1, "dim"), 10**12, "modules[1].dim = 1000000000000 exceeds"),
+            (("connectors", 0, "cols"), 10**12,
+             "connectors[0].cols = 1000000000000 exceeds"),
+        ],
+        ids=["exponent", "generator-rows", "dim", "connector-cols"],
+    )
+    def test_tower_file_sizes_are_bounded(
+        self, capsys, tmp_path, where, value, message
+    ):
+        obj = sequence_to_json_obj(build_Mm(1, 3))
+        target = obj
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "seq", "weight", "--in", str(bad))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert message in json.loads(err)["error"]

@@ -14,20 +14,33 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from heckestab.cli import main
-from heckestab.sequences import build_Mm, non_finitely_generated, save_sequence
+from heckestab.qfield import WIRE_EXPONENT_BOUND
+from heckestab.sequences import (
+    FILE_DIM_BOUND,
+    build_Mm,
+    non_finitely_generated,
+    save_sequence,
+)
 
 VERDICT_COMMANDS = {"check-stable", "shift-decompose", "noetherian"}
 
 small_ints = st.integers(-1, 3).map(str)
 
-# wire strings: sums of c*q^k terms, negative exponents included, and junk
-wire_terms = st.tuples(st.integers(-2, 2), st.integers(-3, 3)).map(
-    lambda t: f"{t[0]}*q^{t[1]}"
-)
+# wire strings: sums of c*q^k terms, negative exponents and exponents at
+# the bound or past it included, and junk
+wire_terms = st.tuples(
+    st.integers(-2, 2),
+    st.one_of(
+        st.integers(-3, 3),
+        st.sampled_from([WIRE_EXPONENT_BOUND, WIRE_EXPONENT_BOUND + 1, 10**9]),
+    ),
+).map(lambda t: f"{t[0]}*q^{t[1]}")
 wires = st.one_of(
     st.lists(wire_terms, min_size=1, max_size=3).map("+".join),
     st.sampled_from(["", "0", "1", "1*q^x", "1/0*q^0", "1*q^0 / 0", "1*q^1 / 1*q^-1"]),
 )
+# declared sizes at the loader's bound, just past it and far past it
+sizes = st.sampled_from([0, 2, FILE_DIM_BOUND, FILE_DIM_BOUND + 1, 10**12])
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +76,19 @@ def rewired_towers(draw, valid: str):
 
 
 @st.composite
+def resized_towers(draw, valid: str):
+    """The valid tower file with one module's dim or one matrix's shape redrawn."""
+    obj = json.loads(Path(valid).read_text())
+    generators = [g for rec in obj["modules"] for g in rec["generators"]]
+    record = draw(st.sampled_from(obj["modules"] + obj["connectors"] + generators))
+    key = "dim" if "dim" in record else draw(st.sampled_from(["rows", "cols"]))
+    record[key] = draw(sizes)
+    path = Path(valid).with_name("resized.json")
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@st.composite
 def flags(draw, required: dict, optional: dict = None):
     """--flag value pairs; each flag may go missing, unknown ones may join."""
     argv = []
@@ -79,7 +105,7 @@ def flags(draw, required: dict, optional: dict = None):
 
 def argvs(files: dict):
     tower = st.one_of(st.sampled_from(sorted(files.values())),
-                      rewired_towers(files["valid"]))
+                      rewired_towers(files["valid"]), resized_towers(files["valid"]))
     # mostly letters in range for n = 3, so that products do get computed
     words = st.one_of(st.text(alphabet="12 ,", max_size=6),
                       st.text(alphabet="0123 ,x", max_size=6))

@@ -4,11 +4,11 @@ import doctest
 
 import pytest
 
-from heckestab import partitions, qfield, symgroup
+from heckestab import linalg, partitions, qfield, symgroup
 
 
 @pytest.mark.parametrize(
-    "module", [qfield, symgroup, partitions], ids=lambda m: m.__name__
+    "module", [qfield, symgroup, partitions, linalg], ids=lambda m: m.__name__
 )
 def test_examples_pass(module):
     result = doctest.testmod(module)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import linalg_reference as ref
 from heckestab.linalg import (
     EchelonBasis,
     ExactMatrix,
@@ -20,6 +21,12 @@ def M(rows):
 
 small_entries = st.integers(min_value=-4, max_value=4)
 
+# Q(q) entries, zero-heavy so that rank deficiency and kernels are common
+qq_entries = st.sampled_from(
+    [ZERO, ZERO, ZERO, ONE, -ONE, scal(2), Q, Q / (Q + 1), Q * Q - 1,
+     scal(Fraction(1, 2)) * Q]
+)
+
 
 @st.composite
 def int_matrices(draw, max_dim=5):
@@ -31,6 +38,25 @@ def int_matrices(draw, max_dim=5):
         )
     )
     return ExactMatrix.from_rows(data) if r else ExactMatrix.zeros(0, c)
+
+
+@st.composite
+def qq_matrices(draw, rows=None, cols=None):
+    """Matrices over Q(q) with at most 4 rows and columns unless sizes are given."""
+    r = draw(st.integers(min_value=0, max_value=4)) if rows is None else rows
+    c = draw(st.integers(min_value=0, max_value=4)) if cols is None else cols
+    data = draw(
+        st.lists(st.lists(qq_entries, min_size=c, max_size=c), min_size=r, max_size=r)
+    )
+    return ExactMatrix.from_rows(data) if r else ExactMatrix.zeros(0, c)
+
+
+def outcome(fn, *args):
+    """fn's result, or the text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestMatrixBasics:
@@ -185,3 +211,54 @@ class TestQuotient:
     def test_quotient_by_image_has_corank_dimension(self, a):
         qs = quotient_structure(a.rows, a.columns())
         assert qs.quotient_dim == a.rows - rank(a)
+
+
+class TestAgainstReference:
+    """Solve, kernel and quotient against their own eliminations (linalg_reference)."""
+
+    @given(qq_matrices(), st.booleans(), st.data())
+    @settings(max_examples=80)
+    def test_solve(self, a, consistent, data):
+        draw_vector = lambda n: {i: data.draw(qq_entries) for i in range(n)}
+        rhs = a.apply(draw_vector(a.cols)) if consistent else draw_vector(a.rows)
+        assert outcome(solve_unique, a, rhs) == outcome(ref.solve_unique, a, rhs)
+
+    @given(qq_matrices())
+    @settings(max_examples=80)
+    def test_kernel(self, a):
+        assert kernel_basis(a) == ref.kernel_basis(a)
+
+    @given(
+        st.integers(min_value=0, max_value=4),
+        st.sampled_from(["image", "kernel", "drawn", "line"]),
+        st.lists(
+            st.sampled_from(["m", "m^2", "drawn", "scalar"]), min_size=1, max_size=3
+        ),
+        st.data(),
+    )
+    @settings(max_examples=80)
+    def test_quotient(self, dim, subspace, map_names, data):
+        # im m and ker m are m-invariant; a drawn map or subspace rarely is
+        drawn = lambda: data.draw(qq_matrices(dim, dim))
+        m = drawn()
+        vectors = {
+            "image": lambda: m.columns(),
+            "kernel": lambda: ref.kernel_basis(m),
+            "drawn": lambda: drawn().columns(),
+            "line": lambda: drawn().columns()[:1],
+        }[subspace]()
+        maps = [
+            {
+                "m": lambda: m,
+                "m^2": lambda: m @ m,
+                "drawn": drawn,
+                "scalar": lambda: ExactMatrix.identity(dim).scale(Q / (Q + 1)),
+            }[name]()
+            for name in map_names
+        ]
+
+        def new():
+            qs = quotient_structure(dim, vectors, maps)
+            return qs.projection, qs.section, qs.induced
+
+        assert outcome(new) == outcome(ref.quotient_structure, dim, vectors, maps)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from heckestab.qfield import (
     ONE,
     Q,
+    WIRE_EXPONENT_BOUND,
     ZERO,
     Scalar,
     poly_gcd,
@@ -160,9 +161,17 @@ class TestStrings:
         assert ((Q - 1) / (Q + 1)).to_wire() == "1*q^1+-1*q^0 / 1*q^1+1*q^0"
 
     @pytest.mark.parametrize(
-        "wire", ["1*q^-1", "1*q^2+1*q^-1", "-3*q^-2+1*q^0", "1*q^x", "x*q^0", "1/0*q^0"]
+        "wire",
+        [
+            "1*q^-1", "1*q^2+1*q^-1", "-3*q^-2+1*q^0", "1*q^x", "x*q^0", "1/0*q^0",
+            f"1*q^{WIRE_EXPONENT_BOUND + 1}", "1*q^0+1*q^999999999",
+        ],
     )
     def test_parse_wire_rejects_bad_terms(self, wire):
-        # a negative exponent is malformed wherever its term stands
+        # an exponent out of range is malformed wherever its term stands
         with pytest.raises(ValueError, match="bad polynomial term"):
             poly_parse_wire(wire)
+
+    def test_parse_wire_accepts_the_exponent_bound(self):
+        top = poly_parse_wire(f"1*q^{WIRE_EXPONENT_BOUND}")
+        assert len(top) == WIRE_EXPONENT_BOUND + 1

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckestab.hecke import regular_representation
+import sequences_reference as ref
+from heckestab import sequences
+from heckestab.hecke import ModulePresentation, regular_representation
 from heckestab.linalg import ExactMatrix
 from heckestab.partitions import pieri_add, syt_count, unpad
-from heckestab.qfield import ONE, Q, scal
+from heckestab.qfield import ONE, Q, ZERO, scal
 from heckestab.sequences import (
+    FILE_DIM_BOUND,
     ConsistentSequence,
     SequenceMorphism,
     build_M,
@@ -97,6 +100,40 @@ class TestConsistency:
         assert all(n == 2 for n, _ in verdict["violations"])
         with pytest.raises(ValueError, match="inconsistent"):
             ConsistentSequence(V.modules, conns)
+
+    @given(
+        st.sampled_from([(1, 4), (2, 4), ((2, 1), 5)]),
+        st.booleans(),
+        st.sampled_from([ZERO, ONE, Q, Q / (Q + 1)]),
+        st.data(),
+    )
+    @settings(max_examples=40)
+    def test_violations_match_reference(self, tower, in_generator, value, data):
+        """One entry of a generator or a connector redrawn, checked both ways."""
+        m, n_max = tower
+        V = build_Mm(m, n_max) if isinstance(m, int) else build_M_specht(m, n_max)
+        modules, connectors = list(V.modules), list(V.connectors)
+        if in_generator:
+            n = data.draw(st.integers(2, n_max))
+            k = data.draw(st.integers(0, n - 2))
+            g = modules[n].gen_action[k]
+        else:
+            n = data.draw(st.integers(0, n_max - 1))
+            g = connectors[n]
+        if not g.rows * g.cols:
+            return
+        entries = dict(g.entries)
+        entries[(data.draw(st.integers(0, g.rows - 1)),
+                 data.draw(st.integers(0, g.cols - 1)))] = value
+        g = ExactMatrix(g.rows, g.cols, entries)
+        if in_generator:
+            gens = list(modules[n].gen_action)
+            gens[k] = g
+            modules[n] = ModulePresentation(n, g.rows, gens, check=False)
+        else:
+            connectors[n] = g
+        broken = ConsistentSequence(modules, connectors, check=False)
+        assert check_consistency(broken) == ref.check_consistency(broken)
 
     def test_shape_errors(self):
         V = build_Mm(1, 3)
@@ -437,6 +474,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match="schema"):
             sequence_from_json_obj({"schema": "hecke-stab/99"})
 
+    @pytest.mark.parametrize("field", ["dim", "rows", "cols"])
+    def test_declared_sizes_are_bounded(self, field):
+        obj = sequence_to_json_obj(build_Mm(1, 3))
+        record = obj["modules"][1] if field == "dim" else obj["connectors"][0]
+        record[field] = FILE_DIM_BOUND
+        with pytest.raises(ValueError, match="mismatch"):
+            sequence_from_json_obj(obj)
+        record[field] = FILE_DIM_BOUND + 1
+        with pytest.raises(ValueError, match=f"{field} = {FILE_DIM_BOUND + 1} exceeds"):
+            sequence_from_json_obj(obj)
+
     def test_load_verifies_relations(self):
         V = build_Mm(1, 3)
         obj = sequence_to_json_obj(V)
@@ -460,6 +508,16 @@ class TestNoetherianExperiment:
         for row in report["per_trial"]:
             assert row["generation_degree"] is not None
             assert set(row["multiplicities"]) >= set()
+
+    def test_each_module_decomposed_once(self, monkeypatch):
+        calls = []
+        decompose = sequences.decompose
+        monkeypatch.setattr(
+            sequences, "decompose", lambda V: calls.append(V) or decompose(V)
+        )
+        report = noetherian_experiment(1, 2, 7, 6)
+        nonzero = [d for row in report["per_trial"] for d in row["dims"] if d]
+        assert len(calls) == len(nonzero) == 9
 
     @pytest.mark.parametrize("n_max", [0, -1])
     def test_needs_a_connector(self, n_max):
