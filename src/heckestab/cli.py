@@ -74,9 +74,22 @@ def _basis_name(w: Permutation) -> str:
     return "T_" + ".".join(str(i) for i in word) if word else "T_e"
 
 
+MULT_N_BOUND = 1 << 8
+
+
 def _cmd_hecke_mult(args) -> int:
+    """Print T_left T_right in H_n, for 1 <= n <= MULT_N_BOUND = 256.
+
+    A larger n is bad input: a permutation of S_n is held as n ints (the
+    identity at n = 10^6 took 88 MB), and the product counts inversions,
+    O(n^2) per factor (n = 1000 took 0.6 s, n = 16000 over a minute).  At
+    256 a short product takes tens of milliseconds; the benchmark
+    multiplies in H_5 and H_6.
+    """
     if args.n < 1:
         raise ValueError("n must be at least 1")
+    if args.n > MULT_N_BOUND:
+        raise ValueError(f"size bound: n = {args.n} exceeds {MULT_N_BOUND}")
     product = mult(
         _word_element(args.n, args.left), _word_element(args.n, args.right)
     )

@@ -85,19 +85,11 @@ class ExactMatrix:
 
     # -- structure ------------------------------------------------------
 
-    def column(self, j: int) -> dict:
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
-
     def columns(self):
         cols = [dict() for _ in range(self.cols)]
         for (i, j), v in self.entries.items():
             cols[j][i] = v
         return cols
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
-        )
 
     def to_lists(self):
         out = [[ZERO] * self.cols for _ in range(self.rows)]
@@ -116,9 +108,6 @@ class ExactMatrix:
 
     def __hash__(self):
         raise TypeError("ExactMatrix is not hashable")
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
@@ -237,15 +226,14 @@ def vec_scale(v: dict, c: Scalar) -> dict:
 
 
 class EchelonBasis:
-    """An incrementally built echelon basis of a subspace of k^dim.
+    """An incrementally built echelon basis of a span of sparse vectors.
 
     Each stored vector is normalised to have coefficient 1 at its pivot
     (the smallest nonzero coordinate) and pivots are pairwise distinct,
     so membership tests and reductions are deterministic.
     """
 
-    def __init__(self, dim: int):
-        self.dim = dim
+    def __init__(self):
         self.pivots: dict = {}  # pivot index -> position in self.vectors
         self.vectors: list = []
         self.pivot_order: list = []  # pivots sorted ascending
@@ -277,9 +265,6 @@ class EchelonBasis:
         self.pivot_order.sort()
         return p
 
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
-
     def coordinates(self, vec: dict):
         """Coordinates of ``vec`` in this basis, or None if not in the span."""
         v = {i: c for i, c in vec.items() if c}
@@ -296,7 +281,7 @@ class EchelonBasis:
 
 def rank(matrix: ExactMatrix) -> int:
     """Exact rank over Q(q): the size of an echelon basis of the columns."""
-    basis = EchelonBasis(matrix.rows)
+    basis = EchelonBasis()
     for col in matrix.columns():
         basis.insert(col)
     return len(basis)
@@ -308,7 +293,7 @@ def _graph_basis(matrix: ExactMatrix) -> tuple:
     The real part of a vector is its first ``rows`` coordinates.
     """
     n = matrix.rows
-    basis = EchelonBasis(n + matrix.cols)
+    basis = EchelonBasis()
     kernel = []
     for j, col in enumerate(matrix.columns()):
         v = dict(col)
@@ -392,7 +377,7 @@ def quotient_structure(dim: int, subspace_vectors, maps=()) -> QuotientStructure
     >>> [[str(c) for c in row] for row in qs.projection.to_lists()]
     [['(-1)/(q)', '1']]
     """
-    basis = EchelonBasis(dim)
+    basis = EchelonBasis()
     for v in subspace_vectors:
         basis.insert(v)
     free = [j for j in range(dim) if j not in basis.pivots]

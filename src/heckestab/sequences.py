@@ -140,7 +140,7 @@ class SequenceMorphism:
 
     __slots__ = ("source", "target", "components")
 
-    def __init__(self, source, target, components, check=True):
+    def __init__(self, source, target, components):
         components = tuple(components)
         if len(components) != source.n_max + 1 or source.n_max != target.n_max:
             raise ValueError("morphism length mismatch")
@@ -150,20 +150,17 @@ class SequenceMorphism:
         self.source = source
         self.target = target
         self.components = components
-        if check:
-            for n, f in enumerate(components):
-                bad = _not_intertwined(f, source.modules[n], target.modules[n])
-                if bad:
-                    raise ValueError(
-                        f"not a morphism: fails H_{n}-action at s_{bad[0]}"
-                    )
-            for n in range(source.n_max):
-                left = components[n + 1] @ source.connectors[n]
-                right = target.connectors[n] @ components[n]
-                if left != right:
-                    raise ValueError(
-                        f"not a morphism: square at degree {n} does not commute"
-                    )
+        for n, f in enumerate(components):
+            bad = _not_intertwined(f, source.modules[n], target.modules[n])
+            if bad:
+                raise ValueError(f"not a morphism: fails H_{n}-action at s_{bad[0]}")
+        for n in range(source.n_max):
+            left = components[n + 1] @ source.connectors[n]
+            right = target.connectors[n] @ components[n]
+            if left != right:
+                raise ValueError(
+                    f"not a morphism: square at degree {n} does not commute"
+                )
 
 
 def zero_module(n: int) -> ModulePresentation:
@@ -279,7 +276,7 @@ def non_finitely_generated(n_max: int) -> ConsistentSequence:
 
 def _closure(module: ModulePresentation, vectors) -> EchelonBasis:
     """H-span of the vectors: close an echelon basis under the generators."""
-    basis = EchelonBasis(module.dim)
+    basis = EchelonBasis()
     queue = deque()
     for v in vectors:
         if v and basis.insert(dict(v)) is not None:
@@ -291,27 +288,6 @@ def _closure(module: ModulePresentation, vectors) -> EchelonBasis:
             if w and basis.insert(w) is not None:
                 queue.append(basis.vectors[-1])
     return basis
-
-
-def _span_bases(V: ConsistentSequence, seeds) -> list:
-    """Per-degree echelon bases of the subsequence generated by the seeds."""
-    by_degree = {}
-    for deg, vec in seeds:
-        if not 0 <= deg <= V.n_max:
-            raise ValueError(f"seed degree {deg} outside truncation")
-        for i in vec:
-            if not 0 <= i < V.modules[deg].dim:
-                raise ValueError(f"seed coordinate {i} outside V_{deg}")
-        by_degree.setdefault(deg, []).append(vec)
-    bases = []
-    carried = []
-    for n in range(V.n_max + 1):
-        basis = _closure(V.modules[n], carried + by_degree.get(n, []))
-        bases.append(basis)
-        if n < V.n_max:
-            f = V.connectors[n]
-            carried = [f.apply(v) for v in basis.vectors]
-    return bases
 
 
 def _restriction_matrix(basis_from, basis_to, mat) -> ExactMatrix:
@@ -366,37 +342,25 @@ def _generated(V: ConsistentSequence) -> list:
     ]
 
 
-def span(V: ConsistentSequence, seeds, label: str = "") -> tuple:
-    """The subsequence generated by (degree, vector) seeds, plus a report.
+def span(V: ConsistentSequence, seeds, label: str = "") -> ConsistentSequence:
+    """The subsequence of V generated by (degree, vector) seeds.
 
-    The report's generation_degree is the least d in {0} and the seed
-    degrees such that the seeds of degree <= d already generate the whole
-    ambient V within truncation (None when even the full seed set does
-    not); see _generated for why all(generated[d:]) decides it.
+    Its degree-n part is the H_n-span of the degree-n seeds and of phi_{n-1}
+    of its degree-(n-1) part, in the coordinates of an echelon basis.
     """
-    seeds = list(seeds)
-    bases = _span_bases(V, seeds)
-    sub = _subsequence(V, bases, label or "span")
-    inclusions = [
-        ExactMatrix.from_columns(V.modules[n].dim, bases[n].vectors)
-        for n in range(V.n_max + 1)
-    ]
-    inclusion = SequenceMorphism(sub, V, inclusions)
-    dims = sub.dims()
-    ambient = V.dims()
-    generation = None
-    if dims == ambient:
-        onset = _onset(_generated(V))
-        generation = min(d for d in {0, *(deg for deg, _ in seeds)} if d >= onset)
-    report = {
-        "dims": dims,
-        "ambient_dims": ambient,
-        "spans_ambient": dims == ambient,
-        "generation_degree": generation,
-        "seed_degrees": sorted({deg for deg, _ in seeds}),
-        "inclusion": inclusion,
-    }
-    return sub, report
+    by_degree = {}
+    for deg, vec in seeds:
+        if not 0 <= deg <= V.n_max:
+            raise ValueError(f"seed degree {deg} outside truncation")
+        for i in vec:
+            if not 0 <= i < V.modules[deg].dim:
+                raise ValueError(f"seed coordinate {i} outside V_{deg}")
+        by_degree.setdefault(deg, []).append(vec)
+    bases = []
+    for n in range(V.n_max + 1):
+        carried = [V.connectors[n - 1].apply(v) for v in bases[-1].vectors] if n else []
+        bases.append(_closure(V.modules[n], carried + by_degree.get(n, [])))
+    return _subsequence(V, bases, label or "span")
 
 
 def generation_degree(V: ConsistentSequence) -> int:
@@ -720,19 +684,24 @@ def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:
     front letters {1..a} reproduce M(m)_n verbatim (relabelling A to A-a
     preserves the subset-lex order), and the remaining vectors form the
     complement C_a, a consistent subsequence of generation degree <= m-1.
+
+    M(m) is built once, on the window n_max + a; its degree-(n + a) coset
+    representatives sort the shifted basis.  matches_fresh_Mm compares the
+    summand blocks with its degree-n modules and connectors, which depend
+    only on n and m, not on the window, so equal those of a fresh M(m).
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     if a < 0:
         raise ValueError("a must be nonnegative")
-    base = build_Mm(m, n_max + a)
+    W = regular_representation(m)
+    base, layouts = _build_M_layout({m: W}, n_max + a, f"M({m})")
     shifted = shift(base, a)
-    fresh = build_Mm(m, n_max)
-    p = regular_representation(m).dim
+    p = W.dim
     b_positions = []
     c_positions = []
     for n in range(n_max + 1):
-        reps = coset_min_reps(n + a, (m, n + a - m)) if n + a >= m else []
+        reps = layouts[n + a][0][2] if layouts[n + a] else []
         b_idx = []
         c_idx = []
         for di, d in enumerate(reps):
@@ -755,7 +724,7 @@ def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:
             if split is None:
                 raise ValueError(f"blocks not stable at degree {n}, s_{i}")
             b_block, c_block = split
-            matches = matches and b_block == fresh.modules[n].generator(i)
+            matches = matches and b_block == base.modules[n].generator(i)
             c_gens.append(c_block)
         c_modules.append(
             ModulePresentation(
@@ -772,7 +741,7 @@ def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:
         if split is None:
             raise ValueError(f"blocks not connector-stable at degree {n}")
         b_block, c_block = split
-        matches = matches and b_block == fresh.connectors[n]
+        matches = matches and b_block == base.connectors[n]
         c_connectors.append(c_block)
     complement = ConsistentSequence(
         c_modules, c_connectors, label=f"C_{a} of S+{a}M({m})"
@@ -836,7 +805,7 @@ def noetherian_experiment(m: int, trials: int, seed: int, n_max: int) -> dict:
                     if c:
                         vec[i] = scal(Fraction(c))
             seeds.append((deg, vec))
-        sub, _ = span(V, seeds, label=f"trial {t}")
+        sub = span(V, seeds, label=f"trial {t}")
         table = multiplicity_table(sub)
         verdict = _verdict(sub, table)
         gen_deg = _onset([c["generated"] for c in verdict["clauses"]])
@@ -889,7 +858,7 @@ def seq_kernel(f: SequenceMorphism) -> ConsistentSequence:
     V = f.source
     bases = []
     for n in range(V.n_max + 1):
-        basis = EchelonBasis(V.modules[n].dim)
+        basis = EchelonBasis()
         for v in kernel_basis(f.components[n]):
             basis.insert(v)
         bases.append(basis)

@@ -19,7 +19,7 @@ from heckestab.qfield import ONE, ZERO
 
 def kernel_basis(matrix: ExactMatrix) -> list:
     n = matrix.rows
-    basis = EchelonBasis(n + matrix.cols)
+    basis = EchelonBasis()
     kernel = []
     for j, col in enumerate(matrix.columns()):
         v = dict(col)
@@ -34,8 +34,7 @@ def kernel_basis(matrix: ExactMatrix) -> list:
 
 
 def solve_unique(matrix: ExactMatrix, rhs: dict) -> list:
-    n = matrix.rows
-    basis = EchelonBasis(n)
+    basis = EchelonBasis()
     for col in matrix.columns():
         if basis.insert(col) is None:
             raise ValueError("matrix does not have full column rank")
@@ -43,7 +42,7 @@ def solve_unique(matrix: ExactMatrix, rhs: dict) -> list:
     if coords is None:
         raise ValueError("inconsistent linear system")
     change = []  # change[t] = coords of echelon vector t in original columns
-    basis2 = EchelonBasis(n)
+    basis2 = EchelonBasis()
     for j, col in enumerate(matrix.columns()):
         v = {i: c for i, c in col.items() if c}
         combo = {j: ONE}
@@ -73,7 +72,7 @@ def solve_unique(matrix: ExactMatrix, rhs: dict) -> list:
 
 
 def quotient_structure(dim: int, subspace_vectors, maps=()) -> tuple:
-    basis = EchelonBasis(dim)
+    basis = EchelonBasis()
     for v in subspace_vectors:
         basis.insert(dict(v))
     # full Gauss-Jordan: clear every pivot coordinate from the other vectors

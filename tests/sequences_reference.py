@@ -1,4 +1,4 @@
-"""Reference generation degrees and consistency checks.
+"""Reference generation degrees, consistency checks and shift splitting.
 
 This is how ``heckestab.sequences`` computed generation degrees before one
 closure per degree (``_generated``) served them all, and checked the
@@ -7,17 +7,28 @@ kept only as the slow, obviously correct side of the differential tests:
 
   * ``generation_degree`` spans the full bases of degrees <= d, for
     d = 0, 1, ..., and stops at the first d whose span is all of V;
-  * ``span_report`` spans each prefix of the seeds (degree <= d, for d in
-    {0} and the seed degrees) and keeps the first that gives V;
   * ``stability_clauses`` decides "V_{n+1} is generated by phi_n(V_n)" by
     spanning the full basis of V_n alone;
   * ``check_consistency`` compares phi_n T_{s_i} with T_{s_i} phi_n square
-    by square.
+    by square;
+  * ``shift_decompose_Mm`` builds M(m) twice, on the windows n_max + a and
+    n_max, and walks the coset representatives itself, as the package did
+    before it read both off one build.
 """
 
+from heckestab.hecke import ModulePresentation, regular_representation
 from heckestab.linalg import rank
 from heckestab.qfield import ONE
-from heckestab.sequences import _span_bases, multiplicity_table
+from heckestab.sequences import (
+    ConsistentSequence,
+    _block_split,
+    build_Mm,
+    generation_degree as package_generation_degree,
+    multiplicity_table,
+    shift,
+    span,
+)
+from heckestab.symgroup import coset_min_reps
 
 
 def _full_basis_seeds(V, degrees):
@@ -25,7 +36,7 @@ def _full_basis_seeds(V, degrees):
 
 
 def _span_dims(V, seeds) -> list:
-    return [len(b.vectors) for b in _span_bases(V, seeds)]
+    return span(V, seeds).dims()
 
 
 def generation_degree(V):
@@ -34,27 +45,6 @@ def generation_degree(V):
         if _span_dims(V, _full_basis_seeds(V, range(d + 1))) == ambient:
             return d
     return None
-
-
-def span_report(V, seeds) -> dict:
-    """span's report, without the inclusion morphism."""
-    seeds = list(seeds)
-    dims = _span_dims(V, seeds)
-    ambient = V.dims()
-    generation = None
-    if dims == ambient:
-        for d in sorted({0, *(deg for deg, _ in seeds)}):
-            prefix = [(deg, vec) for deg, vec in seeds if deg <= d]
-            if _span_dims(V, prefix) == ambient:
-                generation = d
-                break
-    return {
-        "dims": dims,
-        "ambient_dims": ambient,
-        "spans_ambient": dims == ambient,
-        "generation_degree": generation,
-        "seed_degrees": sorted({deg for deg, _ in seeds}),
-    }
 
 
 def stability_clauses(V) -> list:
@@ -86,3 +76,79 @@ def check_consistency(V) -> dict:
             if left != right:
                 violations.append((n, i))
     return {"ok": not violations, "violations": violations}
+
+
+def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    if a < 0:
+        raise ValueError("a must be nonnegative")
+    base = build_Mm(m, n_max + a)
+    shifted = shift(base, a)
+    fresh = build_Mm(m, n_max)
+    p = regular_representation(m).dim
+    b_positions = []
+    c_positions = []
+    for n in range(n_max + 1):
+        reps = coset_min_reps(n + a, (m, n + a - m)) if n + a >= m else []
+        b_idx = []
+        c_idx = []
+        for di, d in enumerate(reps):
+            front_free = all(d(x) > a for x in range(1, m + 1))
+            for i in range(p):
+                (b_idx if front_free else c_idx).append(di * p + i)
+        b_positions.append(b_idx)
+        c_positions.append(c_idx)
+    matches = True
+    c_modules = []
+    for n in range(n_max + 1):
+        big = shifted.modules[n]
+        c_gens = []
+        for i in range(1, n):
+            split = _block_split(
+                big.generator(i),
+                b_positions[n], c_positions[n],
+                b_positions[n], c_positions[n],
+            )
+            if split is None:
+                raise ValueError(f"blocks not stable at degree {n}, s_{i}")
+            b_block, c_block = split
+            matches = matches and b_block == fresh.modules[n].generator(i)
+            c_gens.append(c_block)
+        c_modules.append(
+            ModulePresentation(
+                n, len(c_positions[n]), c_gens, label=f"C_{a}_{n}", check=False
+            )
+        )
+    c_connectors = []
+    for n in range(n_max):
+        split = _block_split(
+            shifted.connectors[n],
+            b_positions[n + 1], c_positions[n + 1],
+            b_positions[n], c_positions[n],
+        )
+        if split is None:
+            raise ValueError(f"blocks not connector-stable at degree {n}")
+        b_block, c_block = split
+        matches = matches and b_block == fresh.connectors[n]
+        c_connectors.append(c_block)
+    complement = ConsistentSequence(
+        c_modules, c_connectors, label=f"C_{a} of S+{a}M({m})"
+    )
+    gen_deg = package_generation_degree(complement)
+    return {
+        "m": m,
+        "a": a,
+        "n_max": n_max,
+        "shifted_dims": shifted.dims(),
+        "summand_dims": [len(b) for b in b_positions],
+        "complement_dims": complement.dims(),
+        "direct_sum_ok": all(
+            len(b_positions[n]) + len(c_positions[n]) == shifted.modules[n].dim
+            for n in range(n_max + 1)
+        ),
+        "matches_fresh_Mm": matches,
+        "complement_generation_degree": gen_deg,
+        "bound_ok": gen_deg <= m - 1,
+        "complement": complement,
+    }

@@ -9,12 +9,16 @@ anywhere in the battery.
 import io
 import re
 import time
+from pathlib import Path
 
 import pytest
 
 from heckestab.verify import run_criteria
 
 N_MAX = 6
+
+# run_criteria(6)'s report, pinned: `verify all` prints it before line 12
+GOLDEN = Path(__file__).parent / "golden" / "verify_all.txt"
 
 
 @pytest.fixture(scope="module")
@@ -102,3 +106,7 @@ def test_11_unstable_counterexample(battery):
 def test_12_reports_byte_identical(battery):
     assert battery["first"].encode() == battery["second"].encode()
     assert battery["total"] < 600.0
+
+
+def test_report_matches_golden(battery):
+    assert battery["first"].encode() == GOLDEN.read_bytes()

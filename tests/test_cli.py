@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from heckestab.cli import main
+from heckestab.cli import MULT_N_BOUND, main
 from heckestab.sequences import (
     build_Mm,
     non_finitely_generated,
@@ -43,6 +43,17 @@ class TestHeckeMult:
         code, _, err = run(capsys, "hecke", "mult", "--n", "3", "--left", "a b", "--right", "1")
         assert code == 2
         assert "error" in json.loads(err)
+
+    @pytest.mark.parametrize("n", [MULT_N_BOUND + 1, 10**9], ids=["bound+1", "1e9"])
+    def test_n_is_bounded(self, capsys, n):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "hecke", "mult", "--n", str(n), "--left", "1", "--right", "")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": f"size bound: n = {n} exceeds {MULT_N_BOUND}"}
 
 
 # stdout of `hecke mult` for fixed words, as printed by the Scalar fold

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from heckestab.cli import main
+from heckestab.cli import MULT_N_BOUND, main
 from heckestab.qfield import WIRE_EXPONENT_BOUND
 from heckestab.sequences import (
     FILE_DIM_BOUND,
@@ -109,7 +109,10 @@ def argvs(files: dict):
     # mostly letters in range for n = 3, so that products do get computed
     words = st.one_of(st.text(alphabet="12 ,", max_size=6),
                       st.text(alphabet="0123 ,x", max_size=6))
-    hecke_mult = flags({"--n": st.integers(-1, 4).map(str), "--left": words,
+    # n at the bound, just past it and far past it, too
+    ranks = st.one_of(st.integers(-1, 4),
+                      st.sampled_from([MULT_N_BOUND, MULT_N_BOUND + 1, 10**9]))
+    hecke_mult = flags({"--n": ranks.map(str), "--left": words,
                         "--right": words}).map(lambda f: ["hecke", "mult", *f])
     kinds = st.sampled_from(["Mm", "M-specht", "other"])
     labels = st.sampled_from(["", "1", "2,1", "1,1", "1,2", "0", "x"])

@@ -4,8 +4,8 @@
 candidate degree; the package closes phi_n(V_n) once per n and reads every
 generation degree off those flags.  Random seed sets, some of them full
 bases of every degree up to a drawn one so that they span the ambient
-tower, must give the same span report, generation degree and stability
-clauses either way.
+tower, must give the same generation degree and stability clauses of the
+spanned subsequence either way.
 """
 
 import functools
@@ -81,11 +81,8 @@ def seed_sets(draw, V):
 def test_span_and_subsequence_match_reference(data):
     V = data.draw(towers())
     seeds = data.draw(seed_sets(V))
-    sub, report = span(V, seeds)
-    event(f"spans_ambient={report['spans_ambient']}")
-    assert {k: v for k, v in report.items() if k != "inclusion"} == ref.span_report(
-        V, seeds
-    )
+    sub = span(V, seeds)
+    event(f"spans_ambient={sub.dims() == V.dims()}")
     assert generation_degree(sub) == ref.generation_degree(sub)
     assert is_uniformly_stable(sub)["clauses"] == ref.stability_clauses(sub)
 

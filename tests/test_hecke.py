@@ -129,7 +129,7 @@ class TestRegular:
             w = basis[rng.randrange(len(basis))]
             i = rng.randrange(1, n)
             prod = mult(T(n, i), HeckeElement.basis(n, w))
-            col = V.generator(i).column(index[w.one_line])
+            col = V.generator(i).columns()[index[w.one_line]]
             assert col == {index[u.one_line]: c for u, c in prod.coeffs.items()}
 
     def test_trace_of_generator(self):

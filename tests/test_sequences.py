@@ -194,23 +194,19 @@ class TestBuildM:
 class TestSpan:
     def test_canonical_seed_generates_m1(self):
         V = build_Mm(1, 5)
-        sub, report = span(V, [(1, {0: ONE})])
-        assert report["spans_ambient"]
-        assert report["generation_degree"] == 1
+        sub = span(V, [(1, {0: ONE})])
         assert sub.dims() == V.dims()
+        assert generation_degree(sub) == 1
         assert check_consistency(sub)["ok"]
 
     def test_empty_seeds_span_zero(self):
         V = build_Mm(1, 4)
-        sub, report = span(V, [])
-        assert sub.dims() == [0] * 5
-        assert not report["spans_ambient"]
-        assert report["generation_degree"] is None
+        assert span(V, []).dims() == [0] * 5
 
     def test_zero_ambient(self):
-        _, report = span(zero_sequence(3), [])
-        assert report["spans_ambient"]
-        assert report["generation_degree"] == 0
+        sub = span(zero_sequence(3), [])
+        assert sub.dims() == [0] * 4
+        assert generation_degree(sub) == 0
 
     def test_seed_validation(self):
         V = build_Mm(1, 3)
@@ -229,9 +225,9 @@ class TestSpan:
     def test_full_degree_m_seeds_recover_mm(self):
         V = build_Mm(2, 4)
         seeds = [(2, {i: ONE}) for i in range(V.modules[2].dim)]
-        _, report = span(V, seeds)
-        assert report["spans_ambient"]
-        assert report["generation_degree"] == 2
+        sub = span(V, seeds)
+        assert sub.dims() == V.dims()
+        assert generation_degree(sub) == 2
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(0, 5), min_size=0, max_size=4), st.data())
@@ -240,8 +236,8 @@ class TestSpan:
         seeds = [(2, {i % 2: ONE}) for i in picks]
         extra = data.draw(st.lists(st.integers(0, 5), max_size=3))
         more = seeds + [(3, {i: ONE}) for i in extra]
-        small, _ = span(V, seeds)
-        big, _ = span(V, more)
+        small = span(V, seeds)
+        big = span(V, more)
         assert all(a <= b for a, b in zip(small.dims(), big.dims()))
 
 
@@ -424,6 +420,29 @@ class TestShift:
         assert report["matches_fresh_Mm"]
         assert report["complement_generation_degree"] <= 1
         assert report["bound_ok"]
+
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_decompose_matches_reference(self, m, a):
+        got = shift_decompose_Mm(m, a, 4)
+        want = ref.shift_decompose_Mm(m, a, 4)
+        complement, want_complement = got.pop("complement"), want.pop("complement")
+        assert got == want
+        assert sequence_to_json_obj(complement) == sequence_to_json_obj(want_complement)
+
+    def test_decompose_builds_mm_once(self, monkeypatch):
+        calls = []
+
+        def count(name):
+            original = getattr(sequences, name)
+            monkeypatch.setattr(
+                sequences, name, lambda *args: calls.append(name) or original(*args)
+            )
+
+        count("_build_M_layout")
+        count("regular_representation")
+        shift_decompose_Mm(2, 1, 4)
+        assert sorted(calls) == ["_build_M_layout", "regular_representation"]
 
 
 class TestPointwise:
