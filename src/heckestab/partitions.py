@@ -6,13 +6,15 @@ integers.  Standard Young tableaux are tuples of row tuples.
 
 The combinatorial predictions here (pieri_add, stable_multiplicity_oracle,
 row_standard_tableaux) are deliberately independent of the algebra modules
-so they can serve as oracles for algebraic decompositions.
+so they can serve as oracles for algebraic decompositions.  So is
+hecke_character, the q-Murnaghan-Nakayama rule, which the character
+tables are read from.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import factorial
+from math import comb, factorial
 
 __all__ = [
     "partitions_of",
@@ -24,6 +26,7 @@ __all__ = [
     "hooks",
     "syt_count",
     "syt_enumerate",
+    "hecke_character",
     "row_standard_tableaux",
     "stable_multiplicity_oracle",
     "partition_label",
@@ -207,6 +210,89 @@ def syt_enumerate(lam) -> tuple:
             rows[i].append(n)
             out.append(tuple(tuple(r) for r in rows))
     return tuple(out)
+
+
+def hecke_character(lam, mu) -> tuple:
+    """chi^lam(T_{gamma_mu}) by the q-Murnaghan-Nakayama rule (Ram 1991).
+
+    gamma_mu is the minimal-length permutation with cycles on consecutive
+    letters of lengths mu_1, mu_2, ..., and T satisfies (T - q)(T + 1) = 0.
+    The value is a sum over chains () = lam^(0) < ... < lam^(l) = lam whose
+    steps lam^(i) / lam^(i-1) have mu_i cells and contain no 2x2 square
+    (broken border strips).  A step with c connected components, component
+    j spanning r_j rows and c_j columns, weighs
+
+        (q - 1)^(c - 1) * prod_j (-1)^(r_j - 1) q^(c_j - 1),
+
+    and a chain weighs the product of its steps.  Returns the integer
+    coefficients of that polynomial in q, lowest degree first.
+
+    >>> hecke_character((2,), (2,))
+    (0, 1)
+    >>> hecke_character((2, 1), (3,))
+    (0, -1)
+    >>> hecke_character((2, 1), (1, 1, 1))
+    (2,)
+    """
+    lam = _check(lam)
+    mu = tuple(mu)
+    if not all(isinstance(p, int) and p > 0 for p in mu) or sum(mu) != sum(lam):
+        raise ValueError(f"not a composition of {sum(lam)}: {mu}")
+    return _murnaghan_nakayama(lam, mu)
+
+
+@cache
+def _murnaghan_nakayama(lam: tuple, mu: tuple) -> tuple:
+    """hecke_character on checked input; the last step is peeled off."""
+    if not mu:
+        return (1,)
+    total = [0] * (sum(lam) + 1)
+    for nu, weight in _broken_strips(lam, mu[-1]):
+        inner = _murnaghan_nakayama(nu, mu[:-1])
+        for i, a in enumerate(weight):
+            for j, b in enumerate(inner):
+                total[i + j] += a * b
+    while total and not total[-1]:
+        total.pop()
+    return tuple(total)
+
+
+def _broken_strips(lam: tuple, k: int):
+    """(nu, weight) for every nu with lam / nu a broken border strip of k
+    cells, the weight as coefficients of a polynomial in q."""
+    rows = len(lam)
+    below = lam[1:] + (0,)
+
+    def choose(i, left, acc):
+        if i == rows:
+            if left == 0:
+                yield tuple(acc)
+            return
+        # nu_i >= lam_{i+1} - 1 is exactly "no 2x2 square in rows i, i+1"
+        hi = min(lam[i], acc[-1]) if acc else lam[i]
+        for nu_i in range(max(below[i] - 1, 0, lam[i] - left), hi + 1):
+            acc.append(nu_i)
+            yield from choose(i + 1, left - (lam[i] - nu_i), acc)
+            acc.pop()
+
+    for nu in choose(0, k, []):
+        comps, sign, q_exp = 0, 1, 0
+        for i in range(rows):
+            if nu[i] == lam[i]:
+                continue
+            # row i starts a component unless a cell of row i - 1 lies on it
+            if i == 0 or nu[i - 1] >= lam[i]:
+                top = i
+                comps += 1
+            # a component ending at row i spans rows top..i, columns
+            # nu_i..lam_top - 1
+            if i + 1 == rows or nu[i + 1] == lam[i + 1] or nu[i] >= lam[i + 1]:
+                sign *= (-1) ** (i - top)
+                q_exp += lam[top] - nu[i] - 1
+        weight = (0,) * q_exp + tuple(
+            sign * (-1) ** (comps - 1 - t) * comb(comps - 1, t) for t in range(comps)
+        )
+        yield tuple(p for p in nu if p), weight
 
 
 def row_standard_tableaux(lam, mu) -> tuple:

@@ -364,13 +364,6 @@ class Scalar:
             raise ValueError(f"not a constant: {self}")
         return Fraction(self.num[0]) if self.num else _F0
 
-    def as_integer(self):
-        """The value of an integer-constant scalar, or None."""
-        if not self.is_constant():
-            return None
-        c = self.as_fraction()
-        return int(c) if c.denominator == 1 else None
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):

@@ -16,20 +16,33 @@ so each block has trace q - 1 and determinant -q.  All defining relations
 are re-verified exactly at construction, once per shape and process;
 nothing relies on the formulas being transcribed correctly.
 
-Decomposition of an arbitrary ModulePresentation uses characters: traces
-at minimal-length class representatives form a p(n) x p(n) system whose
-value at q = 1 is the S_n character table; it is solved there over Q and
-the solution is certified exactly over Q(q).
+Decomposition of an arbitrary ModulePresentation uses characters.  The
+character table of H_n at minimal-length class representatives comes from
+the q-Murnaghan-Nakayama rule (Ram, Invent. Math. 106, 1991; Halverson and
+Ram, Trans. AMS 348, 1996): chi^lam(T_{gamma_mu}) is a signed sum over
+chains of broken border strips of sizes mu_1, mu_2, ... filling lam, see
+partitions.hecke_character.  No Specht module is built for it.  At q = 1
+the table is the S_n character table; its column orthogonality, checked
+exactly once per rank, certifies that it is invertible and gives the
+inverse.  The traces of V are solved against it at q = 1 over Q, and the
+solution is certified exactly over Q(q).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .hecke import ModulePresentation
 from .linalg import ExactMatrix, quotient_structure
-from .partitions import partition_label, partitions_of, syt_count, syt_enumerate
+from .partitions import (
+    hecke_character,
+    partition_label,
+    partitions_of,
+    syt_count,
+    syt_enumerate,
+)
 from .qfield import ONE, Q, ZERO, Scalar, q_power, scal
 from .symgroup import Permutation, conjugacy_min_reps
 
@@ -126,8 +139,13 @@ class CharacterTable:
 
     Rows run over partitions of n in the partitions_of order; columns over
     cycle types with the identity class first (reversed partitions_of
-    order).  At q = 1 it is the S_n character table, inverted once over Q;
-    its nonzero determinant there makes the table invertible over Q(q).
+    order).  Each entry chi^lam(T_{gamma_mu}) is read from the
+    q-Murnaghan-Nakayama rule (Ram, Invent. Math. 106, 1991), so no Specht
+    module is built.  At q = 1 the table is the S_n character table, and
+    the column orthogonality sum_mu chi^lam(mu) chi^nu(mu) / z_mu =
+    delta_{lam,nu} is checked exactly once per rank: it certifies that the
+    table is invertible over Q, hence over Q(q), and gives the inverse
+    chi^lam(mu) / z_mu with no elimination.
     """
 
     __slots__ = (
@@ -140,18 +158,27 @@ class CharacterTable:
     )
 
     def __init__(self, n: int):
+        if n > SPECHT_BOUND:
+            raise ValueError(f"size bound: |lam| = {n} exceeds {SPECHT_BOUND}")
         self.n = n
         self.row_labels = partitions_of(n)
         self.classes = tuple(reversed(partitions_of(n)))
         reps = conjugacy_min_reps(n)
         self.class_reps = tuple(reps[mu] for mu in self.classes)
-        modules = [specht_module(lam) for lam in self.row_labels]
-        self.values = tuple(
-            tuple(character(V, w) for w in self.class_reps) for V in modules
-        )
-        # the q = 1 system has entry (class, lam); singularity is fatal
-        at_one = [[v.specialize(1) for v in row] for row in self.values]
-        self._inverse_at_one = _inverse([list(col) for col in zip(*at_one)])
+        coeffs = [
+            [hecke_character(lam, mu) for mu in self.classes] for lam in self.row_labels
+        ]
+        self.values = tuple(tuple(Scalar(c) for c in row) for row in coeffs)
+        # the q = 1 system has entry (class, lam); row lam of its inverse
+        # is chi^lam(mu) / z_mu exactly when the columns are orthonormal
+        at_one = [[sum(c) for c in row] for row in coeffs]
+        z = [_centralizer_order(mu) for mu in self.classes]
+        inverse = [[Fraction(x, zi) for x, zi in zip(row, z)] for row in at_one]
+        for li, row in enumerate(inverse):
+            for ni, other in enumerate(at_one):
+                if sum(x * y for x, y in zip(row, other)) != int(li == ni):
+                    raise ValueError("degenerate character table")
+        self._inverse_at_one = inverse
 
     def multiplicities(self, traces) -> dict:
         """The m_lam in Q with sum_lam m_lam chi_lam(w_mu) = traces[mu].
@@ -170,22 +197,14 @@ class CharacterTable:
         return dict(zip(self.row_labels, sol))
 
 
-def _inverse(rows) -> list:
-    """Inverse of a square rational matrix, by Gauss-Jordan elimination."""
-    m = len(rows)
-    aug = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if aug[r][col]), None)
-        if pivot is None:
-            raise ValueError("degenerate character table")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        lead = Fraction(aug[col][col])
-        aug[col] = [x / lead for x in aug[col]]
-        for r in range(m):
-            c = aug[r][col]
-            if r != col and c:
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    return [row[m:] for row in aug]
+def _centralizer_order(mu) -> int:
+    """z_mu = prod_i i^{m_i} m_i!, the order of the centralizer of a
+    permutation of cycle type mu with m_i parts equal to i."""
+    z = 1
+    for part in set(mu):
+        m = mu.count(part)
+        z *= part**m * factorial(m)
+    return z
 
 
 @lru_cache(maxsize=None)

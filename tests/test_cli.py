@@ -241,6 +241,18 @@ class TestErrorsAndDeterminism:
             "error": "unrecognized arguments: " + " ".join(removed)
         }
 
+    @pytest.mark.parametrize("command", ["weight", "multiplicities", "check-stable"])
+    def test_decompose_past_the_rank_bound(self, capsys, tmp_path, command):
+        # M(1) builds at any rank, but no character table exists past
+        # SPECHT_BOUND; p(40)^2 entries would be about 1.4e9
+        out_file = str(tmp_path / "m1.json")
+        assert run(capsys, "seq", "build", "--kind", "Mm", "--m", "1",
+                   "--nmax", "9", "--out", out_file)[0] == 0
+        code, out, err = run(capsys, "seq", command, "--in", out_file)
+        assert code == 2
+        assert out == ""
+        assert err == '{"error": "size bound: |lam| = 8 exceeds 7"}\n'
+
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "seq", "weight", "--in", str(tmp_path / "absent.json")

@@ -1,13 +1,16 @@
 """Partitions, padding, Pieri strips, standard tableaux counts and order."""
 
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
 from heckestab.partitions import (
     conjugate,
+    hecke_character,
     pad,
     partition_label,
     parse_partition_label,
@@ -19,7 +22,7 @@ from heckestab.partitions import (
     syt_enumerate,
     unpad,
 )
-from heckestab.symgroup import double_coset_min_reps
+from heckestab.symgroup import conjugacy_min_reps, double_coset_min_reps
 
 
 def brute_partitions(n):
@@ -141,6 +144,55 @@ class TestTableaux:
         assert syt_count((4,)) == 1
         assert syt_count((2, 2)) == 2
         assert syt_count((3, 2, 1)) == 16
+
+
+def z_order(mu):
+    """z_mu = prod_i i^{m_i} m_i!: n! over the size of the class of mu."""
+    return prod(part**m * factorial(m) for part, m in Counter(mu).items())
+
+
+class TestHeckeCharacter:
+    """Past the reach of the seminormal oracle (|lam| <= 7), the rule is
+    checked against facts of S_n and H_n that it does not encode."""
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_independent_facts(self, n):
+        shapes = partitions_of(n)
+        table = {(lam, mu): hecke_character(lam, mu) for lam in shapes for mu in shapes}
+        at_one = {key: sum(c) for key, c in table.items()}
+        reps = conjugacy_min_reps(n)
+        for mu in shapes:
+            ell = reps[mu].length
+            # T_w acts by q^l(w) on the index module, by (-1)^l(w) on the sign
+            assert table[(n,), mu] == (0,) * ell + (1,)
+            assert table[(1,) * n, mu] == ((-1) ** ell,)
+        for lam in shapes:
+            assert table[lam, (1,) * n] == (syt_count(lam),)
+        for lam in shapes:
+            for nu in shapes:
+                total = sum(
+                    Fraction(at_one[lam, mu] * at_one[nu, mu], z_order(mu))
+                    for mu in shapes
+                )
+                assert total == (lam == nu)
+        for mu in shapes:
+            for rho in shapes:
+                total = sum(at_one[lam, mu] * at_one[lam, rho] for lam in shapes)
+                assert total == (z_order(mu) if mu == rho else 0)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_order_of_the_parts_is_immaterial(self, n):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                assert hecke_character(lam, mu) == hecke_character(lam, mu[::-1])
+
+    @pytest.mark.parametrize(
+        "lam, mu",
+        [((2, 1), (2,)), ((2, 1), (2, 0, 1)), ((2,), (1.0, 1)), ((1, 2), (3,))],
+    )
+    def test_not_a_composition(self, lam, mu):
+        with pytest.raises(ValueError):
+            hecke_character(lam, mu)
 
 
 class TestRowStandard:

@@ -21,15 +21,18 @@ def poly(*coeffs):
     return tuple(Fraction(c) for c in coeffs)
 
 
-small_fractions = st.fractions(
-    min_value=-10, max_value=10, max_denominator=6
-)
+@st.composite
+def small_fractions(draw):
+    """The values of st.fractions(-10, 10, max_denominator=6), drawn as a
+    denominator and a numerator, about three times faster."""
+    d = draw(st.integers(1, 6))
+    return Fraction(draw(st.integers(-10 * d, 10 * d)), d)
 
 
 @st.composite
 def scalars(draw):
-    num = tuple(draw(st.lists(small_fractions, max_size=4)))
-    den = tuple(draw(st.lists(small_fractions, min_size=1, max_size=4)))
+    num = tuple(draw(st.lists(small_fractions(), max_size=4)))
+    den = tuple(draw(st.lists(small_fractions(), min_size=1, max_size=4)))
     if not any(den):
         den = (Fraction(1),)
     return Scalar(num, den)

@@ -14,10 +14,16 @@ import fraction_kernel as ref
 from heckestab import qfield
 from heckestab.qfield import Scalar, poly_divmod, poly_gcd, poly_mul
 
-coefficients = st.one_of(
-    st.integers(min_value=-20, max_value=20),
-    st.fractions(min_value=-10, max_value=10, max_denominator=6),
-)
+
+@st.composite
+def small_fractions(draw):
+    """The values of st.fractions(-10, 10, max_denominator=6), drawn as a
+    denominator and a numerator, about three times faster."""
+    d = draw(st.integers(1, 6))
+    return Fraction(draw(st.integers(-10 * d, 10 * d)), d)
+
+
+coefficients = st.one_of(st.integers(min_value=-20, max_value=20), small_fractions())
 wide_coefficients = st.integers(min_value=-10**6, max_value=10**6)
 
 

@@ -1,6 +1,7 @@
 """Seminormal modules, characters, decomposition, coinvariant quotients."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,16 +17,17 @@ from heckestab.hecke import (
     sign_rep,
 )
 from heckestab.linalg import ExactMatrix, solve_unique
-from heckestab.partitions import pad, partitions_of, syt_count
-from heckestab.qfield import ONE, Q, ZERO, scal
+from heckestab.partitions import hecke_character, pad, partitions_of, syt_count
+from heckestab.qfield import ONE, Q, ZERO, Scalar, scal
 from heckestab.specht import (
+    CharacterTable,
     character,
     character_table,
     coinvariant_quotient,
     decompose,
     specht_module,
 )
-from heckestab.symgroup import Permutation
+from heckestab.symgroup import Permutation, conjugacy_min_reps
 
 
 def reference_multiplicities(table, traces):
@@ -48,13 +50,24 @@ def reference_decompose(V):
     for lam, c in reference_multiplicities(table, traces).items():
         if not c:
             continue
-        value = c.as_integer()
-        if value is None or value < 0:
+        value = c.as_fraction() if c.is_constant() else None
+        if value is None or value.denominator != 1 or value < 0:
             raise ValueError("not a module")
-        out[lam] = value
+        out[lam] = int(value)
     if sum(c * syt_count(lam) for lam, c in out.items()) != V.dim:
         raise ValueError("not a module")
     return out
+
+
+def traced_table_values(n):
+    """The table as built before the q-Murnaghan-Nakayama rule: each
+    seminormal S^lam traced along a reduced word of each minimal class
+    representative, rows and columns in CharacterTable order."""
+    reps = conjugacy_min_reps(n)
+    return tuple(
+        tuple(character(specht_module(lam), reps[mu]) for mu in reversed(partitions_of(n)))
+        for lam in partitions_of(n)
+    )
 
 
 def table_traces(table, coeffs):
@@ -190,6 +203,59 @@ class TestCharacterTable:
         spec = [[v.specialize(1) for v in row] for row in t.values]
         # classes e, (12), (123); rows (3), (2,1), (1,1,1)
         assert spec == [[1, 1, 1], [2, 0, -1], [1, -1, 1]]
+
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_rule_matches_traced_table(self, n):
+        table = character_table(n)
+        reference = traced_table_values(n)
+        assert table.values == reference
+        # the rule may take the parts of mu in either order
+        for li, lam in enumerate(table.row_labels):
+            for ci, mu in enumerate(table.classes):
+                assert Scalar(hecke_character(lam, mu[::-1])) == reference[li][ci]
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_inverse_at_one(self, n):
+        # a right inverse of the q = 1 system, whose entry (class, lam)
+        # is chi^lam(mu); the table's own check is the left one
+        table = character_table(n)
+        m = len(table.classes)
+        for ci in range(m):
+            for cj in range(m):
+                total = sum(
+                    table.values[li][ci].specialize(1) * table._inverse_at_one[li][cj]
+                    for li in range(m)
+                )
+                assert total == (ci == cj)
+
+    def test_builds_no_specht_module(self, monkeypatch):
+        def refuse(lam):
+            raise AssertionError(f"built S^{lam}")
+
+        monkeypatch.setattr(specht, "specht_module", refuse)
+        monkeypatch.setattr(specht, "_verified_specht", refuse)
+        assert len(CharacterTable(7).values) == len(partitions_of(7))
+
+    def test_size_bound_before_any_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("work past the bound")
+
+        for name in ("hecke_character", "partitions_of", "conjugacy_min_reps"):
+            monkeypatch.setattr(specht, name, refuse)
+        bound = specht.SPECHT_BOUND
+        message = f"size bound: |lam| = {bound + 1} exceeds {bound}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            character_table(bound + 1)
+
+    def test_degenerate_table_is_refused(self, monkeypatch):
+        # the sign row read as the trivial one breaks orthogonality
+        def trivial_for_sign(lam, mu):
+            return hecke_character((len(lam),) if lam == (1,) * len(lam) else lam, mu)
+
+        monkeypatch.setattr(specht, "hecke_character", trivial_for_sign)
+        with pytest.raises(ValueError, match="degenerate character table"):
+            CharacterTable(3)
 
 
 class TestDecompose:
