@@ -33,7 +33,24 @@ that generator pass.
 
 Modules are given concretely as ModulePresentation: one exact matrix per
 generator, acting on column vectors, with all defining relations verified
-at construction time.
+at construction time.  Relation checks and traces run on packed integers
+too.  A module's integral form writes every generator as T_{s_i} = N_i / D
+over one D in Z[q] for all generators, with the N_i over Z[q].  One D
+makes each relation homogeneous: multiplied through by D^2 or D^3 it reads
+
+    N_i^2 = (q-1) D N_i + q D^2 I,
+    N_i N_j = N_j N_i,    N_a N_b N_a = N_b N_a N_b,
+
+with both sides over Z[q], so it is checked with no division.  For the
+l1 norm |p|_1 of a polynomial, the largest row sum r_i and column sum c_i
+of |N_i|_1 are each submultiplicative and bound every entry, so every
+coefficient of N_{i_1} ... N_{i_l} is at most min(prod r, prod c), and of
+its trace at most dim times that; a coefficient of (q-1) D N_i + q D^2 is
+at most 2 |D|_1 min(r_i, c_i) + |D|_1^2.  The relation check packs at the
+width k that the largest bound of a difference of two sides certifies,
+where equal integers mean equal polynomials, so nothing is decoded.  A
+trace packs at the width its own bound certifies, multiplies along the
+word, decodes the trace alone and returns tr(N_{i_1} ... N_{i_l}) / D^l.
 """
 
 from __future__ import annotations
@@ -159,14 +176,14 @@ def mult(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     out = HeckeElement(x.n)
     if not x.coeffs or not y.coeffs:
         return out
-    X, dx = _integral(x)
-    Y, dy = _integral(y)
+    X, dx = _integral(x.coeffs.values())
+    Y, dy = _integral(y.coeffs.values())
     bound = sum(
-        sum(map(abs, X[w.one_line])) * 3**w.length for w in x.coeffs
-    ) * sum(sum(map(abs, c)) for c in Y.values())
-    k = bound.bit_length() + 1
-    xs = {w: _pack(c, k) for w, c in X.items()}
-    ys = {w: _pack(c, k) for w, c in Y.items()}
+        _l1(c) * 3**w.length for w, c in zip(x.coeffs, X)
+    ) * sum(map(_l1, Y))
+    k = _width(bound)
+    xs = {w.one_line: _pack(c, k) for w, c in zip(x.coeffs, X)}
+    ys = {w.one_line: _pack(c, k) for w, c in zip(y.coeffs, Y)}
     den = poly_mul(dx, dy)
     for w, h in _fold(xs, ys, k).items():
         if h:
@@ -177,26 +194,39 @@ def mult(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     return out
 
 
-def _integral(x: HeckeElement) -> tuple:
-    """({one-line w: X_w}, D) with X_w in Z[q] and x = sum_w (X_w / D) T_w.
+def _integral(scalars) -> tuple:
+    """([X_1, X_2, ...], D) with every X_t and D in Z[q] and c_t = X_t / D
+    for the scalars c_1, c_2, ...
 
-    D is the lcm of the coefficient denominators times the integer lcm of
-    the rational coefficients that remain after clearing them.
+    D is the lcm of the denominators times the least positive integer that
+    clears the rational coefficients left in it and in the numerators.
     """
+    scalars = list(scalars)
+    distinct = set(scalars)
     den = (1,)
-    for c in x.coeffs.values():
-        if c.den != den:
-            den = poly_mul(den, poly_div_exact(c.den, poly_gcd(den, c.den)))
-    polys = {
-        w.one_line: c.num if c.den == den
-        else poly_mul(c.num, poly_div_exact(den, c.den))
-        for w, c in x.coeffs.items()
+    for d in {c.den for c in distinct}:
+        if d != den:
+            den = poly_mul(den, poly_div_exact(d, poly_gcd(den, d)))
+    num = {
+        c: c.num if c.den == den else poly_mul(c.num, poly_div_exact(den, c.den))
+        for c in distinct
     }
-    scale = math.lcm(*(a.denominator for p in polys.values() for a in p))
+    scale = math.lcm(*(a.denominator for p in (den, *num.values()) for a in p))
     if scale != 1:
-        polys = {w: tuple(int(a * scale) for a in p) for w, p in polys.items()}
-        den = tuple(a * scale for a in den)
-    return polys, den
+        num = {c: tuple(int(a * scale) for a in p) for c, p in num.items()}
+        den = tuple(int(a * scale) for a in den)
+    return [num[c] for c in scalars], den
+
+
+def _l1(p) -> int:
+    """The sum of the absolute values of the coefficients of p."""
+    return sum(map(abs, p))
+
+
+def _width(bound: int) -> int:
+    """The least k with 2^(k-1) > bound: at q = 2^k, a Z[q] polynomial whose
+    coefficients are at most bound in absolute value is read back exactly."""
+    return bound.bit_length() + 1
 
 
 def _pack(p, k: int) -> int:
@@ -279,9 +309,11 @@ class ModulePresentation:
     Matrices act on column vectors; gen_action[i-1] is the action of
     T_{s_i}.  The defining relations are verified exactly at construction
     unless check=False (used internally for data already validated).
+    Relation checks and traces run on the integral form, built on first
+    use and kept: sound because a module is never mutated.
     """
 
-    __slots__ = ("n", "dim", "gen_action", "label")
+    __slots__ = ("n", "dim", "gen_action", "label", "_form")
 
     def __init__(self, n, dim, gen_action, label="", check=True):
         gen_action = tuple(gen_action)
@@ -294,24 +326,57 @@ class ModulePresentation:
         self.dim = dim
         self.gen_action = gen_action
         self.label = label
+        self._form = None
         if check:
             self._check_relations()
 
+    def integral_form(self) -> "IntegralForm":
+        if self._form is None:
+            self._form = IntegralForm(self.dim, self.gen_action)
+        return self._form
+
     def _check_relations(self):
-        eye = ExactMatrix.identity(self.dim)
-        gens = self.gen_action
+        """The defining relations with D cleared, compared at q = 2^k.
+
+        Each side is a product of at most three N_i, or (q-1) D N_i + q D^2,
+        so k is taken from the bound on both sides of every relation.
+        """
+        form = self.integral_form()
+        bound = form.bound
+        r = len(self.gen_action)
+        d1 = _l1(form.den)
+        bounds = [
+            bound((i, i)) + 2 * d1 * bound((i,)) + d1 * d1 for i in range(1, r + 1)
+        ]
+        bounds += [
+            2 * bound((i, j)) for i in range(1, r + 1) for j in range(i + 2, r + 1)
+        ]
+        bounds += [bound((i, i + 1, i)) + bound((i + 1, i, i + 1)) for i in range(1, r)]
+        k = _width(max(bounds, default=0))
+        gens = [form.packed(i, k) for i in range(1, r + 1)]
+        d = _pack(form.den, k)
+        qd2 = d * d << k
+        qd1 = (d << k) - d
         for i, g in enumerate(gens, start=1):
-            if g @ g != g.scale(Q_MINUS_ONE) + eye.scale(Q):
+            rhs = []
+            for row_index, row in enumerate(g):
+                row = {c: qd1 * x for c, x in row.items()}
+                row[row_index] = row.get(row_index, 0) + qd2
+                rhs.append({c: x for c, x in row.items() if x})
+            if _packed_product(g, g) != rhs:
                 raise ValueError(f"relation failure: quadratic at s_{i}")
-        for i in range(len(gens)):
-            for j in range(i + 2, len(gens)):
-                if gens[i] @ gens[j] != gens[j] @ gens[i]:
+        for i in range(r):
+            for j in range(i + 2, r):
+                a, b = gens[i], gens[j]
+                if _packed_product(a, b) != _packed_product(b, a):
                     raise ValueError(
                         f"relation failure: commutation at s_{i + 1}, s_{j + 1}"
                     )
-        for i in range(len(gens) - 1):
+        for i in range(r - 1):
             a, b = gens[i], gens[i + 1]
-            if a @ b @ a != b @ a @ b:
+            if _packed_product(_packed_product(a, b), a) != _packed_product(
+                _packed_product(b, a), b
+            ):
                 raise ValueError(f"relation failure: braid at s_{i + 1}")
 
     def generator(self, i: int) -> ExactMatrix:
@@ -325,9 +390,98 @@ class ModulePresentation:
             out = out @ self.gen_action[i - 1]
         return out
 
+    def word_trace(self, word) -> Scalar:
+        """Trace of T_{s_{i_1}} ... T_{s_{i_l}}: tr(N_{i_1} ... N_{i_l}) / D^l.
+
+        The product is taken at q = 2^k with k from dim times the bound on
+        its entries; only the diagonal of the last factor is used, and only
+        the trace is decoded.
+        """
+        word = tuple(word)
+        if not word:
+            return scal(self.dim)
+        form = self.integral_form()
+        k = _width(self.dim * form.bound(word))
+        gens = {i: form.packed(i, k) for i in set(word)}
+        acc = [{t: 1} for t in range(self.dim)]
+        for i in word[:-1]:
+            acc = _packed_product(acc, gens[i])
+        last = gens[word[-1]]
+        h = sum(
+            x * last[c].get(t, 0) for t, row in enumerate(acc) for c, x in row.items()
+        )
+        den = (1,)
+        for _ in word:
+            den = poly_mul(den, form.den)
+        return Scalar(_unpack(h, k), den)
+
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
         return f"ModulePresentation(H_{self.n}, dim {self.dim}{tag})"
+
+
+class IntegralForm:
+    """A module's generators as T_{s_i} = N_i / D over one D.
+
+    D and the entries of every N_i lie in Z[q].  row_l1[i-1] and
+    col_l1[i-1] are the largest l1 norm (the sum of the absolute values of
+    all coefficients) of a row and of a column of N_i.
+    """
+
+    __slots__ = ("dim", "den", "nums", "row_l1", "col_l1")
+
+    def __init__(self, dim: int, gens):
+        polys, self.den = _integral(v for g in gens for v in g.entries.values())
+        rest = iter(polys)
+        self.dim = dim
+        self.nums = tuple(dict(zip(g.entries, rest)) for g in gens)
+        self.row_l1 = []
+        self.col_l1 = []
+        for num in self.nums:
+            rows = [0] * dim
+            cols = [0] * dim
+            for (r, c), p in num.items():
+                a = _l1(p)
+                rows[r] += a
+                cols[c] += a
+            self.row_l1.append(max(rows, default=0))
+            self.col_l1.append(max(cols, default=0))
+
+    def bound(self, word) -> int:
+        """A bound on every coefficient of every entry of N_{i_1} ... N_{i_l}.
+
+        The largest row l1 norm is submultiplicative and bounds every entry,
+        and so is the largest column l1 norm: the product of either kind
+        along the word bounds the product.
+        """
+        return min(
+            math.prod(self.row_l1[i - 1] for i in word),
+            math.prod(self.col_l1[i - 1] for i in word),
+        )
+
+    def packed(self, i: int, k: int) -> list:
+        """N_i at q = 2^k, as one {column: value} dict per row."""
+        rows = [{} for _ in range(self.dim)]
+        values: dict = {}
+        for (r, c), p in self.nums[i - 1].items():
+            v = values.get(p)
+            if v is None:
+                v = values[p] = _pack(p, k)
+            rows[r][c] = v
+        return rows
+
+
+def _packed_product(a: list, b: list) -> list:
+    """The product of two packed matrices, stored as rows, without zeros."""
+    out = []
+    for row in a:
+        acc: dict = {}
+        get = acc.get
+        for t, x in row.items():
+            for j, y in b[t].items():
+                acc[j] = get(j, 0) + x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return out
 
 
 def regular_representation(n: int) -> ModulePresentation:

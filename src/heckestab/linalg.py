@@ -181,15 +181,6 @@ class ExactMatrix:
                     out.pop(i, None)
         return out
 
-    def trace(self) -> Scalar:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        t = ZERO
-        for (i, j), v in self.entries.items():
-            if i == j:
-                t = t + v
-        return t
-
     # -- serialization ----------------------------------------------------
 
     def to_json_obj(self):

@@ -128,10 +128,16 @@ def _verified_specht(lam: tuple) -> ModulePresentation:
 
 
 def character(V: ModulePresentation, w: Permutation) -> Scalar:
-    """Trace of T_w on V; reduced-word independent."""
+    """Trace of T_w on V; reduced-word independent.
+
+    The integral generators N_i = D T_{s_i} are multiplied along a reduced
+    word of w as integers packed at q = 2^k, with k certified from their l1
+    row and column bounds, and only the trace is decoded: chi(T_w) =
+    tr(N_{i_1} ... N_{i_l}) / D^l, one Scalar with one gcd.
+    """
     if w.n != V.n:
         raise ValueError("rank mismatch")
-    return V.word_matrix(w.reduced_word()).trace()
+    return V.word_trace(w.reduced_word())
 
 
 class CharacterTable:

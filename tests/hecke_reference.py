@@ -1,18 +1,22 @@
-"""Reference T-basis product: a fold of Scalar arithmetic, one generator at a time.
+"""Reference Hecke arithmetic: Scalar folds over Q(q), no packed integers.
 
-This is the multiplication ``heckestab.hecke.mult`` used before it moved to
-packed integers.  It is kept only as the slow, obviously correct side of
-the differential tests: left multiplication by a generator follows the
+``mult`` is the multiplication ``heckestab.hecke.mult`` used before it
+moved to packed integers: left multiplication by a generator follows the
 two-case rule
 
     T_s T_w = T_{sw}                 if l(sw) > l(w),
     T_s T_w = q T_{sw} + (q-1) T_w   otherwise,
 
 and T_w y is the fold of that rule over a reduced word of w.
+``check_relations`` and ``character`` are the relation check and the trace
+that ``ModulePresentation`` and ``heckestab.specht.character`` computed
+with ExactMatrix products before they moved to packed integers.  All are
+kept only as the slow, obviously correct side of the differential tests.
 """
 
-from heckestab.hecke import HeckeElement
-from heckestab.qfield import Q, ZERO
+from heckestab.hecke import HeckeElement, ModulePresentation
+from heckestab.linalg import ExactMatrix
+from heckestab.qfield import Q, ZERO, Scalar
 
 Q_MINUS_ONE = Q - 1
 
@@ -55,3 +59,42 @@ def mult(x: HeckeElement, y: HeckeElement) -> HeckeElement:
             acc = gen_left_mult(i, acc)
         total = total + acc.scale(c)
     return total
+
+
+def matrix_trace(A: ExactMatrix) -> Scalar:
+    """The sum of the diagonal entries of a square matrix, over Q(q)."""
+    if A.rows != A.cols:
+        raise ValueError("trace of a non-square matrix")
+    t = ZERO
+    for (i, j), v in A.entries.items():
+        if i == j:
+            t = t + v
+    return t
+
+
+def character(V: ModulePresentation, w) -> Scalar:
+    """Trace of T_w on V, from the Scalar product along a reduced word."""
+    if w.n != V.n:
+        raise ValueError("rank mismatch")
+    return matrix_trace(V.word_matrix(w.reduced_word()))
+
+
+def check_relations(V: ModulePresentation) -> None:
+    """The defining relations of V, checked with ExactMatrix products over
+    Q(q), in the order ``ModulePresentation`` checks them and with its
+    messages."""
+    eye = ExactMatrix.identity(V.dim)
+    gens = V.gen_action
+    for i, g in enumerate(gens, start=1):
+        if g @ g != g.scale(Q_MINUS_ONE) + eye.scale(Q):
+            raise ValueError(f"relation failure: quadratic at s_{i}")
+    for i in range(len(gens)):
+        for j in range(i + 2, len(gens)):
+            if gens[i] @ gens[j] != gens[j] @ gens[i]:
+                raise ValueError(
+                    f"relation failure: commutation at s_{i + 1}, s_{j + 1}"
+                )
+    for i in range(len(gens) - 1):
+        a, b = gens[i], gens[i + 1]
+        if a @ b @ a != b @ a @ b:
+            raise ValueError(f"relation failure: braid at s_{i + 1}")
