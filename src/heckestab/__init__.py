@@ -15,7 +15,6 @@ from .hecke import (
     induce_pair,
     mult,
     regular_representation,
-    sign_rep,
     tau,
 )
 from .linalg import (
@@ -85,7 +84,7 @@ __all__ = [
     "partitions_of", "syt_count", "syt_enumerate", "row_standard_tableaux",
     "pieri_add", "unpad", "partition_label", "stable_multiplicity_oracle",
     "HeckeElement", "mult", "tau", "ModulePresentation",
-    "regular_representation", "index_rep", "sign_rep", "induce_pair",
+    "regular_representation", "index_rep", "induce_pair",
     "specht_module", "character", "character_table", "decompose",
     "coinvariant_quotient",
     "ConsistentSequence", "SequenceMorphism", "check_consistency",

@@ -75,7 +75,6 @@ __all__ = [
     "ModulePresentation",
     "regular_representation",
     "index_rep",
-    "sign_rep",
     "induce_pair",
 ]
 
@@ -149,9 +148,6 @@ class HeckeElement:
 
     def __hash__(self):
         raise TypeError("HeckeElement is not hashable")
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __repr__(self):
         if not self.coeffs:
@@ -239,7 +235,14 @@ def _pack(p, k: int) -> int:
 
 def _unpack(h: int, k: int) -> tuple:
     """The Z[q] polynomial with coefficients below 2^(k-1) in absolute
-    value whose value at q = 2^k is h: its balanced base-2^k digits."""
+    value whose value at q = 2^k is h: its balanced base-2^k digits.
+
+    At k = 1 every such coefficient is 0, so h = 0 is the only valid
+    value.  Any other h raises ValueError: a positive one would otherwise
+    grow digits in {-1, 0} forever.
+    """
+    if k < 2 and h:
+        raise ValueError(f"no balanced base-2^{k} digits for a nonzero value")
     digits = []
     base = 1 << k
     mask = base - 1
@@ -509,14 +512,6 @@ def index_rep(n: int) -> ModulePresentation:
     g = ExactMatrix(1, 1, {(0, 0): Q})
     return ModulePresentation(
         n, 1, [g] * max(n - 1, 0), label=f"index H_{n}", check=False
-    )
-
-
-def sign_rep(n: int) -> ModulePresentation:
-    """The one-dimensional module on which every generator acts by -1."""
-    g = ExactMatrix(1, 1, {(0, 0): scal(-1)})
-    return ModulePresentation(
-        n, 1, [g] * max(n - 1, 0), label=f"sign H_{n}", check=False
     )
 
 

@@ -4,7 +4,9 @@ Matrices act on column vectors: column j of a matrix is the image of the
 j-th basis vector.  Entries are :class:`~heckestab.qfield.Scalar` values and
 only nonzero entries are stored.  Rank, kernel, solve and quotient
 computations all run through one exact elimination over Q(q),
-:meth:`EchelonBasis.reduce`; nothing is evaluated at sample points.
+:meth:`EchelonBasis.reduce`; nothing is evaluated at sample points.  The
+basis is kept in reduced echelon form, so a vector of its span has its
+coordinates at the pivots, and a reduction is one pass over those pivots.
 
 Kernel and solve reduce the columns of the graph [M; I].  Column j enters
 as (M e_j, e_j), so every stored vector, and every combination a reduction
@@ -217,17 +219,19 @@ def vec_scale(v: dict, c: Scalar) -> dict:
 
 
 class EchelonBasis:
-    """An incrementally built echelon basis of a span of sparse vectors.
+    """An incrementally built reduced echelon basis of a span of sparse vectors.
 
-    Each stored vector is normalised to have coefficient 1 at its pivot
-    (the smallest nonzero coordinate) and pivots are pairwise distinct,
-    so membership tests and reductions are deterministic.
+    Each stored vector has coefficient 1 at its pivot (its smallest nonzero
+    coordinate) and 0 at every other stored pivot.  So the residue of a
+    vector is vec - sum_p vec[p] v_p over the pivots p in its support, found
+    in one pass, and a vector of the span has coordinate vec[p] on the
+    stored vector v_p.  Given the pivots, the residue is unique, so
+    membership tests and reductions are deterministic.
     """
 
     def __init__(self):
         self.pivots: dict = {}  # pivot index -> position in self.vectors
         self.vectors: list = []
-        self.pivot_order: list = []  # pivots sorted ascending
 
     def __len__(self):
         return len(self.vectors)
@@ -235,14 +239,16 @@ class EchelonBasis:
     def reduce(self, vec: dict) -> dict:
         """Return the residue of ``vec`` after reduction, as a fresh dict."""
         v = {i: c for i, c in vec.items() if c}
-        for p in self.pivot_order:
-            c = v.get(p)
-            if c:
-                vec_add_scaled(v, self.vectors[self.pivots[p]], -c)
+        for p, c in [(p, c) for p, c in v.items() if p in self.pivots]:
+            vec_add_scaled(v, self.vectors[self.pivots[p]], -c)
         return v
 
     def insert(self, vec: dict):
-        """Reduce and, if independent, insert; returns the new pivot or None."""
+        """Reduce and, if independent, insert; returns the new pivot or None.
+
+        The new vector is normalised at its pivot, which is then cleared
+        from the stored vectors, in place.
+        """
         v = self.reduce(vec)
         if not v:
             return None
@@ -250,24 +256,13 @@ class EchelonBasis:
         lead = v[p]
         if not lead.is_one():
             v = vec_scale(v, ONE / lead)
+        for u in self.vectors:
+            c = u.get(p)
+            if c:
+                vec_add_scaled(u, v, -c)
         self.pivots[p] = len(self.vectors)
         self.vectors.append(v)
-        self.pivot_order.append(p)
-        self.pivot_order.sort()
         return p
-
-    def coordinates(self, vec: dict):
-        """Coordinates of ``vec`` in this basis, or None if not in the span."""
-        v = {i: c for i, c in vec.items() if c}
-        coords = [ZERO] * len(self.vectors)
-        for p in self.pivot_order:
-            c = v.get(p)
-            if c:
-                coords[self.pivots[p]] = c
-                vec_add_scaled(v, self.vectors[self.pivots[p]], -c)
-        if v:
-            return None
-        return coords
 
 
 def rank(matrix: ExactMatrix) -> int:

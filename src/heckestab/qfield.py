@@ -355,15 +355,6 @@ class Scalar:
     def is_one(self) -> bool:
         return self.num == _P_ONE and self.den == _P_ONE
 
-    def is_constant(self) -> bool:
-        return len(self.num) <= 1 and self.den == _P_ONE
-
-    def as_fraction(self) -> Fraction:
-        """The value of a constant scalar, as a Fraction."""
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self}")
-        return Fraction(self.num[0]) if self.num else _F0
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):

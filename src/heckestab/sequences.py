@@ -275,7 +275,13 @@ def non_finitely_generated(n_max: int) -> ConsistentSequence:
 
 
 def _closure(module: ModulePresentation, vectors) -> EchelonBasis:
-    """H-span of the vectors: close an echelon basis under the generators."""
+    """H-span of the vectors: close a reduced echelon basis under the generators.
+
+    A queued vector may be cleared of later pivots in place before its turn.
+    It then differs from the vector inserted by a combination of vectors
+    inserted after it, each queued too, so the generators still reach the
+    whole span.
+    """
     basis = EchelonBasis()
     queue = deque()
     for v in vectors:
@@ -291,15 +297,21 @@ def _closure(module: ModulePresentation, vectors) -> EchelonBasis:
 
 
 def _restriction_matrix(basis_from, basis_to, mat) -> ExactMatrix:
-    """mat restricted to span(basis_from) -> span(basis_to), in coordinates."""
+    """mat restricted to span(basis_from) -> span(basis_to), in coordinates.
+
+    basis_to is reduced, so an image in its span has coordinate image[p]
+    on the stored vector with pivot p, and an image with a nonzero residue
+    is outside the span.
+    """
     entries = {}
     for k, v in enumerate(basis_from.vectors):
-        coords = basis_to.coordinates(mat.apply(v))
-        if coords is None:
+        image = mat.apply(v)
+        if basis_to.reduce(image):
             raise ValueError("map does not preserve the subspaces")
-        for i, c in enumerate(coords):
-            if c:
-                entries[(i, k)] = c
+        for i, c in image.items():
+            t = basis_to.pivots.get(i)
+            if t is not None:
+                entries[(t, k)] = c
     return ExactMatrix(len(basis_to.vectors), len(basis_from.vectors), entries)
 
 
@@ -346,7 +358,7 @@ def span(V: ConsistentSequence, seeds, label: str = "") -> ConsistentSequence:
     """The subsequence of V generated by (degree, vector) seeds.
 
     Its degree-n part is the H_n-span of the degree-n seeds and of phi_{n-1}
-    of its degree-(n-1) part, in the coordinates of an echelon basis.
+    of its degree-(n-1) part, in the coordinates of a reduced echelon basis.
     """
     by_degree = {}
     for deg, vec in seeds:

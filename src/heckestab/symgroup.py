@@ -54,14 +54,6 @@ class Permutation:
         ol[i - 1], ol[i] = ol[i], ol[i - 1]
         return cls(ol)
 
-    @classmethod
-    def from_word(cls, n: int, word) -> "Permutation":
-        """The product s_{i_1} s_{i_2} ... s_{i_l} for word (i_1, ..., i_l)."""
-        w = cls.identity(n)
-        for i in word:
-            w = w * cls.simple(n, i)
-        return w
-
     @property
     def n(self) -> int:
         return len(self.one_line)
@@ -91,21 +83,6 @@ class Permutation:
                 if ol[a] > ol[b]
             )
         return self._len
-
-    @property
-    def is_identity(self) -> bool:
-        return self.one_line == tuple(range(1, self.n + 1))
-
-    def swap_values(self, i: int) -> "Permutation":
-        """Left multiplication by s_i (exchanges the values i and i+1)."""
-        return Permutation(left_step(self.one_line, i)[0])
-
-    def left_descents(self):
-        """Generators i with l(s_i w) < l(w), i.e. i appears after i+1."""
-        pos = [0] * (self.n + 1)
-        for p, v in enumerate(self.one_line):
-            pos[v] = p
-        return [i for i in range(1, self.n) if pos[i] > pos[i + 1]]
 
     def reduced_word(self) -> tuple:
         """The lexicographically smallest reduced word.

@@ -17,6 +17,7 @@ kept only as the slow, obviously correct side of the differential tests.
 from heckestab.hecke import HeckeElement, ModulePresentation
 from heckestab.linalg import ExactMatrix
 from heckestab.qfield import Q, ZERO, Scalar
+from helpers import swap_values
 
 Q_MINUS_ONE = Q - 1
 
@@ -25,7 +26,7 @@ def gen_left_mult(i: int, x: HeckeElement) -> HeckeElement:
     """T_{s_i} * x via the two-case rule."""
     out: dict = {}
     for w, c in x.coeffs.items():
-        sw = w.swap_values(i)
+        sw = swap_values(w, i)
         if sw.length > w.length:
             s = out.get(sw, ZERO) + c
             if s:

@@ -11,10 +11,68 @@ kept only as the slow, obviously correct side of the differential tests:
   * ``quotient_structure`` runs a full Gauss-Jordan pass over the echelon
     basis and reads the projection off the fully reduced vectors; it
     returns (projection, section, induced).
+
+All three run on ``EchelonBasis`` below, the unreduced echelon basis the
+package kept before its basis became reduced: a stored vector is the
+residue it had when inserted, so it may be nonzero at pivots stored after
+it, and a reduction walks the pivots in ascending order.
 """
 
-from heckestab.linalg import EchelonBasis, ExactMatrix, vec_add_scaled, vec_scale
+from heckestab.linalg import ExactMatrix, vec_add_scaled, vec_scale
 from heckestab.qfield import ONE, ZERO
+
+
+class EchelonBasis:
+    """An incrementally built echelon basis of a span of sparse vectors.
+
+    Each stored vector is normalised to have coefficient 1 at its pivot
+    (the smallest nonzero coordinate) and pivots are pairwise distinct.
+    """
+
+    def __init__(self):
+        self.pivots: dict = {}  # pivot index -> position in self.vectors
+        self.vectors: list = []
+        self.pivot_order: list = []  # pivots sorted ascending
+
+    def __len__(self):
+        return len(self.vectors)
+
+    def reduce(self, vec: dict) -> dict:
+        """Return the residue of ``vec`` after reduction, as a fresh dict."""
+        v = {i: c for i, c in vec.items() if c}
+        for p in self.pivot_order:
+            c = v.get(p)
+            if c:
+                vec_add_scaled(v, self.vectors[self.pivots[p]], -c)
+        return v
+
+    def insert(self, vec: dict):
+        """Reduce and, if independent, insert; returns the new pivot or None."""
+        v = self.reduce(vec)
+        if not v:
+            return None
+        p = min(v.keys())
+        lead = v[p]
+        if not lead.is_one():
+            v = vec_scale(v, ONE / lead)
+        self.pivots[p] = len(self.vectors)
+        self.vectors.append(v)
+        self.pivot_order.append(p)
+        self.pivot_order.sort()
+        return p
+
+    def coordinates(self, vec: dict):
+        """Coordinates of ``vec`` in this basis, or None if not in the span."""
+        v = {i: c for i, c in vec.items() if c}
+        coords = [ZERO] * len(self.vectors)
+        for p in self.pivot_order:
+            c = v.get(p)
+            if c:
+                coords[self.pivots[p]] = c
+                vec_add_scaled(v, self.vectors[self.pivots[p]], -c)
+        if v:
+            return None
+        return coords
 
 
 def kernel_basis(matrix: ExactMatrix) -> list:

@@ -12,6 +12,7 @@ from heckestab.linalg import (
     quotient_structure,
     rank,
     solve_unique,
+    vec_add_scaled,
 )
 from heckestab.qfield import ONE, Q, ZERO, scal
 
@@ -106,14 +107,15 @@ class TestEchelonBasis:
 
     def test_contains_and_coordinates(self):
         basis = EchelonBasis()
-        basis.insert({0: ONE, 2: ONE})
-        basis.insert({1: Q})
-        v = {0: Q, 1: ONE, 2: Q}
+        basis.insert({0: ONE, 1: ONE})
+        basis.insert({1: Q, 2: ONE})
+        # the second pivot is cleared from the first vector
+        assert basis.vectors == [{0: ONE, 2: -ONE / Q}, {1: ONE, 2: ONE / Q}]
+        v = {0: Q, 1: ONE, 2: ONE / Q - 1}
         assert basis.reduce(v) == {}
-        # coordinates refer to the stored vectors, whose pivot entry is 1
-        coords = basis.coordinates(v)
-        assert coords == [Q, ONE]
-        assert basis.coordinates({2: ONE}) is None
+        # coordinates are the entries at the pivots
+        assert [v[p] for p in basis.pivots] == [Q, ONE]
+        assert basis.reduce({2: ONE}) == {2: ONE}
 
     @given(st.lists(st.lists(small_entries, min_size=4, max_size=4), max_size=6))
     @settings(max_examples=50)
@@ -133,6 +135,62 @@ class TestEchelonBasis:
                     work[i] = [a - f * b for a, b in zip(work[i], work[r])]
             r += 1
         assert rank(mat) == r
+
+
+@st.composite
+def qq_vector_lists(draw, dim=6, max_size=6):
+    """Lists of sparse vectors over Q(q) with coordinates below ``dim``."""
+    vector = st.dictionaries(st.integers(0, dim - 1), qq_entries, max_size=dim)
+    return draw(st.lists(vector, max_size=max_size))
+
+
+def reduced_and_reference(vectors):
+    """The package's basis and the reference's, each fed ``vectors``."""
+    basis, reference = EchelonBasis(), ref.EchelonBasis()
+    for v in vectors:
+        assert basis.insert(v) == reference.insert(v)
+    return basis, reference
+
+
+class TestReducedBasis:
+    """The reduced basis against the unreduced one of linalg_reference."""
+
+    @given(qq_vector_lists())
+    @settings(max_examples=40)
+    def test_stored_vectors_are_reduced(self, vectors):
+        basis, _ = reduced_and_reference(vectors)
+        assert sorted(basis.pivots.values()) == list(range(len(basis)))
+        for p, t in basis.pivots.items():
+            v = basis.vectors[t]
+            assert min(v) == p and v[p] == ONE
+            assert all(v.get(other) is None for other in basis.pivots if other != p)
+
+    @given(qq_vector_lists())
+    @settings(max_examples=40)
+    def test_pivots_match_reference(self, vectors):
+        basis, reference = reduced_and_reference(vectors)
+        assert basis.pivots == reference.pivots
+
+    @given(qq_vector_lists(), qq_vector_lists(max_size=4))
+    @settings(max_examples=40)
+    def test_residues_match_reference(self, vectors, probes):
+        basis, reference = reduced_and_reference(vectors)
+        for probe in probes:
+            assert basis.reduce(probe) == reference.reduce(probe)
+
+    @given(qq_vector_lists(), st.data())
+    @settings(max_examples=40)
+    def test_coordinates_at_pivots(self, vectors, data):
+        basis, _ = reduced_and_reference(vectors)
+        coeffs = [data.draw(qq_entries) for _ in vectors]
+        v = {}
+        for c, u in zip(coeffs, vectors):
+            vec_add_scaled(v, u, c)
+        assert basis.reduce(v) == {}
+        rebuilt = {}
+        for p, t in basis.pivots.items():
+            vec_add_scaled(rebuilt, basis.vectors[t], v.get(p, ZERO))
+        assert rebuilt == v
 
 
 class TestKernel:

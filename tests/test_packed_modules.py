@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hecke_reference as ref
+from helpers import sign_rep
 from heckestab.hecke import (
     ModulePresentation,
     index_rep,
     induce_pair,
     regular_representation,
-    sign_rep,
 )
 from heckestab.linalg import ExactMatrix
 from heckestab.partitions import partitions_of

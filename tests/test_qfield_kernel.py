@@ -147,7 +147,7 @@ class TestScalarKernel:
     def test_integral_values_stored_as_int(self):
         s = Scalar((Fraction(4, 2), Fraction(6)), (Fraction(2),))
         assert s.num == (1, 3) and all(type(c) is int for c in s.num + s.den)
-        assert type(Scalar((Fraction(3, 3),)).as_fraction()) is Fraction
+        assert [type(c) for c in Scalar((Fraction(3, 3),)).num] == [int]
 
 
 class TestAgainstSympy:

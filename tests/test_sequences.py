@@ -2,15 +2,18 @@
 
 import json
 import math
+from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import linalg_reference
 import sequences_reference as ref
 from heckestab import sequences
 from heckestab.hecke import ModulePresentation, regular_representation
-from heckestab.linalg import ExactMatrix
+from heckestab.linalg import EchelonBasis, ExactMatrix
 from heckestab.partitions import pieri_add, syt_count, unpad
 from heckestab.qfield import ONE, Q, ZERO, scal
 from heckestab.sequences import (
@@ -239,6 +242,82 @@ class TestSpan:
         small = span(V, seeds)
         big = span(V, more)
         assert all(a <= b for a, b in zip(small.dims(), big.dims()))
+
+
+small_scalars = st.sampled_from(
+    [ZERO, ZERO, ONE, -ONE, scal(2), Q, Q - 1, Q / (Q + 1), scal(Fraction(1, 3))]
+)
+
+
+def as_matrix(dim, basis):
+    """The dim x len(basis) matrix whose columns are the stored vectors."""
+    return ExactMatrix.from_columns(dim, basis.vectors)
+
+
+class TestRestriction:
+    """Maps restricted to reduced bases, with coordinates read at the pivots."""
+
+    def test_non_invariant_map_rejected(self):
+        # the shift e0 -> e1 -> e2 -> 0 does not preserve span(e0)
+        basis = EchelonBasis()
+        basis.insert({0: ONE})
+        m = ExactMatrix(3, 3, {(1, 0): ONE, (2, 1): ONE})
+        with pytest.raises(ValueError, match="map does not preserve the subspaces"):
+            sequences._restriction_matrix(basis, basis, m)
+
+    @settings(max_examples=80)
+    @given(st.sampled_from(["image", "drawn"]), st.data())
+    def test_against_reference_coordinates(self, subspace, data):
+        # im m is m-invariant; a drawn proper subspace rarely is
+        dim = data.draw(st.integers(0 if subspace == "image" else 2, 4))
+        entry = lambda: data.draw(small_scalars)
+        m = ExactMatrix.from_rows([[entry() for _ in range(dim)] for _ in range(dim)])
+        if subspace == "image":
+            vectors = m.columns()
+        else:
+            count = data.draw(st.integers(1, dim - 1))
+            vectors = [{i: entry() for i in range(dim)} for _ in range(count)]
+        basis, reference = EchelonBasis(), linalg_reference.EchelonBasis()
+        for v in vectors:
+            basis.insert(v)
+            reference.insert(v)
+        leaves = any(reference.coordinates(m.apply(v)) is None for v in basis.vectors)
+        event(f"{subspace}, leaves the span: {leaves}")
+        if leaves:
+            with pytest.raises(ValueError, match="map does not preserve the subspaces"):
+                sequences._restriction_matrix(basis, basis, m)
+        else:
+            restricted = sequences._restriction_matrix(basis, basis, m)
+            B = as_matrix(dim, basis)
+            assert B @ restricted == m @ B
+
+    @settings(max_examples=15)
+    @given(st.data())
+    def test_span_commutes_with_ambient(self, data):
+        V = build_Mm(2, 4)
+        seeds = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            deg = data.draw(st.integers(2, V.n_max))
+            support = data.draw(
+                st.sets(st.integers(0, V.modules[deg].dim - 1), min_size=1, max_size=3)
+            )
+            seeds.append((deg, {i: data.draw(small_scalars) for i in sorted(support)}))
+        captured = []
+        real = sequences._subsequence
+
+        def spy(V, bases, label):
+            captured.append(bases)
+            return real(V, bases, label)
+
+        with mock.patch.object(sequences, "_subsequence", spy):
+            U = span(V, seeds)
+        (bases,) = captured
+        B = [as_matrix(mod.dim, b) for mod, b in zip(V.modules, bases)]
+        for n in range(V.n_max + 1):
+            for g, h in zip(V.modules[n].gen_action, U.modules[n].gen_action):
+                assert B[n] @ h == g @ B[n]
+        for n in range(V.n_max):
+            assert B[n + 1] @ U.connectors[n] == V.connectors[n] @ B[n]
 
 
 class TestFreeCover:

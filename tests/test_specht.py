@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from branching_reference import branching_check
 from hecke_reference import matrix_trace
+from helpers import all_reduced_words, as_fraction, is_constant, sign_rep
 from heckestab import specht
 from heckestab.hecke import (
     ModulePresentation,
     index_rep,
     induce_pair,
     regular_representation,
-    sign_rep,
 )
 from heckestab.linalg import ExactMatrix, solve_unique
 from heckestab.partitions import hecke_character, pad, partitions_of, syt_count
@@ -51,7 +51,7 @@ def reference_decompose(V):
     for lam, c in reference_multiplicities(table, traces).items():
         if not c:
             continue
-        value = c.as_fraction() if c.is_constant() else None
+        value = as_fraction(c) if is_constant(c) else None
         if value is None or value.denominator != 1 or value < 0:
             raise ValueError("not a module")
         out[lam] = int(value)
@@ -170,20 +170,10 @@ class TestCharacter:
         V = regular_representation(4)
         for _ in range(10):
             w = Permutation(tuple(rng.sample(range(1, 5), 4)))
-            words = _all_reduced_words(w)
+            words = all_reduced_words(w)
             traces = {matrix_trace(V.word_matrix(u)).to_wire() for u in words}
             traces |= {V.word_trace(u).to_wire() for u in words}
             assert len(traces) == 1
-
-
-def _all_reduced_words(w):
-    if w.is_identity:
-        return [()]
-    return [
-        (i,) + rest
-        for i in w.left_descents()
-        for rest in _all_reduced_words(w.swap_values(i))
-    ]
 
 
 class TestCharacterTable:
@@ -318,7 +308,7 @@ class TestDecomposeAgainstQqSolve:
                 t.specialize(1) for t in traces
             ]
             ref = reference_multiplicities(table, bent)
-            assert not all(c.is_constant() for c in ref.values())
+            assert not all(map(is_constant, ref.values()))
             with pytest.raises(ValueError, match="not a module"):
                 table.multiplicities(bent)
 
@@ -374,7 +364,7 @@ class TestDecomposeAgainstQqSolve:
         traces[-1] = traces[-1] + bend * (Q - 1)
         ref = reference_multiplicities(table, traces)
         if bend:
-            assert not all(c.is_constant() for c in ref.values())
+            assert not all(map(is_constant, ref.values()))
             with pytest.raises(ValueError, match="not a module"):
                 table.multiplicities(traces)
         else:
