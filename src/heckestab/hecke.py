@@ -56,6 +56,7 @@ word, decodes the trace alone and returns tr(N_{i_1} ... N_{i_l}) / D^l.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .linalg import ExactMatrix
 from .qfield import ONE, Q, ZERO, Scalar, poly_div_exact, poly_gcd, poly_mul, scal
@@ -313,10 +314,11 @@ class ModulePresentation:
     T_{s_i}.  The defining relations are verified exactly at construction
     unless check=False (used internally for data already validated).
     Relation checks and traces run on the integral form, built on first
-    use and kept: sound because a module is never mutated.
+    use and kept, and each induced module Ind(V boxtimes index_k) is kept
+    per k: sound because a module is never mutated.
     """
 
-    __slots__ = ("n", "dim", "gen_action", "label", "_form")
+    __slots__ = ("n", "dim", "gen_action", "label", "_form", "_induced")
 
     def __init__(self, n, dim, gen_action, label="", check=True):
         gen_action = tuple(gen_action)
@@ -330,6 +332,7 @@ class ModulePresentation:
         self.gen_action = gen_action
         self.label = label
         self._form = None
+        self._induced = {}
         if check:
             self._check_relations()
 
@@ -337,6 +340,16 @@ class ModulePresentation:
         if self._form is None:
             self._form = IntegralForm(self.dim, self.gen_action)
         return self._form
+
+    def induced_by_index(self, k: int) -> "ModulePresentation":
+        """induce_pair(self, index_rep(k)), built and verified once per k.
+
+        The cache lives on this module and dies with it.
+        """
+        ind = self._induced.get(k)
+        if ind is None:
+            ind = self._induced[k] = induce_pair(self, index_rep(k))
+        return ind
 
     def _check_relations(self):
         """The defining relations with D cleared, compared at q = 2^k.
@@ -488,9 +501,18 @@ def _packed_product(a: list, b: list) -> list:
 
 
 def regular_representation(n: int) -> ModulePresentation:
-    """Left multiplication of H_n on itself in the T_w basis (lex order)."""
+    """Left multiplication of H_n on itself in the T_w basis (lex order).
+
+    Built and verified once per rank, then shared by every caller; sound
+    because ModulePresentation and ExactMatrix are never mutated.
+    """
     if n > REGULAR_BOUND:
         raise ValueError(f"size bound: n = {n} exceeds {REGULAR_BOUND}")
+    return _verified_regular(n)
+
+
+@lru_cache(maxsize=None)
+def _verified_regular(n: int) -> ModulePresentation:
     basis = [w.one_line for w in permutations_of(n)]
     index = {w: t for t, w in enumerate(basis)}
     gens = []

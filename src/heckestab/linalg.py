@@ -13,7 +13,8 @@ as (M e_j, e_j), so every stored vector, and every combination a reduction
 subtracts, has the form (M y, y).  A column whose real part reduces to zero
 leaves (0, y) with M y = 0; reducing (b, 0) leaves (b - M x, -x), which
 gives the solution x once its real part is zero.  A quotient needs no more
-than reduction either: reduce leaves only non-pivot coordinates.
+than the reduced basis either: reduce leaves only non-pivot coordinates,
+and the projection of a pivot coordinate is read off its stored vector.
 """
 
 from __future__ import annotations
@@ -32,9 +33,13 @@ __all__ = [
 
 
 class ExactMatrix:
-    """An immutable sparse matrix over Q(q)."""
+    """An immutable sparse matrix over Q(q).
 
-    __slots__ = ("rows", "cols", "entries")
+    ``entries`` is assigned only while a constructor builds the matrix, so
+    the column index that ``apply`` builds on first use stays valid.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "_by_column")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
@@ -49,6 +54,7 @@ class ExactMatrix:
             if v:
                 clean[(i, j)] = v
         self.entries = clean
+        self._by_column = None
 
     # -- constructors ---------------------------------------------------
 
@@ -167,11 +173,14 @@ class ExactMatrix:
         raise TypeError("matmul expects an ExactMatrix")
 
     def apply(self, vec: dict) -> dict:
-        """Image of a sparse column vector {index: Scalar}."""
+        """Image of a sparse column vector {index: Scalar}.
+
+        The column index is built on the first call and kept.
+        """
         out: dict = {}
-        cols = [dict() for _ in range(self.cols)]
-        for (i, j), v in self.entries.items():
-            cols[j][i] = v
+        cols = self._by_column
+        if cols is None:
+            cols = self._by_column = self.columns()
         for j, c in vec.items():
             if not c:
                 continue
@@ -247,12 +256,16 @@ class EchelonBasis:
         """Reduce and, if independent, insert; returns the new pivot or None.
 
         The new vector is normalised at its pivot, which is then cleared
-        from the stored vectors, in place.
+        from the stored vectors, in place.  A residue whose pivot is
+        already stored means the basis is no longer reduced; that raises
+        ValueError instead of growing the basis past the dimension.
         """
         v = self.reduce(vec)
         if not v:
             return None
         p = min(v.keys())
+        if p in self.pivots:
+            raise ValueError(f"echelon basis not reduced: pivot {p} is already stored")
         lead = v[p]
         if not lead.is_one():
             v = vec_scale(v, ONE / lead)
@@ -263,6 +276,41 @@ class EchelonBasis:
         self.pivots[p] = len(self.vectors)
         self.vectors.append(v)
         return p
+
+    def quotient(self, dim: int, maps=()) -> "QuotientStructure":
+        """k^dim modulo the span, with the maps it induces.
+
+        The quotient basis is the set of non-pivot coordinates.  Reduction
+        leaves only those, so column j of the projection is reduce(e_j)
+        read in them, and that is read straight off the stored vectors: a
+        free j maps to itself, and a pivot p maps to -v_p away from p.
+        So projection * section = identity, and the induced maps satisfy
+        projection @ map = induced @ projection exactly.  Each map (a
+        dim x dim ExactMatrix) must send the span into itself; otherwise
+        ValueError('not invariant') is raised.
+        """
+        free = [j for j in range(dim) if j not in self.pivots]
+        where = {j: t for t, j in enumerate(free)}
+        entries = {}
+        for j in range(dim):
+            t = self.pivots.get(j)
+            if t is None:
+                entries[(where[j], j)] = ONE
+                continue
+            for i, c in self.vectors[t].items():
+                if i != j:
+                    entries[(where[i], j)] = -c
+        projection = ExactMatrix(len(free), dim, entries)
+        section = ExactMatrix(dim, len(free), {(j, t): ONE for t, j in enumerate(free)})
+        induced = []
+        for m in maps:
+            if m.rows != dim or m.cols != dim:
+                raise ValueError("shape mismatch")
+            ind = projection @ m @ section
+            if projection @ m != ind @ projection:
+                raise ValueError("not invariant")
+            induced.append(ind)
+        return QuotientStructure(projection, section, induced)
 
 
 def rank(matrix: ExactMatrix) -> int:
@@ -352,11 +400,8 @@ def quotient_structure(dim: int, subspace_vectors, maps=()) -> QuotientStructure
     """Quotient of k^dim by the span of ``subspace_vectors``.
 
     Each map (a dim x dim ExactMatrix) must send the subspace into itself;
-    otherwise ValueError('not invariant') is raised.  The quotient basis is
-    the set of non-pivot coordinates of the subspace's echelon basis.
-    Reduction leaves only those coordinates, so column j of the projection
-    is reduce(e_j) read in them: projection * section = identity, and the
-    induced maps satisfy projection @ map = induced @ projection exactly.
+    otherwise ValueError('not invariant') is raised.  See
+    :meth:`EchelonBasis.quotient`.
 
     >>> from heckestab.qfield import Q
     >>> qs = quotient_structure(2, [{0: Q, 1: ONE}])
@@ -366,19 +411,4 @@ def quotient_structure(dim: int, subspace_vectors, maps=()) -> QuotientStructure
     basis = EchelonBasis()
     for v in subspace_vectors:
         basis.insert(v)
-    free = [j for j in range(dim) if j not in basis.pivots]
-    where = {j: t for t, j in enumerate(free)}
-    projection = ExactMatrix.from_columns(
-        len(free),
-        ({where[i]: c for i, c in basis.reduce({j: ONE}).items()} for j in range(dim)),
-    )
-    section = ExactMatrix(dim, len(free), {(j, t): ONE for t, j in enumerate(free)})
-    induced = []
-    for m in maps:
-        if m.rows != dim or m.cols != dim:
-            raise ValueError("shape mismatch")
-        ind = projection @ m @ section
-        if projection @ m != ind @ projection:
-            raise ValueError("not invariant")
-        induced.append(ind)
-    return QuotientStructure(projection, section, induced)
+    return basis.quotient(dim, maps)

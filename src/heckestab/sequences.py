@@ -22,16 +22,18 @@ bound n_max: nothing here certifies behaviour beyond the computed window.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import random
 from collections import deque
 from fractions import Fraction
 
-from .hecke import ModulePresentation, index_rep, induce_pair, regular_representation
+from .hecke import ModulePresentation, regular_representation
 from .linalg import EchelonBasis, ExactMatrix, kernel_basis, rank
 from .partitions import pad, partition_label, unpad
 from .qfield import ONE, scal
-from .specht import coinvariant_quotient, decompose, specht_module
+from .specht import coinvariant_quotients, decompose, specht_module
 from .symgroup import coset_min_reps
 
 __all__ = [
@@ -73,9 +75,14 @@ FILE_DIM_BOUND = 1 << 15
 
 
 class ConsistentSequence:
-    """Modules V_0..V_{n_max} with intertwining connectors."""
+    """Modules V_0..V_{n_max} with intertwining connectors.
 
-    __slots__ = ("n_max", "modules", "connectors", "label")
+    ``multiplicity_table`` and ``degrees`` keep their reports in one memo
+    slot, filled on first use: sound because a tower and its modules are
+    never mutated, and no caller mutates a report.
+    """
+
+    __slots__ = ("n_max", "modules", "connectors", "label", "_memo")
 
     def __init__(self, modules, connectors, label="", check=True):
         modules = tuple(modules)
@@ -92,6 +99,7 @@ class ConsistentSequence:
         self.modules = modules
         self.connectors = connectors
         self.label = label
+        self._memo = {}
         if check:
             verdict = check_consistency(self)
             if not verdict["ok"]:
@@ -210,7 +218,7 @@ def _build_M_layout(W: dict, n_max: int, label: str):
         for m in sorted(W):
             if m > n:
                 continue
-            ind = induce_pair(W[m], index_rep(n - m))
+            ind = W[m].induced_by_index(n - m)
             layout.append((m, offset, coset_min_reps(n, (m, n - m))))
             parts.append(ind)
             offset += ind.dim
@@ -449,16 +457,27 @@ def phi_a(V: ConsistentSequence, a: int) -> PhiSequence:
 
     T[v] = [phi_{a+n}(v)] is well defined because the connectors push the
     coinvariant subspace forward; both that and the H_a-equivariance of T
-    are verified exactly.
+    are verified exactly.  This is the one-rank case of the towers that
+    ``degrees`` reads, with the quotients of coinvariant_quotients.
     """
     if not 0 <= a <= V.n_max:
         raise ValueError(f"a = {a} outside truncation 0..{V.n_max}")
-    spaces = []
-    structures = []
-    for n in range(V.n_max - a + 1):
-        quotient, qs = coinvariant_quotient(V.modules[a + n], a)
-        spaces.append(quotient)
-        structures.append(qs)
+    return _phi_towers(V, (a,))[a]
+
+
+def _phi_towers(V: ConsistentSequence, ranks) -> dict:
+    """{a: phi_a(V, a)} for a in ranks, with one tail elimination per module."""
+    quotients = [
+        coinvariant_quotients(module, [a for a in ranks if a <= module.n])
+        for module in V.modules
+    ]
+    return {a: _phi_tower(V, a, [q[a] for q in quotients[a:]]) for a in ranks}
+
+
+def _phi_tower(V: ConsistentSequence, a: int, pieces) -> PhiSequence:
+    """Phi_a(V) from the (quotient, structure) pairs of V_a, ..., V_{n_max}."""
+    spaces = [quotient for quotient, _ in pieces]
+    structures = [qs for _, qs in pieces]
     maps = []
     for n in range(V.n_max - a):
         f = V.connectors[a + n]
@@ -482,14 +501,24 @@ def degrees(V: ConsistentSequence, a_max: int) -> dict:
     Probes every pair 0 <= a <= a_max, 0 <= n < n_max - a.  An observed
     degree is the least s making the property hold at every probed (a, n)
     with n >= s, or None when no probed window suffices.  All statements
-    are relative to the truncation.
+    are relative to the truncation.  Each module's quotients for every
+    a <= a_max come from one tail elimination (coinvariant_quotients), and
+    the report is kept on V per a_max, so it is computed once per tower.
     """
     if not 0 <= a_max <= V.n_max:
         raise ValueError(f"a_max = {a_max} outside truncation 0..{V.n_max}")
+    key = ("degrees", a_max)
+    if key not in V._memo:
+        V._memo[key] = _degrees(V, a_max)
+    return V._memo[key]
+
+
+def _degrees(V: ConsistentSequence, a_max: int) -> dict:
     probes = []
     max_n = 0
+    towers = _phi_towers(V, range(a_max + 1))
     for a in range(a_max + 1):
-        tower = phi_a(V, a)
+        tower = towers[a]
         results = []
         for n, T in enumerate(tower.maps):
             r = rank(T)
@@ -562,7 +591,14 @@ def multiplicity_table(V: ConsistentSequence) -> dict:
     """The table c_{lam,n}: multiplicity of S^{lam[n]} inside V_n.
 
     Row labels are unpadded partitions, sorted by size, then by shape.
+    The table is kept on V, so each V_n is decomposed once per tower.
     """
+    if "table" not in V._memo:
+        V._memo["table"] = _multiplicity_table(V)
+    return V._memo["table"]
+
+
+def _multiplicity_table(V: ConsistentSequence) -> dict:
     rows = {}
     for n, module in enumerate(V.modules):
         if module.dim == 0:
@@ -969,6 +1005,26 @@ def save_sequence(V: ConsistentSequence, path) -> None:
         fh.write("\n")
 
 
+# (SHA-256 of a tower file's bytes, the tower parsed from them)
+_last_loaded = (None, None)
+
+
 def load_sequence(path) -> ConsistentSequence:
-    with open(path, "r", encoding="utf-8") as fh:
-        return sequence_from_json_obj(json.load(fh))
+    """The tower a file holds, parsed and verified from its bytes.
+
+    The last tower parsed is kept with the SHA-256 of its file's bytes,
+    and the same object is returned while a file's bytes match: sound
+    because a tower is never mutated, and it lets the reports kept on it
+    serve successive commands on one file.  Other bytes are parsed anew,
+    and a file that fails to parse leaves the kept tower as it was.
+    """
+    global _last_loaded
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).digest()
+    if _last_loaded[0] == digest:
+        return _last_loaded[1]
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    V = sequence_from_json_obj(json.load(text))
+    _last_loaded = (digest, V)
+    return V

@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import factorial
 
 from .hecke import ModulePresentation
-from .linalg import ExactMatrix, quotient_structure
+from .linalg import EchelonBasis, ExactMatrix
 from .partitions import (
     hecke_character,
     partition_label,
@@ -54,6 +54,7 @@ __all__ = [
     "character_table",
     "decompose",
     "coinvariant_quotient",
+    "coinvariant_quotients",
 ]
 
 SPECHT_BOUND = 7
@@ -251,23 +252,42 @@ def coinvariant_quotient(V: ModulePresentation, a: int):
     descend to the quotient, the index-isotypic part of the restriction.
 
     Returns (quotient ModulePresentation over H_a, QuotientStructure); the
-    structure's section builds the induced maps between quotients.
+    structure's section builds the induced maps between quotients.  This
+    is the one-rank case of coinvariant_quotients.
+    """
+    return coinvariant_quotients(V, (a,))[a]
+
+
+def coinvariant_quotients(V: ModulePresentation, ranks) -> dict:
+    """{a: (quotient, structure)} as coinvariant_quotient gives them, for
+    every retained rank a in ranks.
+
+    The tail subspaces are nested, Q_a = Q_{a+1} + im(T_{s_{a+1}} - q), so
+    one echelon basis is fed the columns of T_{s_j} - q for j from N - 1
+    down and read at each rank on the way.  A subspace has one reduced
+    echelon basis, so each quotient is the one Q_a alone would give.
     """
     N = V.n
-    if not 0 <= a <= N:
-        raise ValueError(f"retained rank {a} outside 0..{N}")
-    subspace = []
-    eye = ExactMatrix.identity(V.dim)
-    for j in range(a + 1, N):
-        g = V.gen_action[j - 1] - eye.scale(Q)
-        subspace.extend(g.columns())
-    front = V.gen_action[: max(a - 1, 0)]
-    qs = quotient_structure(V.dim, subspace, front)
-    quotient = ModulePresentation(
-        a,
-        qs.quotient_dim,
-        qs.induced,
-        label=f"{V.label or 'V'}/Q(tail>{a})",
-        check=False,
-    )
-    return quotient, qs
+    ranks = sorted(set(ranks), reverse=True)
+    for a in ranks:
+        if not 0 <= a <= N:
+            raise ValueError(f"retained rank {a} outside 0..{N}")
+    basis = EchelonBasis()
+    q_eye = ExactMatrix.identity(V.dim).scale(Q)
+    fed = N  # the tail generators s_j with j >= fed are in the basis
+    out = {}
+    for a in ranks:
+        while fed > a + 1:
+            fed -= 1
+            for col in (V.gen_action[fed - 1] - q_eye).columns():
+                basis.insert(col)
+        qs = basis.quotient(V.dim, V.gen_action[: max(a - 1, 0)])
+        quotient = ModulePresentation(
+            a,
+            qs.quotient_dim,
+            qs.induced,
+            label=f"{V.label or 'V'}/Q(tail>{a})",
+            check=False,
+        )
+        out[a] = (quotient, qs)
+    return out

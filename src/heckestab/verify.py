@@ -17,7 +17,7 @@ import math
 import sys
 import time
 
-from .hecke import index_rep, induce_pair, regular_representation
+from .hecke import regular_representation
 from .partitions import (
     pad,
     partitions_of,
@@ -37,7 +37,7 @@ from .sequences import (
     shift_decompose_Mm,
     weight,
 )
-from .specht import coinvariant_quotient, decompose, specht_module
+from .specht import coinvariant_quotients, decompose, specht_module
 from .symgroup import double_coset_stabilization
 
 __all__ = ["CRITERIA", "run_criteria", "verify_all"]
@@ -83,7 +83,7 @@ def decomposition_oracle(n_max=6):
     for m in range(5):
         for lam in partitions_of(m):
             for k in range(7 - m):
-                V = induce_pair(specht_module(lam), index_rep(k))
+                V = specht_module(lam).induced_by_index(k)
                 got = decompose(V)
                 want = {mu: 1 for mu in pieri_add(lam, k)}
                 if got != want:
@@ -101,8 +101,9 @@ def coinvariants_lemmas(n_max=6):
             seen = {}
             for n in range(size + lam1, 7):
                 V = specht_module(pad(lam, n))
+                quotients = coinvariant_quotients(V, range(n + 1))
                 for a in range(n + 1):
-                    quotient, _ = coinvariant_quotient(V, a)
+                    quotient, _ = quotients[a]
                     checked += 1
                     if (quotient.dim == 0) != (a < size):
                         return False, f"vanishing wrong at lam={lam}, n={n}, a={a}"

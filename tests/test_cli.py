@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from heckestab import sequences
 from heckestab.cli import MULT_N_BOUND, main
 from heckestab.sequences import (
     build_Mm,
@@ -184,6 +185,98 @@ class TestSeqPipeline:
         report = json.loads(out)
         assert report["all_finitely_generated"]
         assert len(report["per_trial"]) == 2
+
+
+class TestTowerMemo:
+    """Commands on one file share the tower that file's bytes parse to."""
+
+    TOWER_COMMANDS = (
+        ("degrees", "--amax", "2"),
+        ("check-stable",),
+        ("multiplicities",),
+        ("multiplicities", "--format", "csv"),
+        ("weight",),
+        ("check-stable", "--amax", "1"),
+        ("degrees", "--amax", "1"),
+    )
+
+    @pytest.fixture(autouse=True)
+    def forget_loaded_tower(self, monkeypatch):
+        monkeypatch.setattr(sequences, "_last_loaded", (None, None))
+
+    def test_one_session_decomposes_and_eliminates_once(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        decomposed, eliminated = [], []
+        decompose, quotients = sequences.decompose, sequences.coinvariant_quotients
+        monkeypatch.setattr(
+            sequences, "decompose", lambda V: decomposed.append(V) or decompose(V)
+        )
+        monkeypatch.setattr(
+            sequences,
+            "coinvariant_quotients",
+            lambda V, ranks: eliminated.append(V) or quotients(V, ranks),
+        )
+        tower = str(tmp_path / "tower.json")
+        run(capsys, "seq", "build", "--kind", "Mm", "--m", "2", "--nmax", "6",
+            "--out", tower)
+        for command in self.TOWER_COMMANDS[:5]:
+            assert run(capsys, "seq", *command, "--in", tower)[0] == 0
+        V = sequences.load_sequence(tower)
+        assert decomposed == [module for module in V.modules if module.dim]
+        assert eliminated == list(V.modules)
+
+    def test_cached_reports_print_the_same_bytes(self, capsys, tmp_path, monkeypatch):
+        # a caller that edited a kept report would change the second output
+        tower = str(tmp_path / "tower.json")
+        run(capsys, "seq", "build", "--kind", "M-specht", "--lambda", "2,1",
+            "--nmax", "6", "--out", tower)
+
+        def outputs():
+            return [run(capsys, "seq", *c, "--in", tower) for c in self.TOWER_COMMANDS]
+
+        first = outputs()
+        assert outputs() == first
+        fresh = []
+        for command in self.TOWER_COMMANDS:
+            monkeypatch.setattr(sequences, "_last_loaded", (None, None))
+            fresh.append(run(capsys, "seq", *command, "--in", tower))
+        assert fresh == first
+        assert all(code == 0 and not err for code, _, err in first)
+
+    def test_rewritten_file_is_read_again(self, capsys, tmp_path):
+        tower = str(tmp_path / "tower.json")
+        run(capsys, "seq", "build", "--kind", "Mm", "--m", "1", "--nmax", "4",
+            "--out", tower)
+        code, out, _ = run(capsys, "seq", "multiplicities", "--in", tower)
+        assert code == 0
+        assert json.loads(out)["label"] == "M(1)"
+        code, out, _ = run(capsys, "seq", "build", "--kind", "M-specht",
+                           "--lambda", "2", "--nmax", "4", "--out", tower)
+        assert json.loads(out)["dims"] == [0, 0, 1, 3, 6]
+        assert sequences.load_sequence(tower).dims() == [0, 0, 1, 3, 6]
+        code, out, _ = run(capsys, "seq", "multiplicities", "--in", tower)
+        assert code == 0
+        assert json.loads(out) == {
+            "label": "M(S(2))",
+            "n_values": [0, 1, 2, 3, 4],
+            "rows": {"": [0, 0, 1, 1, 1], "1": [0, 0, 0, 1, 1], "2": [0, 0, 0, 0, 1]},
+        }
+
+    def test_malformed_rewrite_is_bad_input(self, capsys, tmp_path):
+        tower = tmp_path / "tower.json"
+        run(capsys, "seq", "build", "--kind", "Mm", "--m", "1", "--nmax", "3",
+            "--out", str(tower))
+        good = tower.read_bytes()
+        kept = sequences.load_sequence(tower)
+        tower.write_text('{"schema": "hecke-stab/1", "modules": [')
+        code, out, err = run(capsys, "seq", "weight", "--in", str(tower))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "error" in json.loads(err)
+        tower.write_bytes(good)
+        assert sequences.load_sequence(tower) is kept
 
 
 class TestErrorsAndDeterminism:

@@ -77,6 +77,16 @@ class TestMatrixBasics:
         image = a.apply({0: ONE, 1: ONE})
         assert image == {0: Q + 1, 1: scal(2)}
 
+    def test_apply_keeps_its_index_private(self):
+        # the column index is built once and kept; neither a caller editing
+        # an image nor a matrix derived from this one may see it
+        a = M([[Q, 1], [0, 2]])
+        image = a.apply({0: ONE, 1: ONE})
+        image[0] = ZERO
+        assert a.apply({0: ONE, 1: ONE}) == {0: Q + 1, 1: scal(2)}
+        for derived in (a + a, a.scale(2), a @ a, -a):
+            assert derived.apply({1: ONE}) == derived.columns()[1]
+
     def test_entries_outside_shape_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             ExactMatrix(2, 2, {(2, 0): ONE})
@@ -116,6 +126,16 @@ class TestEchelonBasis:
         # coordinates are the entries at the pivots
         assert [v[p] for p in basis.pivots] == [Q, ONE]
         assert basis.reduce({2: ONE}) == {2: ONE}
+
+    def test_stored_pivot_is_an_error(self):
+        # a stored vector corrupted at its own pivot leaves a residue with
+        # that pivot; insert must say so, not store a second vector there
+        basis = EchelonBasis()
+        basis.insert({0: ONE, 1: Q})
+        basis.vectors[0][0] = scal(2)
+        with pytest.raises(ValueError, match="pivot 0 is already stored"):
+            basis.insert({0: ONE})
+        assert len(basis) == 1
 
     @given(st.lists(st.lists(small_entries, min_size=4, max_size=4), max_size=6))
     @settings(max_examples=50)

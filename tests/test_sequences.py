@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import linalg_reference
 import sequences_reference as ref
-from heckestab import sequences
+from heckestab import hecke, sequences
 from heckestab.hecke import ModulePresentation, regular_representation
 from heckestab.linalg import EchelonBasis, ExactMatrix
 from heckestab.partitions import pieri_add, syt_count, unpad
@@ -41,6 +41,7 @@ from heckestab.sequences import (
     shift,
     shift_decompose_Mm,
     span,
+    weight,
     zero_sequence,
 )
 from heckestab.symgroup import permutations_of
@@ -192,6 +193,58 @@ class TestBuildM:
             {1: regular_representation(1), 2: regular_representation(2)}, 4
         )
         assert V.dims() == [0, 1, 4, 9, 16]
+
+
+class TestKeptWork:
+    """Modules, induced blocks and reports are built once and shared."""
+
+    def test_rebuilt_towers_induce_nothing(self, monkeypatch):
+        first = [build_Mm(2, 5), build_M_specht((2, 1), 5)]
+        calls = []
+        induce_pair = hecke.induce_pair
+        monkeypatch.setattr(
+            hecke, "induce_pair", lambda V, W: calls.append(V) or induce_pair(V, W)
+        )
+        again = [build_Mm(2, 5), build_M_specht((2, 1), 5)]
+        assert calls == []
+        assert [sequence_to_json_obj(V) for V in again] == [
+            sequence_to_json_obj(V) for V in first
+        ]
+
+    def test_induced_blocks_live_on_the_module(self):
+        W = regular_representation(2)
+        assert regular_representation(2) is W
+        block = W.induced_by_index(3)
+        assert W.induced_by_index(3) is block
+        fresh = hecke.induce_pair(W, hecke.index_rep(3))
+        assert block is not fresh
+        assert (block.dim, block.gen_action, block.label) == (
+            fresh.dim, fresh.gen_action, fresh.label
+        )
+
+    def test_reports_are_kept_on_the_tower(self, monkeypatch):
+        decomposed, eliminated = [], []
+        decompose, quotients = sequences.decompose, sequences.coinvariant_quotients
+        monkeypatch.setattr(
+            sequences, "decompose", lambda V: decomposed.append(V) or decompose(V)
+        )
+        monkeypatch.setattr(
+            sequences,
+            "coinvariant_quotients",
+            lambda V, ranks: eliminated.append(V) or quotients(V, ranks),
+        )
+        V = build_Mm(2, 5)
+        table = multiplicity_table(V)
+        assert weight(V) == 2
+        assert multiplicity_table(V) is table
+        report = degrees(V, 2)
+        verdict = is_uniformly_stable(V, a_max=2)
+        assert degrees(V, 2) is report
+        assert verdict["stability_degree"] == report["stability_degree"]
+        assert decomposed == [module for module in V.modules if module.dim]
+        assert eliminated == list(V.modules)
+        assert degrees(V, 1) is not report
+        assert eliminated == 2 * list(V.modules)
 
 
 class TestSpan:
@@ -567,6 +620,21 @@ class TestSerialization:
         save_sequence(V, p1)
         save_sequence(load_sequence(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_same_bytes_load_the_same_tower(self, tmp_path):
+        V = build_M_specht((2,), 4)
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        save_sequence(V, p1)
+        save_sequence(V, p2)
+        first = load_sequence(p1)
+        assert load_sequence(p1) is first
+        # the key is the content, not the path
+        assert load_sequence(p2) is first
+        save_sequence(build_Mm(1, 4), p2)
+        other = load_sequence(p2)
+        assert other is not first
+        assert other.dims() == build_Mm(1, 4).dims()
+        assert load_sequence(p1) is not first
 
     def test_unknown_schema(self):
         with pytest.raises(ValueError, match="schema"):

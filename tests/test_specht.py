@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coinvariant_reference
 from branching_reference import branching_check
 from hecke_reference import matrix_trace
 from helpers import all_reduced_words, as_fraction, is_constant, sign_rep
@@ -25,6 +26,7 @@ from heckestab.specht import (
     character,
     character_table,
     coinvariant_quotient,
+    coinvariant_quotients,
     decompose,
     specht_module,
 )
@@ -372,7 +374,51 @@ class TestDecomposeAgainstQqSolve:
             assert table.multiplicities(traces) == coeffs
 
 
+@st.composite
+def coinvariant_modules(draw):
+    """A Specht module of rank <= 6, a regular one of rank <= 4, or an
+    induced Ind(S^lam (x) index_k) with |lam| <= 3 and rank <= 6."""
+    kind = draw(st.sampled_from(["specht", "regular", "induced"]))
+    if kind == "regular":
+        return regular_representation(draw(st.integers(0, 4)))
+    size = draw(st.integers(0, 6 if kind == "specht" else 3))
+    lam = draw(st.sampled_from(partitions_of(size)))
+    if kind == "specht":
+        return specht_module(lam)
+    return induce_pair(specht_module(lam), index_rep(draw(st.integers(0, 6 - size))))
+
+
 class TestCoinvariants:
+    @given(coinvariant_modules(), st.data())
+    @settings(max_examples=40)
+    def test_every_rank_matches_reference(self, V, data):
+        # one elimination read at each rank gives, bit for bit, what one
+        # elimination per rank gave: the reduced basis of Q_a is unique
+        some = data.draw(st.sets(st.integers(0, V.n), min_size=1))
+        every = coinvariant_quotients(V, range(V.n + 1))
+        subset = coinvariant_quotients(V, some)
+        assert sorted(every) == list(range(V.n + 1))
+        assert sorted(subset) == sorted(some)
+        for a in range(V.n + 1):
+            want, want_qs = coinvariant_reference.coinvariant_quotient(V, a)
+            got = [every[a], coinvariant_quotient(V, a)]
+            if a in some:
+                got.append(subset[a])
+            for quotient, qs in got:
+                assert qs.projection == want_qs.projection
+                assert qs.section == want_qs.section
+                assert qs.induced == want_qs.induced
+                assert quotient.gen_action == want.gen_action
+                assert (quotient.n, quotient.dim, quotient.label) == (
+                    want.n, want.dim, want.label
+                )
+
+    def test_rank_outside_range(self):
+        V = specht_module((2, 1))
+        for ranks in ([4], [0, -1]):
+            with pytest.raises(ValueError, match="retained rank"):
+                coinvariant_quotients(V, ranks)
+
     def test_no_tail_is_identity_quotient(self):
         V = specht_module((2, 1))
         quotient, qs = coinvariant_quotient(V, 3)
