@@ -626,13 +626,10 @@ def is_uniformly_stable(V: ConsistentSequence, a_max=None) -> dict:
     generators at the last computed degree.  So n_max = 0, which has no
     connector to check, is never stable.  When a_max is given the report
     also carries the predicted onset bound s + m (stability degree of the
-    exact degrees probe plus weight) for comparison.
+    exact degrees probe plus weight) for comparison.  The multiplicity
+    table it reads stays kept on V, so a caller reads it again for free.
     """
-    return _verdict(V, multiplicity_table(V), a_max)
-
-
-def _verdict(V: ConsistentSequence, table: dict, a_max=None) -> dict:
-    """is_uniformly_stable on V, given its multiplicity table."""
+    table = multiplicity_table(V)
     clauses = []
     for n, generated in enumerate(_generated(V)):
         f = V.connectors[n]
@@ -703,27 +700,6 @@ def shift(V: ConsistentSequence, a: int) -> ConsistentSequence:
     )
 
 
-def _block_split(mat, rows_b, rows_c, cols_b, cols_c):
-    """Split into (B-block, C-block); None if a cross entry exists."""
-    rb = {i: t for t, i in enumerate(rows_b)}
-    rc = {i: t for t, i in enumerate(rows_c)}
-    cb = {j: t for t, j in enumerate(cols_b)}
-    cc = {j: t for t, j in enumerate(cols_c)}
-    b_entries = {}
-    c_entries = {}
-    for (i, j), v in mat.entries.items():
-        if i in rb and j in cb:
-            b_entries[(rb[i], cb[j])] = v
-        elif i in rc and j in cc:
-            c_entries[(rc[i], cc[j])] = v
-        else:
-            return None
-    return (
-        ExactMatrix(len(rows_b), len(cols_b), b_entries),
-        ExactMatrix(len(rows_c), len(cols_c), c_entries),
-    )
-
-
 def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:
     """Exhibit S_{+a}M(m) = M(m) (+) C_a inside the coset basis.
 
@@ -733,10 +709,13 @@ def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:
     preserves the subset-lex order), and the remaining vectors form the
     complement C_a, a consistent subsequence of generation degree <= m-1.
 
-    M(m) is built once, on the window n_max + a; its degree-(n + a) coset
-    representatives sort the shifted basis.  matches_fresh_Mm compares the
-    summand blocks with its degree-n modules and connectors, which depend
-    only on n and m, not on the window, so equal those of a fresh M(m).
+    M(m) is built once, on the window n_max + a, and the shift is read off
+    it: degree n of S_{+a}M(m) is M(m)_{n+a} with generators s_{a+1}, ...,
+    s_{a+n-1} and connector phi_{n+a}, all verified with M(m).  The
+    degree-(n + a) coset representatives sort the shifted basis.
+    matches_fresh_Mm compares the summand blocks with the degree-n modules
+    and connectors of M(m), which depend only on n and m, not on the
+    window, so equal those of a fresh M(m).
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -744,67 +723,66 @@ def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:
         raise ValueError("a must be nonnegative")
     W = regular_representation(m)
     base, layouts = _build_M_layout({m: W}, n_max + a, f"M({m})")
-    shifted = shift(base, a)
-    p = W.dim
-    b_positions = []
-    c_positions = []
+    # where[n][j]: (0 for the M(m) summand or 1 for C_a, index there) of
+    # basis vector j of the shift in degree n; sizes[n]: the two dims
+    where = []
+    sizes = []
     for n in range(n_max + 1):
         reps = layouts[n + a][0][2] if layouts[n + a] else []
-        b_idx = []
-        c_idx = []
-        for di, d in enumerate(reps):
-            front_free = all(d(x) > a for x in range(1, m + 1))
-            for i in range(p):
-                (b_idx if front_free else c_idx).append(di * p + i)
-        b_positions.append(b_idx)
-        c_positions.append(c_idx)
+        size = [0, 0]
+        positions = []
+        for d in reps:
+            part = 0 if all(d(x) > a for x in range(1, m + 1)) else 1
+            positions.extend((part, size[part] + i) for i in range(W.dim))
+            size[part] += W.dim
+        where.append(positions)
+        sizes.append(size)
+
+    def split(mat, target, source):
+        """The (summand, C_a) blocks of a degree source -> target map."""
+        blocks = ({}, {})
+        for (i, j), v in mat.entries.items():
+            (part, row), (col_part, col) = where[target][i], where[source][j]
+            if part != col_part:
+                raise ValueError(
+                    f"degree {source} -> {target} map mixes M({m}) and C_{a}"
+                )
+            blocks[part][(row, col)] = v
+        return [
+            ExactMatrix(sizes[target][k], sizes[source][k], blocks[k]) for k in (0, 1)
+        ]
+
     matches = True
     c_modules = []
     for n in range(n_max + 1):
-        big = shifted.modules[n]
         c_gens = []
-        for i in range(1, n):
-            split = _block_split(
-                big.generator(i),
-                b_positions[n], c_positions[n],
-                b_positions[n], c_positions[n],
-            )
-            if split is None:
-                raise ValueError(f"blocks not stable at degree {n}, s_{i}")
-            b_block, c_block = split
-            matches = matches and b_block == base.modules[n].generator(i)
+        shifted = base.modules[n + a].gen_action[a:]
+        for g, fresh in zip(shifted, base.modules[n].gen_action):
+            b_block, c_block = split(g, n, n)
+            matches = matches and b_block == fresh
             c_gens.append(c_block)
         c_modules.append(
-            ModulePresentation(
-                n, len(c_positions[n]), c_gens, label=f"C_{a}_{n}", check=False
-            )
+            ModulePresentation(n, sizes[n][1], c_gens, label=f"C_{a}_{n}", check=False)
         )
     c_connectors = []
     for n in range(n_max):
-        split = _block_split(
-            shifted.connectors[n],
-            b_positions[n + 1], c_positions[n + 1],
-            b_positions[n], c_positions[n],
-        )
-        if split is None:
-            raise ValueError(f"blocks not connector-stable at degree {n}")
-        b_block, c_block = split
+        b_block, c_block = split(base.connectors[n + a], n + 1, n)
         matches = matches and b_block == base.connectors[n]
         c_connectors.append(c_block)
     complement = ConsistentSequence(
         c_modules, c_connectors, label=f"C_{a} of S+{a}M({m})"
     )
     gen_deg = generation_degree(complement)
+    shifted_dims = [base.modules[n + a].dim for n in range(n_max + 1)]
     return {
         "m": m,
         "a": a,
         "n_max": n_max,
-        "shifted_dims": shifted.dims(),
-        "summand_dims": [len(b) for b in b_positions],
+        "shifted_dims": shifted_dims,
+        "summand_dims": [size[0] for size in sizes],
         "complement_dims": complement.dims(),
         "direct_sum_ok": all(
-            len(b_positions[n]) + len(c_positions[n]) == shifted.modules[n].dim
-            for n in range(n_max + 1)
+            sum(size) == dim for size, dim in zip(sizes, shifted_dims)
         ),
         "matches_fresh_Mm": matches,
         "complement_generation_degree": gen_deg,
@@ -825,11 +803,11 @@ def noetherian_experiment(m: int, trials: int, seed: int, n_max: int) -> dict:
     submodule born in the last degree would be flagged unstable on
     vacuous evidence, which measures the truncation, not the module.
     A trial's generation degree is read off its verdict's generated flags,
-    so each trial closes them once, and the verdict reads the trial's own
-    multiplicity table, so each module is decomposed once.  Evidence, not
-    proof; identical seeds give identical reports.  At least one trial and
-    n_max >= 1 are required: zero trials, or a window with no connector,
-    would be a vacuous verdict.
+    so each trial closes them once, and the report reads the multiplicity
+    table the verdict kept on the trial, so each module is decomposed
+    once.  Evidence, not proof; identical seeds give identical reports.
+    At least one trial and n_max >= 1 are required: zero trials, or a
+    window with no connector, would be a vacuous verdict.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -854,8 +832,8 @@ def noetherian_experiment(m: int, trials: int, seed: int, n_max: int) -> dict:
                         vec[i] = scal(Fraction(c))
             seeds.append((deg, vec))
         sub = span(V, seeds, label=f"trial {t}")
+        verdict = is_uniformly_stable(sub)
         table = multiplicity_table(sub)
-        verdict = _verdict(sub, table)
         gen_deg = _onset([c["generated"] for c in verdict["clauses"]])
         per_trial.append(
             {
@@ -1000,23 +978,30 @@ def sequence_from_json_obj(obj) -> ConsistentSequence:
 
 
 def save_sequence(V: ConsistentSequence, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sequence_to_json_obj(V), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    """Write V's tower file; a load of exactly these bytes returns V itself."""
+    global _last_loaded
+    text = json.dumps(sequence_to_json_obj(V), sort_keys=True, indent=2) + "\n"
+    data = text.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    _last_loaded = (hashlib.sha256(data).digest(), V)
 
 
-# (SHA-256 of a tower file's bytes, the tower parsed from them)
+# (SHA-256 of a tower file's bytes, the tower they hold): the tower last
+# saved, or the last one parsed
 _last_loaded = (None, None)
 
 
 def load_sequence(path) -> ConsistentSequence:
     """The tower a file holds, parsed and verified from its bytes.
 
-    The last tower parsed is kept with the SHA-256 of its file's bytes,
-    and the same object is returned while a file's bytes match: sound
-    because a tower is never mutated, and it lets the reports kept on it
-    serve successive commands on one file.  Other bytes are parsed anew,
-    and a file that fails to parse leaves the kept tower as it was.
+    The last tower saved or parsed is kept with the SHA-256 of its file's
+    bytes, and the same object is returned while a file's bytes match:
+    sound because a tower is never mutated, and it lets the reports kept
+    on it serve successive commands on one file.  A tower just saved is
+    the one in memory, so loading its bytes re-parses and re-verifies
+    nothing.  Other bytes are parsed and verified anew, and a file that
+    fails to parse leaves the kept tower as it was.
     """
     global _last_loaded
     with open(path, "rb") as fh:

@@ -12,16 +12,16 @@ kept only as the slow, obviously correct side of the differential tests:
   * ``check_consistency`` compares phi_n T_{s_i} with T_{s_i} phi_n square
     by square;
   * ``shift_decompose_Mm`` builds M(m) twice, on the windows n_max + a and
-    n_max, and walks the coset representatives itself, as the package did
-    before it read both off one build.
+    n_max, builds the shifted tower with ``shift``, walks the coset
+    representatives itself and splits each map with ``_block_split``, as
+    the package did before it read all of them off one build.
 """
 
 from heckestab.hecke import ModulePresentation, regular_representation
-from heckestab.linalg import rank
+from heckestab.linalg import ExactMatrix, rank
 from heckestab.qfield import ONE
 from heckestab.sequences import (
     ConsistentSequence,
-    _block_split,
     build_Mm,
     generation_degree as package_generation_degree,
     multiplicity_table,
@@ -76,6 +76,27 @@ def check_consistency(V) -> dict:
             if left != right:
                 violations.append((n, i))
     return {"ok": not violations, "violations": violations}
+
+
+def _block_split(mat, rows_b, rows_c, cols_b, cols_c):
+    """Split into (B-block, C-block); None if a cross entry exists."""
+    rb = {i: t for t, i in enumerate(rows_b)}
+    rc = {i: t for t, i in enumerate(rows_c)}
+    cb = {j: t for t, j in enumerate(cols_b)}
+    cc = {j: t for t, j in enumerate(cols_c)}
+    b_entries = {}
+    c_entries = {}
+    for (i, j), v in mat.entries.items():
+        if i in rb and j in cb:
+            b_entries[(rb[i], cb[j])] = v
+        elif i in rc and j in cc:
+            c_entries[(rc[i], cc[j])] = v
+        else:
+            return None
+    return (
+        ExactMatrix(len(rows_b), len(cols_b), b_entries),
+        ExactMatrix(len(rows_c), len(cols_c), c_entries),
+    )
 
 
 def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:

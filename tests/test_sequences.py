@@ -553,14 +553,23 @@ class TestShift:
         assert report["complement_generation_degree"] <= 1
         assert report["bound_ok"]
 
-    @pytest.mark.parametrize("a", [0, 1, 2])
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_decompose_matches_reference(self, m, a):
-        got = shift_decompose_Mm(m, a, 4)
-        want = ref.shift_decompose_Mm(m, a, 4)
+    @staticmethod
+    def assert_matches_reference(m, a, n_max):
+        got = shift_decompose_Mm(m, a, n_max)
+        want = ref.shift_decompose_Mm(m, a, n_max)
         complement, want_complement = got.pop("complement"), want.pop("complement")
         assert got == want
         assert sequence_to_json_obj(complement) == sequence_to_json_obj(want_complement)
+
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_decompose_matches_reference(self, m, a):
+        self.assert_matches_reference(m, a, 4)
+
+    @pytest.mark.parametrize("m, a", [(2, 2), (3, 2)])
+    def test_decompose_matches_reference_at_n_max_6(self, m, a):
+        # the largest (m, a) pairs the towers benchmark runs, on its window
+        self.assert_matches_reference(m, a, 6)
 
     def test_decompose_builds_mm_once(self, monkeypatch):
         calls = []
@@ -575,6 +584,34 @@ class TestShift:
         count("regular_representation")
         shift_decompose_Mm(2, 1, 4)
         assert sorted(calls) == ["_build_M_layout", "regular_representation"]
+
+    def test_split_rejects_cross_entries(self, monkeypatch):
+        # misplaced coset representatives mislabel the summand and C_a
+        original = sequences._build_M_layout
+
+        def rotated(W, n_max, label):
+            seq, layouts = original(W, n_max, label)
+            return seq, [
+                [(m, off, reps[1:] + reps[:1]) for m, off, reps in layout]
+                for layout in layouts
+            ]
+
+        monkeypatch.setattr(sequences, "_build_M_layout", rotated)
+        with pytest.raises(ValueError, match=r"mixes M\(1\) and C_1"):
+            shift_decompose_Mm(1, 1, 4)
+
+    def test_decompose_checks_each_square_once(self, monkeypatch):
+        # once for M(m) on the window n_max + a, once for C_a: the shift
+        # itself reads M(m)'s squares and is not checked again
+        checked = []
+        original = sequences.check_consistency
+        monkeypatch.setattr(
+            sequences,
+            "check_consistency",
+            lambda V: checked.append(V.label) or original(V),
+        )
+        shift_decompose_Mm(2, 1, 4)
+        assert checked == ["M(2)", "C_1 of S+1M(2)"]
 
 
 class TestPointwise:
@@ -635,6 +672,27 @@ class TestSerialization:
         assert other is not first
         assert other.dims() == build_Mm(1, 4).dims()
         assert load_sequence(p1) is not first
+
+    def test_saved_tower_loads_as_itself(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sequences, "_last_loaded", (None, None))
+        parsed = []
+        original = sequences.sequence_from_json_obj
+        monkeypatch.setattr(
+            sequences,
+            "sequence_from_json_obj",
+            lambda obj: parsed.append(obj) or original(obj),
+        )
+        V = build_M_specht((2,), 4)
+        p = tmp_path / "a.json"
+        save_sequence(V, p)
+        assert load_sequence(p) is V
+        assert parsed == []
+        # bytes written by other means are parsed and verified again
+        p.write_text(json.dumps(sequence_to_json_obj(build_Mm(1, 4))))
+        other = load_sequence(p)
+        assert len(parsed) == 1
+        assert other is not V
+        assert other.dims() == build_Mm(1, 4).dims()
 
     def test_unknown_schema(self):
         with pytest.raises(ValueError, match="schema"):
