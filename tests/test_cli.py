@@ -220,6 +220,8 @@ class TestTowerMemo:
         tower = str(tmp_path / "tower.json")
         run(capsys, "seq", "build", "--kind", "Mm", "--m", "2", "--nmax", "6",
             "--out", tower)
+        # the commands share the tower parsed from the file, not the one built
+        monkeypatch.setattr(sequences, "_last_loaded", (None, None))
         for command in self.TOWER_COMMANDS[:5]:
             assert run(capsys, "seq", *command, "--in", tower)[0] == 0
         V = sequences.load_sequence(tower)
@@ -263,10 +265,11 @@ class TestTowerMemo:
             "rows": {"": [0, 0, 1, 1, 1], "1": [0, 0, 0, 1, 1], "2": [0, 0, 0, 0, 1]},
         }
 
-    def test_malformed_rewrite_is_bad_input(self, capsys, tmp_path):
+    def test_malformed_rewrite_is_bad_input(self, capsys, tmp_path, monkeypatch):
         tower = tmp_path / "tower.json"
         run(capsys, "seq", "build", "--kind", "Mm", "--m", "1", "--nmax", "3",
             "--out", str(tower))
+        monkeypatch.setattr(sequences, "_last_loaded", (None, None))
         good = tower.read_bytes()
         kept = sequences.load_sequence(tower)
         tower.write_text('{"schema": "hecke-stab/1", "modules": [')

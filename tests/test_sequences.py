@@ -650,24 +650,33 @@ class TestSerialization:
         for a, b in zip(back.modules, V.modules):
             assert a.gen_action == b.gen_action
 
-    def test_files_are_byte_identical(self, tmp_path):
+    @staticmethod
+    def save_unkept(V, path, monkeypatch):
+        # a save keeps V for the next load; forget it so that load parses
+        save_sequence(V, path)
+        monkeypatch.setattr(sequences, "_last_loaded", (None, None))
+
+    def test_files_are_byte_identical(self, tmp_path, monkeypatch):
         V = build_M_specht((2,), 4)
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
-        save_sequence(V, p1)
-        save_sequence(load_sequence(p1), p2)
+        self.save_unkept(V, p1, monkeypatch)
+        parsed = load_sequence(p1)
+        assert parsed is not V
+        save_sequence(parsed, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_same_bytes_load_the_same_tower(self, tmp_path):
+    def test_same_bytes_load_the_same_tower(self, tmp_path, monkeypatch):
         V = build_M_specht((2,), 4)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_sequence(V, p1)
-        save_sequence(V, p2)
+        self.save_unkept(V, p2, monkeypatch)
         first = load_sequence(p1)
+        assert first is not V
         assert load_sequence(p1) is first
         # the key is the content, not the path
         assert load_sequence(p2) is first
-        save_sequence(build_Mm(1, 4), p2)
+        self.save_unkept(build_Mm(1, 4), p2, monkeypatch)
         other = load_sequence(p2)
         assert other is not first
         assert other.dims() == build_Mm(1, 4).dims()
