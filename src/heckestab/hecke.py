@@ -15,10 +15,11 @@ a generator is
 and T_w = T_{s_i} T_{s_i w} for any left descent i of w.
 
 The product ``mult`` folds these rules over integers, not over Q(q).
-Write x = X / D_x and y = Y / D_y, where D is the lcm of the coefficient
-denominators times an integer, so that X and Y have Z[q] coefficients.
+Write x = X / D_x and y = Y / D_y, where D is the lcm in Z[q] of the
+coefficient denominators, so that X and Y have Z[q] coefficients.
 Evaluation at q = 2^k is a ring map Z[q] -> Z, so XY can be computed with
-each coefficient packed into one Python int: a generator step is c, c << k
+each coefficient packed into one Python int (qfield's codec, poly_pack and
+poly_unpack): a generator step is c, c << k
 or (c << k) - c.  Each step at most triples the l1 norm of the
 coefficients, so every coefficient of XY is bounded in absolute value by
 
@@ -59,7 +60,8 @@ import math
 from functools import lru_cache
 
 from .linalg import ExactMatrix
-from .qfield import ONE, Q, ZERO, Scalar, poly_div_exact, poly_gcd, poly_mul, scal
+from .qfield import ONE, Q, ZERO, Scalar, pack_width, poly_div_exact, poly_gcd
+from .qfield import poly_mul, poly_pack, poly_unpack, scal
 from .symgroup import (
     Permutation,
     coset_min_reps,
@@ -178,13 +180,13 @@ def mult(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     bound = sum(
         _l1(c) * 3**w.length for w, c in zip(x.coeffs, X)
     ) * sum(map(_l1, Y))
-    k = _width(bound)
-    xs = {w.one_line: _pack(c, k) for w, c in zip(x.coeffs, X)}
-    ys = {w.one_line: _pack(c, k) for w, c in zip(y.coeffs, Y)}
+    k = pack_width(bound)
+    xs = {w.one_line: poly_pack(c, k) for w, c in zip(x.coeffs, X)}
+    ys = {w.one_line: poly_pack(c, k) for w, c in zip(y.coeffs, Y)}
     den = poly_mul(dx, dy)
     for w, h in _fold(xs, ys, k).items():
         if h:
-            num = _unpack(h, k)
+            num = poly_unpack(h, k)
             out.coeffs[Permutation(w)] = (
                 Scalar._new(num, den) if den == (1,) else Scalar(num, den)
             )
@@ -193,11 +195,7 @@ def mult(x: HeckeElement, y: HeckeElement) -> HeckeElement:
 
 def _integral(scalars) -> tuple:
     """([X_1, X_2, ...], D) with every X_t and D in Z[q] and c_t = X_t / D
-    for the scalars c_1, c_2, ...
-
-    D is the lcm of the denominators times the least positive integer that
-    clears the rational coefficients left in it and in the numerators.
-    """
+    for the scalars c_1, c_2, ...: D is the lcm of their denominators."""
     scalars = list(scalars)
     distinct = set(scalars)
     den = (1,)
@@ -208,54 +206,12 @@ def _integral(scalars) -> tuple:
         c: c.num if c.den == den else poly_mul(c.num, poly_div_exact(den, c.den))
         for c in distinct
     }
-    scale = math.lcm(*(a.denominator for p in (den, *num.values()) for a in p))
-    if scale != 1:
-        num = {c: tuple(int(a * scale) for a in p) for c, p in num.items()}
-        den = tuple(int(a * scale) for a in den)
     return [num[c] for c in scalars], den
 
 
 def _l1(p) -> int:
     """The sum of the absolute values of the coefficients of p."""
     return sum(map(abs, p))
-
-
-def _width(bound: int) -> int:
-    """The least k with 2^(k-1) > bound: at q = 2^k, a Z[q] polynomial whose
-    coefficients are at most bound in absolute value is read back exactly."""
-    return bound.bit_length() + 1
-
-
-def _pack(p, k: int) -> int:
-    """The value of the Z[q] polynomial p at q = 2^k."""
-    h = 0
-    for a in reversed(p):
-        h = (h << k) + a
-    return h
-
-
-def _unpack(h: int, k: int) -> tuple:
-    """The Z[q] polynomial with coefficients below 2^(k-1) in absolute
-    value whose value at q = 2^k is h: its balanced base-2^k digits.
-
-    At k = 1 every such coefficient is 0, so h = 0 is the only valid
-    value.  Any other h raises ValueError: a positive one would otherwise
-    grow digits in {-1, 0} forever.
-    """
-    if k < 2 and h:
-        raise ValueError(f"no balanced base-2^{k} digits for a nonzero value")
-    digits = []
-    base = 1 << k
-    mask = base - 1
-    half = base >> 1
-    while h:
-        d = h & mask
-        h >>= k
-        if d >= half:
-            d -= base
-            h += 1
-        digits.append(d)
-    return tuple(digits)
 
 
 def _fold(xs: dict, ys: dict, k: int) -> dict:
@@ -368,9 +324,9 @@ class ModulePresentation:
             2 * bound((i, j)) for i in range(1, r + 1) for j in range(i + 2, r + 1)
         ]
         bounds += [bound((i, i + 1, i)) + bound((i + 1, i, i + 1)) for i in range(1, r)]
-        k = _width(max(bounds, default=0))
+        k = pack_width(max(bounds, default=0))
         gens = [form.packed(i, k) for i in range(1, r + 1)]
-        d = _pack(form.den, k)
+        d = poly_pack(form.den, k)
         qd2 = d * d << k
         qd1 = (d << k) - d
         for i, g in enumerate(gens, start=1):
@@ -417,7 +373,7 @@ class ModulePresentation:
         if not word:
             return scal(self.dim)
         form = self.integral_form()
-        k = _width(self.dim * form.bound(word))
+        k = pack_width(self.dim * form.bound(word))
         gens = {i: form.packed(i, k) for i in set(word)}
         acc = [{t: 1} for t in range(self.dim)]
         for i in word[:-1]:
@@ -429,7 +385,7 @@ class ModulePresentation:
         den = (1,)
         for _ in word:
             den = poly_mul(den, form.den)
-        return Scalar(_unpack(h, k), den)
+        return Scalar(poly_unpack(h, k), den)
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
@@ -482,7 +438,7 @@ class IntegralForm:
         for (r, c), p in self.nums[i - 1].items():
             v = values.get(p)
             if v is None:
-                v = values[p] = _pack(p, k)
+                v = values[p] = poly_pack(p, k)
             rows[r][c] = v
         return rows
 

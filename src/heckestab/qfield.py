@@ -2,31 +2,38 @@
 
 Every Hecke-algebra computation in this package happens over the field
 k = Q(q) with q a formal parameter ("generic q").  Floating point is never
-used.  A polynomial is a tuple of coefficients, lowest degree first, with
-no trailing zeros; the zero polynomial is the empty tuple.  A coefficient
-is an ``int`` when it is integral and a ``Fraction`` only when it is not,
-so integer arithmetic, the common case, never builds a ``Fraction``;
-``Fraction(3) == 3`` and ``hash(Fraction(3)) == hash(3)``, so equality,
-hashing and printing do not see the difference.  A :class:`Scalar` is a
-reduced fraction num/den of two such polynomials, normalised so that
+used.  Q(q) is the fraction field of Z[q], a unique factorisation domain,
+so all arithmetic runs on integer polynomials.  A polynomial is a tuple of
+int coefficients, lowest degree first, with no trailing zeros; the zero
+polynomial is the empty tuple.  A :class:`Scalar` is a quotient num/den of
+two such polynomials, normalised so that
 
-* the denominator is monic and nonzero,
-* gcd(num, den) = 1,
+* num and den have no common factor in Z[q], constants included,
+* the leading coefficient of den is positive,
 * zero is represented as 0/1.
 
-Two scalars are equal iff their representations are equal, so ``==`` and
-hashing are structural.
+This form is unique, so ``==`` and hashing are structural.  ``Fraction``
+appears only at the boundary: the constructor and :func:`scal` clear the
+denominators of rational input, :meth:`Scalar.specialize` returns a
+rational value, and ``str``, ``to_wire`` and ``from_wire`` use the monic
+view num/c over den/c, c the leading coefficient of den.
 
-Gcds use the heuristic GCDHEU (Char, Geddes and Gonnet, J. Symb. Comput.
-7, 1989) on the primitive integer parts: the gcd of two integer values
-f(x), g(x), read back as a polynomial in balanced base x.  Its answer is
-certified by exact division, and the Euclidean algorithm takes over when
-the heuristic gives up, so the result is always exact.
+One integer codec serves every fast path: a polynomial is packed as its
+value at q = 2^k and read back as its balanced base-2^k digits
+(:func:`poly_pack`, :func:`poly_unpack`).  Gcds use the heuristic GCDHEU
+(Char, Geddes and Gonnet, J. Symb. Comput. 7, 1989) on the primitive
+parts: the integer gcd of the two packed values, read back as a
+polynomial.  Its answer is certified by exact division, and a primitive
+remainder sequence takes over when the heuristic gives up, so the result
+is always exact.
 
 >>> str(Q * Q - ONE)
 'q^2-1'
 >>> str((Q * Q - ONE) / (Q - ONE))
 'q+1'
+>>> half = ONE / (2 * Q)
+>>> half.num, half.den, str(half)
+((1,), (0, 2), '(1/2)/(q)')
 """
 
 from __future__ import annotations
@@ -43,10 +50,13 @@ __all__ = [
     "Q",
     "scal",
     "poly_gcd",
-    "poly_divmod",
+    "poly_div_exact",
+    "pack_width",
+    "poly_pack",
+    "poly_unpack",
 ]
 
-Poly = tuple  # int or non-integral Fraction coefficients, lowest degree first
+Poly = tuple  # int coefficients, lowest degree first
 
 _F0 = Fraction(0)
 
@@ -63,47 +73,31 @@ WIRE_EXPONENT_BOUND = 64
 
 
 def _trim(coeffs: list) -> Poly:
-    """The polynomial with these coefficients: no trailing zeros, and
-    integral coefficients stored as int."""
+    """The polynomial with these coefficients: no trailing zeros."""
     while coeffs and not coeffs[-1]:
         coeffs.pop()
-    if Fraction in map(type, coeffs):
-        return tuple(c.numerator if c.denominator == 1 else c for c in coeffs)
     return tuple(coeffs)
 
 
-def _coeff(c):
-    """A coefficient in normal form: int if integral, else Fraction."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+def _cleared(x) -> tuple:
+    """(p, c) with p in Z[q], c a positive int and x = p / c, for a tuple
+    of int or Fraction coefficients, or for one coefficient."""
+    if type(x) is not tuple:
+        x = (x,)
+    if all(type(a) is int for a in x):
+        return _trim(list(x)), 1
+    coeffs = [Fraction(a) for a in x]
+    c = math.lcm(*(a.denominator for a in coeffs))
+    return _trim([a.numerator * (c // a.denominator) for a in coeffs]), c
 
 
-def _div(x, y):
-    """The exact quotient x / y of two coefficients, y nonzero, in normal form."""
-    if type(x) is int and type(y) is int:
-        quo, rem = divmod(x, y)
-        return Fraction(x, y) if rem else quo
-    c = x / y  # at least one Fraction, so a Fraction
-    return c.numerator if c.denominator == 1 else c
+def _times(a: Poly, c: int) -> Poly:
+    return a if c == 1 else tuple(x * c for x in a)
 
 
-def _poly_over(a: Poly, c) -> Poly:
-    """a / c for a nonzero coefficient c."""
-    return tuple(_div(x, c) for x in a)
-
-
-def poly_from_fraction(c) -> Poly:
-    c = _coeff(c)
-    return (c,) if c else ()
-
-
-def _as_poly(x) -> Poly:
-    """A tuple of coefficients, or one coefficient, as a polynomial."""
-    if isinstance(x, tuple):
-        return _trim(list(map(_coeff, x)))
-    return poly_from_fraction(x)
+def _over(a: Poly, c: int) -> Poly:
+    """a / c for an int c dividing every coefficient of a."""
+    return a if c == 1 else tuple(x // c for x in a)
 
 
 def poly_add(a: Poly, b: Poly) -> Poly:
@@ -134,138 +128,170 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     return _trim(out)
 
 
-def poly_divmod(a: Poly, b: Poly) -> tuple:
-    """Quotient and remainder of polynomial division; ``b`` must be nonzero."""
-    if not b:
-        raise ValueError("zero divisor")
-    if len(a) < len(b):
-        return _P_ZERO, a
-    rem = list(a)
+def _quotient(a: Poly, b: Poly):
+    """a / b in Z[q] for b nonzero, or None when b does not divide a in Z[q]."""
+    if not a:
+        return _P_ZERO
     db = len(b) - 1
+    if len(a) <= db:
+        return None
+    rem = list(a)
     lead = b[-1]
     quot = [0] * (len(a) - db)
     for k in range(len(a) - 1 - db, -1, -1):
-        c = _div(rem[k + db], lead)
+        c, r = divmod(rem[k + db], lead)
+        if r:
+            return None
         if c:
             quot[k] = c
-            for j in range(db + 1):
+            for j in range(db):
                 rem[k + j] -= c * b[j]
-    return _trim(quot), _trim(rem)
+    return None if any(rem[:db]) else tuple(quot)
 
 
 def poly_div_exact(a: Poly, b: Poly) -> Poly:
-    q, r = poly_divmod(a, b)
-    if r:
+    """a / b in Z[q]; raises ValueError unless b is nonzero and divides a."""
+    if not b:
+        raise ValueError("zero divisor")
+    quot = _quotient(a, b)
+    if quot is None:
         raise ValueError("inexact polynomial division")
-    return q
-
-
-def poly_monic(a: Poly) -> Poly:
-    if not a or a[-1] == 1:
-        return a
-    return _poly_over(a, a[-1])
+    return quot
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd; the zero polynomial only when both inputs are zero.
-
-    GCDHEU on the primitive integer parts, with the Euclidean algorithm
-    when the heuristic gives up.
-    """
+    """The gcd in Z[q], with positive leading coefficient; the zero
+    polynomial only when both inputs are zero."""
     if not a or not b:
-        return poly_monic(a or b)
-    if len(a) == 1 or len(b) == 1:
-        return _P_ONE
-    g = _heuristic_gcd(_primitive(a), _primitive(b))
-    if g is None:
-        return _euclid_gcd(a, b)
-    return poly_monic(g)
+        p = a or b
+        return poly_neg(p) if p and p[-1] < 0 else p
+    return _gcd_cofactors(a, b)[0]
 
 
-def _euclid_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via the Euclidean algorithm (remainders kept monic)."""
-    while b:
-        a, b = b, poly_monic(poly_divmod(a, b)[1])
-    return poly_monic(a)
+def _gcd_cofactors(a: Poly, b: Poly) -> tuple:
+    """(g, a / g, b / g) for g the gcd of nonzero a and b in Z[q], with
+    positive leading coefficient.
 
-
-def _primitive(a: Poly) -> list:
-    """The primitive integer polynomial that is a rational multiple of a != 0."""
-    if Fraction in map(type, a):
-        d = math.lcm(*(c.denominator for c in a))
-        a = [c.numerator * (d // c.denominator) for c in a]
-    g = math.gcd(*a)
-    return list(a) if g == 1 else [c // g for c in a]
-
-
-def _heuristic_gcd(f: list, g: list):
-    """The primitive gcd in Z[q] of primitive f and g of degree >= 1, or
-    None if the heuristic gives up.
-
-    Each try reads a candidate G off gcd(f(x), g(x)) in balanced base x.
-    For x >= 2 min(|f|, |g|) + 2, max norms, a primitive G dividing both
-    f and g is their gcd (Geddes, Czapor and Labahn, Algorithms for
-    Computer Algebra, 1992, Thm 7.7), so exact division certifies it.
+    g is the gcd of the contents times the gcd of the primitive parts:
+    GCDHEU, or the primitive remainder sequence when it gives up.
     """
-    x = 2 * min(max(map(abs, f)), max(map(abs, g))) + 2
+    if len(a) == 1 or len(b) == 1:
+        c = math.gcd(*a, *b)
+        return (c,), _over(a, c), _over(b, c)
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    f, g = _over(a, ca), _over(b, cb)
+    found = _heuristic_gcd(f, g)
+    if found is None:
+        G = _prs_gcd(f, g)
+        found = G, poly_div_exact(f, G), poly_div_exact(g, G)
+    G, qf, qg = found
+    c = math.gcd(ca, cb)
+    return _times(G, c), _times(qf, ca // c), _times(qg, cb // c)
+
+
+def _heuristic_gcd(f: Poly, g: Poly):
+    """(G, f / G, g / G) for G the gcd in Z[q] of primitive f and g of
+    degree >= 1, or None if the heuristic gives up.
+
+    Each try packs f and g at q = 2^k and reads a candidate G off the
+    gcd of the two values, made primitive; its leading coefficient is
+    positive, as the gcd is.  For 2^k >= 2 min(|f|, |g|) + 2, max norms,
+    a primitive G dividing both f and g is their gcd (Geddes, Czapor and
+    Labahn, Algorithms for Computer Algebra, 1992, Thm 7.7), so exact
+    division certifies it and gives the cofactors.
+    """
+    k = pack_width(min(max(map(abs, f)), max(map(abs, g))))
     for _ in range(_HEU_TRIES):
-        G = _balanced_digits(math.gcd(_eval_int(f, x), _eval_int(g, x)), x)
+        G = poly_unpack(math.gcd(poly_pack(f, k), poly_pack(g, k)), k)
         if len(G) == 1:
-            return _P_ONE
-        content = math.gcd(*G)
-        if content != 1:
-            G = [c // content for c in G]
-        if _divides(G, f) and _divides(G, g):
-            return tuple(G)
-        x = x * 73794 * math.isqrt(math.isqrt(x)) // 27011
+            return _P_ONE, f, g
+        G = _over(G, math.gcd(*G))
+        qf = _quotient(f, G)
+        qg = None if qf is None else _quotient(g, G)
+        if qg is not None:
+            return G, qf, qg
+        k += k // 4 + 2
     return None
 
 
-def _eval_int(f: list, x: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
+def _prs_gcd(f: Poly, g: Poly) -> Poly:
+    """The gcd of primitive f and g in Z[q], with positive leading
+    coefficient, by the primitive remainder sequence: each pseudo-remainder
+    is divided by its content (Geddes, Czapor and Labahn 1992, ch. 7)."""
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        rem = _pseudo_remainder(f, g)
+        f, g = g, _over(rem, math.gcd(*rem) or 1)
+    return poly_neg(f) if f[-1] < 0 else f
 
 
-def _balanced_digits(h: int, x: int) -> list:
-    """Digits of h > 0 in base x, each in (-x/2, x/2], lowest first."""
-    digits = []
-    half = x // 2
-    while h:
-        d = h % x
-        if d > half:
-            d -= x
-        digits.append(d)
-        h = (h - d) // x
-    return digits
-
-
-def _divides(g: list, f: list) -> bool:
-    """Whether g divides f in Z[q]; both nonzero."""
-    dg = len(g) - 1
-    if dg >= len(f):
-        return False
+def _pseudo_remainder(f: Poly, g: Poly) -> Poly:
+    """The remainder of lc(g)^(deg f - deg g + 1) f on division by g, over Z."""
     rem = list(f)
+    dg = len(g) - 1
     lead = g[-1]
     for k in range(len(f) - 1 - dg, -1, -1):
-        c, r = divmod(rem[k + dg], lead)
-        if r:
-            return False
-        if c:
-            for j in range(dg):
-                rem[k + j] -= c * g[j]
-    return not any(rem[:dg])
+        c = rem.pop()
+        rem = [lead * x for x in rem]
+        for j in range(dg):
+            rem[k + j] -= c * g[j]
+    return _trim(rem)
 
 
-def poly_eval(a: Poly, point: Fraction) -> Fraction:
+# -- the integer codec ---------------------------------------------------
+
+
+def pack_width(bound: int) -> int:
+    """The least k with 2^(k-1) > bound: at q = 2^k, a Z[q] polynomial whose
+    coefficients are at most bound in absolute value is read back exactly."""
+    return bound.bit_length() + 1
+
+
+def poly_pack(p: Poly, k: int) -> int:
+    """The value of the Z[q] polynomial p at q = 2^k."""
+    h = 0
+    for a in reversed(p):
+        h = (h << k) + a
+    return h
+
+
+def poly_unpack(h: int, k: int) -> Poly:
+    """The Z[q] polynomial whose value at q = 2^k is h, read as balanced
+    base-2^k digits in [-2^(k-1), 2^(k-1)).
+
+    A polynomial with coefficients below 2^(k-1) in absolute value is read
+    back exactly.  At k = 1 only the zero polynomial is, so h = 0 is the
+    only valid value.  Any other h raises ValueError: a positive one would
+    otherwise grow digits in {-1, 0} forever.
+    """
+    if k < 2 and h:
+        raise ValueError(f"no balanced base-2^{k} digits for a nonzero value")
+    digits = []
+    base = 1 << k
+    mask = base - 1
+    half = base >> 1
+    while h:
+        d = h & mask
+        h >>= k
+        if d >= half:
+            d -= base
+            h += 1
+        digits.append(d)
+    return tuple(digits)
+
+
+# -- evaluation and strings ----------------------------------------------
+
+
+def poly_eval(a, point: Fraction) -> Fraction:
     acc = _F0
     for c in reversed(a):
         acc = acc * point + c
     return acc
 
 
-def poly_wire(a: Poly) -> str:
+def poly_wire(a) -> str:
     """Unambiguous machine form: '+'-joined 'c*q^k' terms, highest degree first."""
     if not a:
         return "0"
@@ -276,8 +302,8 @@ def poly_wire(a: Poly) -> str:
     return "+".join(terms)
 
 
-def poly_parse_wire(s: str) -> Poly:
-    """The polynomial a poly_wire string names.
+def poly_parse_wire(s: str) -> tuple:
+    """The polynomial a poly_wire string names, with Fraction coefficients.
 
     Raises ValueError("bad polynomial term ...") on a malformed term,
     a negative exponent or one above WIRE_EXPONENT_BOUND included.
@@ -294,18 +320,18 @@ def poly_parse_wire(s: str) -> Poly:
             exp = int(k)
             if not 0 <= exp <= WIRE_EXPONENT_BOUND:
                 raise ValueError("exponent out of range")
-            coeffs[exp] = coeffs.get(exp, 0) + Fraction(c)
+            coeffs[exp] = coeffs.get(exp, _F0) + Fraction(c)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad polynomial term {term!r}") from None
     if not coeffs:
         return _P_ZERO
-    out = [0] * (max(coeffs) + 1)
+    out = [_F0] * (max(coeffs) + 1)
     for k, c in coeffs.items():
         out[k] = c
     return _trim(out)
 
 
-def poly_human(a: Poly) -> str:
+def poly_human(a) -> str:
     """Readable form such as 'q^2-q+3' or '1/2*q'."""
     if not a:
         return "0"
@@ -331,11 +357,12 @@ class Scalar:
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num, den=1):
+        """num / den for ints, Fractions, or tuples of them as polynomials."""
         if isinstance(num, Scalar) or isinstance(den, Scalar):
             raise TypeError("use arithmetic operators to combine scalars")
-        n, d = _reduce(_as_poly(num), _as_poly(den))
-        self.num = n
-        self.den = d
+        n, cn = _cleared(num)
+        d, cd = _cleared(den)
+        self.num, self.den = _reduce(_times(n, cd), _times(d, cn))
         self._hash = None
 
     @classmethod
@@ -393,9 +420,10 @@ class Scalar:
             return ZERO
         if self.den == _P_ONE and other.den == _P_ONE:
             return Scalar._new(poly_mul(self.num, other.num), _P_ONE)
-        # cross-cancel before multiplying to keep degrees small
-        n1, d2 = _cancel(self.num, other.den)
-        n2, d1 = _cancel(other.num, self.den)
+        # cross-cancel before multiplying to keep degrees small; the
+        # cofactors of positive dens keep positive leading coefficients
+        _, n1, d2 = _gcd_cofactors(self.num, other.den)
+        _, n2, d1 = _gcd_cofactors(other.num, self.den)
         return Scalar._new(poly_mul(n1, n2), poly_mul(d1, d2))
 
     __rmul__ = __mul__
@@ -407,10 +435,8 @@ class Scalar:
         if not other.num:
             raise ValueError("zero divisor")
         inv_num, inv_den = other.den, other.num
-        lead = inv_den[-1]
-        if lead != 1:
-            inv_num = _poly_over(inv_num, lead)
-            inv_den = _poly_over(inv_den, lead)
+        if inv_den[-1] < 0:
+            inv_num, inv_den = poly_neg(inv_num), poly_neg(inv_den)
         return self * Scalar._new(inv_num, inv_den)
 
     def __rtruediv__(self, other):
@@ -456,32 +482,36 @@ class Scalar:
             raise ValueError(f"pole at q = {point}")
         return poly_eval(self.num, point) / d
 
+    def _monic(self) -> tuple:
+        """(num / c, den / c) for c the leading coefficient of den, with
+        Fraction coefficients where c does not divide: the printed form."""
+        lead = self.den[-1]
+        if lead == 1:
+            return self.num, self.den
+        return (
+            tuple(Fraction(a, lead) for a in self.num),
+            tuple(Fraction(a, lead) for a in self.den),
+        )
+
     def __str__(self):
-        if self.den == _P_ONE:
-            return poly_human(self.num)
-        return f"({poly_human(self.num)})/({poly_human(self.den)})"
+        num, den = self._monic()
+        if len(den) == 1:
+            return poly_human(num)
+        return f"({poly_human(num)})/({poly_human(den)})"
 
     def __repr__(self):
         return f"Scalar({self})"
 
     def to_wire(self) -> str:
-        if self.den == _P_ONE:
-            return poly_wire(self.num)
-        return f"{poly_wire(self.num)} / {poly_wire(self.den)}"
+        num, den = self._monic()
+        if len(den) == 1:
+            return poly_wire(num)
+        return f"{poly_wire(num)} / {poly_wire(den)}"
 
     @classmethod
     def from_wire(cls, s: str) -> "Scalar":
         num, sep, den = s.partition(" / ")
-        n = poly_parse_wire(num)
-        d = poly_parse_wire(den) if sep else _P_ONE
-        return _make(n, d)
-
-
-def _cancel(a: Poly, b: Poly) -> tuple:
-    g = poly_gcd(a, b)
-    if len(g) > 1:
-        return poly_div_exact(a, g), poly_div_exact(b, g)
-    return a, b
+        return cls(poly_parse_wire(num), poly_parse_wire(den) if sep else 1)
 
 
 def _reduce(num: Poly, den: Poly) -> tuple:
@@ -490,11 +520,9 @@ def _reduce(num: Poly, den: Poly) -> tuple:
     if not num:
         return _P_ZERO, _P_ONE
     if den != _P_ONE:
-        num, den = _cancel(num, den)
-        lead = den[-1]
-        if lead != 1:
-            num = _poly_over(num, lead)
-            den = _poly_over(den, lead)
+        _, num, den = _gcd_cofactors(num, den)
+        if den[-1] < 0:
+            num, den = poly_neg(num), poly_neg(den)
     return num, den
 
 
@@ -516,8 +544,11 @@ def scal(x) -> Scalar:
         return x
     if isinstance(x, int) and x in _SMALL:
         return _SMALL[x]
-    if isinstance(x, (int, Fraction)):
-        return Scalar._new(poly_from_fraction(x), _P_ONE)
+    if isinstance(x, int):
+        return Scalar._new((x,), _P_ONE)
+    if isinstance(x, Fraction):
+        num = x.numerator
+        return Scalar._new((num,) if num else _P_ZERO, (x.denominator,))
     raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
 
 

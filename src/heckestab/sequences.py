@@ -500,7 +500,9 @@ def degrees(V: ConsistentSequence, a_max: int) -> dict:
 
     Probes every pair 0 <= a <= a_max, 0 <= n < n_max - a.  An observed
     degree is the least s making the property hold at every probed (a, n)
-    with n >= s, or None when no probed window suffices.  All statements
+    with n >= s, or None when no probed window suffices or every probe at
+    n >= s is a 0 -> 0 map, which holds both properties vacuously.  This
+    includes the case with no probes at all.  All statements
     are relative to the truncation.  Each module's quotients for every
     a <= a_max come from one tail elimination (coinvariant_quotients), and
     the report is kept on V per a_max, so it is computed once per tower.
@@ -535,16 +537,23 @@ def _degrees(V: ConsistentSequence, a_max: int) -> dict:
         probes.append({"a": a, "results": results})
 
     probed = [row for block in probes for row in block["results"]]
+    # the largest n of a probe that is not 0 -> 0; a degree needs one at or
+    # above it, since a 0 -> 0 map is injective and surjective vacuously
+    evidence = max(
+        (row["n"] for row in probed if row["dim_source"] or row["dim_target"]),
+        default=-1,
+    )
 
     def least_degree(*keys):
-        """Least s <= max_n with every key true at every probed n >= s."""
+        """Least s <= max_n with every key true at every probed n >= s, and
+        a probe other than 0 -> 0 at some n >= s."""
         onset = _onset(
             [
                 all(row[k] for row in probed if row["n"] == n for k in keys)
                 for n in range(max_n + 1)
             ]
         )
-        return None if onset > max_n else onset
+        return None if onset > min(max_n, evidence) else onset
 
     injective = least_degree("injective")
     surjective = least_degree("surjective")

@@ -24,8 +24,8 @@ chains of broken border strips of sizes mu_1, mu_2, ... filling lam, see
 partitions.hecke_character.  No Specht module is built for it.  At q = 1
 the table is the S_n character table; its column orthogonality, checked
 exactly once per rank, certifies that it is invertible and gives the
-inverse.  The traces of V are solved against it at q = 1 over Q, and the
-solution is certified exactly over Q(q).
+inverse.  The traces of V, which lie in Z[q] for a module, are solved
+against it at q = 1 over Q, and the solution is certified exactly in Z[q].
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .partitions import (
     syt_count,
     syt_enumerate,
 )
-from .qfield import ONE, Q, ZERO, Scalar, q_power, scal
+from .qfield import ONE, Q, Scalar, poly_add, q_power, scal
 from .symgroup import Permutation, conjugacy_min_reps
 
 __all__ = [
@@ -187,22 +187,6 @@ class CharacterTable:
                     raise ValueError("degenerate character table")
         self._inverse_at_one = inverse
 
-    def multiplicities(self, traces) -> dict:
-        """The m_lam in Q with sum_lam m_lam chi_lam(w_mu) = traces[mu].
-
-        Solved at q = 1, then certified exactly over Q(q).  A pole at q = 1
-        or a failed certificate means the Q(q) solution is not constant.
-        """
-        try:
-            at_one = [t.specialize(1) for t in traces]
-        except ValueError:
-            raise ValueError("not a module") from None
-        sol = [sum(x * y for x, y in zip(row, at_one)) for row in self._inverse_at_one]
-        for ci, t in enumerate(traces):
-            if sum((m * row[ci] for m, row in zip(sol, self.values) if m), ZERO) != t:
-                raise ValueError("not a module")
-        return dict(zip(self.row_labels, sol))
-
 
 def _centralizer_order(mu) -> int:
     """z_mu = prod_i i^{m_i} m_i!, the order of the centralizer of a
@@ -222,24 +206,38 @@ def character_table(n: int) -> CharacterTable:
 def decompose(V: ModulePresentation) -> dict:
     """Multiplicities of each S^lam in V, by solving against the table.
 
-    Raises ValueError('not a module') if the solution is not made of
-    nonnegative integers summing (with dimensions) to dim V.
+    A module's traces are sum_lam m_lam chi^lam with integers m_lam >= 0,
+    and every chi^lam lies in Z[q], so each trace t must lie in Z[q]; its
+    value at q = 1 is then sum(t.num).  The m_lam are read off these
+    values through the inverse of the q = 1 table and certified: they are
+    nonnegative integers, sum (with dimensions) to dim V, and reproduce
+    every t.num in Z[q].  Anything else raises ValueError('not a module').
+
+    These are exactly the traces a solution over Q(q) accepts.  If that
+    solution is made of nonnegative integers m_lam, then t = sum m_lam
+    chi^lam lies in Z[q] and passes here with the same m_lam; if the
+    traces pass here, those m_lam solve the system over Q(q).
     """
     table = character_table(V.n)
     traces = [character(V, w) for w in table.class_reps]
-    sol = table.multiplicities(traces)
-    out = {}
-    total = 0
-    for lam, c in sol.items():
-        if not c:
-            continue
-        if c.denominator != 1 or c < 0:
-            raise ValueError("not a module")
-        out[lam] = int(c)
-        total += int(c) * syt_count(lam)
-    if total != V.dim:
+    if any(t.den != (1,) for t in traces):
         raise ValueError("not a module")
-    return out
+    at_one = [sum(t.num) for t in traces]
+    sol = [sum(x * y for x, y in zip(row, at_one)) for row in table._inverse_at_one]
+    if any(m.denominator != 1 or m < 0 for m in sol):
+        raise ValueError("not a module")
+    sol = [int(m) for m in sol]
+    dims = (m * syt_count(lam) for m, lam in zip(sol, table.row_labels) if m)
+    if sum(dims) != V.dim:
+        raise ValueError("not a module")
+    for ci, t in enumerate(traces):
+        acc = ()
+        for m, row in zip(sol, table.values):
+            if m:
+                acc = poly_add(acc, tuple(m * c for c in row[ci].num))
+        if acc != t.num:
+            raise ValueError("not a module")
+    return {lam: m for lam, m in zip(table.row_labels, sol) if m}
 
 
 def coinvariant_quotient(V: ModulePresentation, a: int):

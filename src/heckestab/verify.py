@@ -133,7 +133,10 @@ def degree_theorems(n_max=6):
             return False, (
                 f"M(S^{lam}) stability degree {report['stability_degree']} != {lam[0]}"
             )
-    return True, "M(m): inj 0, surj m for m <= 3; M(S^lam): stability degree lam_1 for 5 shapes"
+    return True, (
+        "M(m): inj 0, surj m for m <= 3; M(S^lam): stability degree lam_1"
+        f" for {len(SPECHT_SET)} shapes"
+    )
 
 
 def weight_theorem(n_max=6):
@@ -142,7 +145,8 @@ def weight_theorem(n_max=6):
     for lam, w in got.items():
         if w != sum(lam):
             return False, f"weight(M(S^{lam})) = {w} != {sum(lam)}"
-    return True, f"weights {[got[lam] for lam in SPECHT_SET]} equal |lam| for 5 shapes"
+    weights = [got[lam] for lam in SPECHT_SET]
+    return True, f"weights {weights} equal |lam| for {len(SPECHT_SET)} shapes"
 
 
 def stability_pipeline(n_max=6):

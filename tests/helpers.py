@@ -58,11 +58,11 @@ def sign_rep(n: int) -> ModulePresentation:
 
 
 def is_constant(c: Scalar) -> bool:
-    return len(c.num) <= 1 and c.den == (1,)
+    return len(c.num) <= 1 and len(c.den) == 1
 
 
 def as_fraction(c: Scalar) -> Fraction:
     """The value of a constant scalar, as a Fraction."""
     if not is_constant(c):
         raise ValueError(f"not a constant: {c}")
-    return Fraction(c.num[0]) if c.num else Fraction(0)
+    return Fraction(c.num[0], c.den[0]) if c.num else Fraction(0)

@@ -52,9 +52,11 @@ class TestNormalization:
         assert s.den == poly(1)
 
     def test_denominator_made_monic(self):
+        # stored over Z[q]; printed as the monic view 1/2 over q
         s = Scalar(poly(1), poly(0, 2))
-        assert s.den == poly(0, 1)
-        assert s.num == poly(Fraction(1, 2))
+        assert (s.num, s.den) == ((1,), (0, 2))
+        assert s.to_wire() == "1/2*q^0 / 1*q^1"
+        assert str(s) == "(1/2)/(q)"
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError, match="zero divisor"):
@@ -66,9 +68,12 @@ class TestNormalization:
 
     @given(scalars())
     def test_num_den_coprime_and_den_monic(self, a):
-        g = poly_gcd(a.num, a.den)
-        assert g == () or g == poly(1)
-        assert a.den[-1] == 1
+        # coprime in Z[q], constants included; den has a positive leading
+        # coefficient and is monic in the printed form
+        assert poly_gcd(a.num, a.den) == (1,)
+        assert a.den[-1] > 0
+        _, _, den = a.to_wire().partition(" / ")
+        assert den == "" or den.startswith(f"1*q^{len(a.den) - 1}")
 
 
 class TestArithmetic:

@@ -1,10 +1,14 @@
-"""Differential tests of the Q(q) kernel against the Fraction reference.
+"""Differential tests of the Z[q] kernel against the Fraction reference.
 
-``fraction_kernel`` is the all-Fraction, Euclid-gcd arithmetic the kernel
-replaced.  Both must give equal results; the kernel's results must also be
-in normal form: integral coefficients stored as int, the rest as Fraction.
+``fraction_kernel`` is the all-Fraction, Euclid-gcd arithmetic over Q[q]
+that the kernel replaced.  A kernel scalar num/den is compared with it on
+the monic view num/c over den/c, c the leading coefficient of den, which
+is the reference's normal form.  The kernel's own results must also be in
+its normal form: int coefficients only, num and den with no common factor
+in Z[q] (constants included), den with positive leading coefficient.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +16,7 @@ from hypothesis import given, strategies as st
 
 import fraction_kernel as ref
 from heckestab import qfield
-from heckestab.qfield import Scalar, poly_divmod, poly_gcd, poly_mul
+from heckestab.qfield import Scalar, poly_div_exact, poly_gcd, poly_mul
 
 
 @st.composite
@@ -24,43 +28,64 @@ def small_fractions(draw):
 
 
 coefficients = st.one_of(st.integers(min_value=-20, max_value=20), small_fractions())
+integers = st.integers(min_value=-20, max_value=20)
 wide_coefficients = st.integers(min_value=-10**6, max_value=10**6)
 
 
-def normal(coeffs) -> tuple:
-    """Coefficients in the kernel's normal form, trailing zeros dropped."""
-    coeffs = [Fraction(c) for c in coeffs]
+def trimmed(coeffs) -> tuple:
+    coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
-    return tuple(c.numerator if c.denominator == 1 else c for c in coeffs)
-
-
-def is_normal(p) -> bool:
-    return (not p or p[-1] != 0) and all(
-        type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in p
-    )
+    return tuple(coeffs)
 
 
 def as_ref(p) -> tuple:
     return tuple(Fraction(c) for c in p)
 
 
-@st.composite
-def polys(draw, elements=coefficients, min_size=0, max_size=6):
-    return normal(draw(st.lists(elements, min_size=min_size, max_size=max_size)))
+def monic(s: Scalar) -> tuple:
+    """The monic view of s, as a reference pair."""
+    lead = s.den[-1]
+    return (
+        tuple(Fraction(c, lead) for c in s.num),
+        tuple(Fraction(c, lead) for c in s.den),
+    )
+
+
+def coprime(a, b) -> bool:
+    """No common factor in Z[q]: coprime over Q (reference gcd) and with
+    coprime contents, by Gauss's lemma."""
+    return (
+        math.gcd(*a, *b) == 1
+        and ref.poly_gcd(as_ref(a), as_ref(b)) == ref.P_ONE
+    )
+
+
+def assert_normal(s: Scalar) -> None:
+    assert all(type(c) is int for c in s.num + s.den)
+    assert trimmed(s.num) == s.num and trimmed(s.den) == s.den
+    assert s.den and s.den[-1] > 0
+    assert coprime(s.num, s.den)
+    if not s.num:
+        assert s.den == (1,)
 
 
 @st.composite
-def nonzero_polys(draw, elements=coefficients, max_size=6):
+def polys(draw, elements=integers, min_size=0, max_size=6):
+    return trimmed(draw(st.lists(elements, min_size=min_size, max_size=max_size)))
+
+
+@st.composite
+def nonzero_polys(draw, elements=integers, max_size=6):
     p = draw(polys(elements, min_size=1, max_size=max_size))
     return p or (1,)
 
 
 @st.composite
 def gcd_pairs(draw):
-    """Two polynomials sharing a random factor, so gcds are often nontrivial;
-    either may be zero, and the factor may be a constant."""
-    elements = draw(st.sampled_from([coefficients, wide_coefficients]))
+    """Two Z[q] polynomials sharing a random factor, so gcds are often
+    nontrivial; either may be zero, and the factor may be a constant."""
+    elements = draw(st.sampled_from([integers, wide_coefficients]))
     common = draw(nonzero_polys(elements, max_size=4))
     a = poly_mul(draw(polys(elements, max_size=5)), common)
     b = poly_mul(draw(polys(elements, max_size=5)), common)
@@ -69,38 +94,65 @@ def gcd_pairs(draw):
 
 @st.composite
 def scalars(draw):
-    num = draw(polys())
-    den = draw(nonzero_polys())
+    num = draw(polys(coefficients))
+    den = draw(nonzero_polys(coefficients))
     return Scalar(num, den)
 
 
-def assert_scalar_matches(s: Scalar, pair: tuple) -> None:
-    assert is_normal(s.num) and is_normal(s.den)
-    assert (s.num, s.den) == pair
+def assert_gcd(a, b, g) -> None:
+    """g is the Z[q] gcd of a and b: the reference's gcd over Q times the
+    gcd of the contents, with positive leading coefficient."""
+    if not a and not b:
+        assert g == ()
+        return
+    assert all(type(c) is int for c in g) and g[-1] > 0
+    assert math.gcd(*g) == math.gcd(*a, *b)
+    lead = g[-1]
+    assert tuple(Fraction(c, lead) for c in g) == ref.poly_gcd(as_ref(a), as_ref(b))
+
+
+def assert_cofactors(a, b, found) -> None:
+    g, x, y = found
+    assert_gcd(a, b, g)
+    assert poly_mul(g, x) == a and poly_mul(g, y) == b
+    assert coprime(x, y)
+
+
+def assert_matches(s: Scalar, pair: tuple) -> None:
+    assert_normal(s)
+    assert monic(s) == pair
 
 
 class TestPolynomialKernel:
     @given(polys(), polys())
     def test_mul(self, a, b):
         out = poly_mul(a, b)
-        assert is_normal(out)
+        assert all(type(c) is int for c in out)
         assert out == ref.poly_mul(as_ref(a), as_ref(b))
 
     @given(polys(max_size=8), nonzero_polys())
-    def test_divmod(self, a, b):
-        quot, rem = poly_divmod(a, b)
-        assert is_normal(quot) and is_normal(rem)
-        assert (quot, rem) == ref.poly_divmod(as_ref(a), as_ref(b))
+    def test_div_exact(self, a, b):
+        assert poly_div_exact(poly_mul(a, b), b) == a
+        quot, rem = ref.poly_divmod(as_ref(a), as_ref(b))
+        if rem or any(c.denominator != 1 for c in quot):
+            with pytest.raises(ValueError, match="inexact"):
+                poly_div_exact(a, b)
+        else:
+            assert poly_div_exact(a, b) == quot
 
     @given(gcd_pairs())
     def test_gcd(self, pair):
         a, b = pair
-        g = poly_gcd(a, b)
-        assert is_normal(g)
-        assert g == ref.poly_gcd(as_ref(a), as_ref(b))
+        assert_gcd(a, b, poly_gcd(a, b))
 
     @given(gcd_pairs())
-    def test_euclid_fallback(self, pair):
+    def test_gcd_cofactors(self, pair):
+        a, b = pair
+        if a and b:
+            assert_cofactors(a, b, qfield._gcd_cofactors(a, b))
+
+    @given(gcd_pairs())
+    def test_prs_fallback(self, pair):
         a, b = pair
         calls = []
 
@@ -110,44 +162,65 @@ class TestPolynomialKernel:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(qfield, "_heuristic_gcd", give_up)
-            g = poly_gcd(a, b)
-        assert is_normal(g)
-        assert g == ref.poly_gcd(as_ref(a), as_ref(b))
+            assert_gcd(a, b, poly_gcd(a, b))
+            if a and b:
+                assert_cofactors(a, b, qfield._gcd_cofactors(a, b))
         assert bool(calls) == (len(a) > 1 and len(b) > 1)
 
     def test_heuristic_retries_at_larger_points(self, monkeypatch):
-        # at the first point x = 4, gcd(f(4), g(4)) = gcd(24, 3) = 3 reads
+        # at the first point 2^2, gcd(f(4), g(4)) = gcd(24, 3) = 3 reads
         # back as q - 1, which does not divide f; a larger point finds 1
-        f, g = [0, 2, 1], [-1, 1]
-        assert qfield._heuristic_gcd(f, g) == (1,)
+        f, g = (0, 2, 1), (-1, 1)
+        assert qfield._heuristic_gcd(f, g) == ((1,), f, g)
         monkeypatch.setattr(qfield, "_HEU_TRIES", 1)
         assert qfield._heuristic_gcd(f, g) is None
-        assert poly_gcd(tuple(f), tuple(g)) == (1,)
+        assert poly_gcd(f, g) == (1,)
+        assert qfield._gcd_cofactors(f, g) == ((1,), f, g)
 
 
 class TestScalarKernel:
     @given(scalars(), scalars())
     def test_add_sub_mul(self, a, b):
-        x, y = (as_ref(a.num), as_ref(a.den)), (as_ref(b.num), as_ref(b.den))
-        assert_scalar_matches(a + b, ref.add(x, y))
-        assert_scalar_matches(a - b, ref.sub(x, y))
-        assert_scalar_matches(a * b, ref.mul(x, y))
+        x, y = monic(a), monic(b)
+        assert_matches(a + b, ref.add(x, y))
+        assert_matches(a - b, ref.sub(x, y))
+        assert_matches(a * b, ref.mul(x, y))
 
     @given(scalars(), scalars())
     def test_div(self, a, b):
         if not b:
             return
-        x, y = (as_ref(a.num), as_ref(a.den)), (as_ref(b.num), as_ref(b.den))
-        assert_scalar_matches(a / b, ref.div(x, y))
+        assert_matches(a / b, ref.div(monic(a), monic(b)))
 
-    @given(polys(), nonzero_polys())
+    @given(polys(coefficients), nonzero_polys(coefficients))
     def test_constructor_reduces_like_reference(self, num, den):
-        assert_scalar_matches(Scalar(num, den), ref.reduce(as_ref(num), as_ref(den)))
+        assert_matches(Scalar(num, den), ref.reduce(as_ref(num), as_ref(den)))
+
+    @given(scalars())
+    def test_wire_and_str_print_the_monic_view(self, a):
+        num, den = monic(a)
+        if den == ref.P_ONE:
+            wire, human = qfield.poly_wire(num), qfield.poly_human(num)
+        else:
+            wire = f"{qfield.poly_wire(num)} / {qfield.poly_wire(den)}"
+            human = f"({qfield.poly_human(num)})/({qfield.poly_human(den)})"
+        assert a.to_wire() == wire and str(a) == human
+        back = Scalar.from_wire(wire)
+        assert (back.num, back.den) == (a.num, a.den)
 
     def test_integral_values_stored_as_int(self):
         s = Scalar((Fraction(4, 2), Fraction(6)), (Fraction(2),))
         assert s.num == (1, 3) and all(type(c) is int for c in s.num + s.den)
         assert [type(c) for c in Scalar((Fraction(3, 3),)).num] == [int]
+
+    def test_rational_constants_keep_their_denominator(self):
+        half = Scalar(Fraction(-1, 2))
+        assert (half.num, half.den) == ((-1,), (2,))
+        assert str(half) == "-1/2" and half.to_wire() == "-1/2*q^0"
+        # 2/(-4q) = -1/(2q): the content cancels and the sign moves up
+        s = Scalar(2, (0, -4))
+        assert (s.num, s.den) == ((-1,), (0, 2))
+        assert str(s) == "(-1/2)/(q)"
 
 
 class TestAgainstSympy:
@@ -164,7 +237,6 @@ class TestAgainstSympy:
 
         def coeffs(p):
             values = reversed(p.all_coeffs())
-            return normal(Fraction(int(c.p), int(c.q)) / lead for c in values)
+            return trimmed(Fraction(int(c.p), int(c.q)) / lead for c in values)
 
-        s = Scalar(num, den)
-        assert (s.num, s.den) == (coeffs(top), coeffs(bottom))
+        assert monic(Scalar(num, den)) == (coeffs(top), coeffs(bottom))

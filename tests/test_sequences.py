@@ -443,6 +443,20 @@ class TestDegrees:
         assert degrees(build_M_specht((2,), 5), 2)["stability_degree"] == 2
         assert degrees(build_M_specht((1, 1), 5), 2)["stability_degree"] == 1
 
+    def test_zero_probes_give_no_degree(self):
+        # every Phi_a map of M(S^(1,1,1)) at a <= 1 is 0 -> 0, and n_max = 0
+        # has no probe at all: neither is evidence of any degree
+        column = build_M_specht((1, 1, 1), 6)
+        for V, a_max in ((column, 1), (build_Mm(1, 0), 0)):
+            report = degrees(V, a_max)
+            for key in ("injective_degree", "surjective_degree", "stability_degree"):
+                assert report[key] is None
+        verdict = is_uniformly_stable(column, a_max=1)
+        assert verdict["predicted_bound"] is None
+        assert not verdict["within_predicted"]
+        # Phi_2 is the first nonzero one, and it shows degree lam_1
+        assert degrees(column, 2)["stability_degree"] == 1
+
     def test_report_metadata(self):
         report = degrees(build_Mm(1, 4), 1)
         assert report["mode"] == "exact"
