@@ -32,6 +32,15 @@ coefficients need the bound.  The terms of x are grouped by their smallest
 left descent, so terms whose reduced words share a leading letter share
 that generator pass.
 
+Every step of the fold depends on the rank alone: s_i w and whether it is
+longer than w, the smallest left descent of w, and the Permutation that
+keys an output term.  They are read from one memo per rank, keyed by
+one-line tuples and filled on first read.  For n <= REGULAR_BOUND the memo
+is kept for the life of the process; it holds at most n!(n-1) steps, and
+regular_representation builds its generator matrices from the same steps.
+Above the bound no table of S_n is feasible, so each product fills a memo
+of its own, which dies with the call.
+
 Modules are given concretely as ModulePresentation: one exact matrix per
 generator, acting on column vectors, with all defining relations verified
 at construction time.  Relation checks and traces run on packed integers
@@ -184,13 +193,50 @@ def mult(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     xs = {w.one_line: poly_pack(c, k) for w, c in zip(x.coeffs, X)}
     ys = {w.one_line: poly_pack(c, k) for w, c in zip(y.coeffs, Y)}
     den = poly_mul(dx, dy)
-    for w, h in _fold(xs, ys, k).items():
+    memo = _kept_steps(x.n) if x.n <= REGULAR_BOUND else _Steps()
+    perms = memo.perms
+    for w, h in _fold(xs, ys, k, memo).items():
         if h:
             num = poly_unpack(h, k)
-            out.coeffs[Permutation(w)] = (
+            out.coeffs[perms[w]] = (
                 Scalar._new(num, den) if den == (1,) else Scalar(num, den)
             )
     return out
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key) on first read."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+class _Steps:
+    """What the fold reads of S_n, keyed by one-line tuples w:
+    steps[i][w] = (s_i w, whether l(s_i w) > l(w)), descents[w] = the
+    smallest left descent of w, and perms[w] = Permutation(w).  Every key
+    is a factor's one-line tuple or a left step of one, so a permutation:
+    perms builds it without checking it again."""
+
+    __slots__ = ("steps", "descents", "perms")
+
+    def __init__(self):
+        self.steps = _Memo(lambda i: _Memo(lambda w: left_step(w, i)))
+        self.descents = _Memo(first_descent)
+        self.perms = _Memo(Permutation._new)
+
+
+@lru_cache(maxsize=None)
+def _kept_steps(n: int) -> _Steps:
+    """The memo of S_n for n <= REGULAR_BOUND, kept for the process."""
+    return _Steps()
 
 
 def _integral(scalars) -> tuple:
@@ -214,23 +260,25 @@ def _l1(p) -> int:
     return sum(map(abs, p))
 
 
-def _fold(xs: dict, ys: dict, k: int) -> dict:
+def _fold(xs: dict, ys: dict, k: int, memo: _Steps) -> dict:
     """sum_w c_w T_w y at q = 2^k, for xs = {one-line w: c_w} and y = ys.
 
     T_w = T_{s_i} T_{s_i w} for the smallest left descent i of w, so the
     terms are grouped by i and each group costs one generator pass, after
     the product of its shorter words, which recurse the same way.
     """
+    steps = memo.steps
+    descents = memo.descents
     groups: dict = {}
     parts = []
     for w, c in xs.items():
-        i = first_descent(w)
+        i = descents[w]
         if i:
-            groups.setdefault(i, {})[left_step(w, i)[0]] = c
+            groups.setdefault(i, {})[steps[i][w][0]] = c
         else:
             parts.append({v: c * b for v, b in ys.items()})
     for i, sub in groups.items():
-        parts.append(_left_mult(i, _fold(sub, ys, k), k))
+        parts.append(_left_mult(steps[i], _fold(sub, ys, k, memo), k))
     out = max(parts, key=len)
     for part in parts:
         if part is not out:
@@ -239,19 +287,24 @@ def _fold(xs: dict, ys: dict, k: int) -> dict:
     return out
 
 
-def _left_mult(i: int, acc: dict, k: int) -> dict:
-    """T_{s_i} acc at q = 2^k: c, c << k and (c << k) - c are c, qc and (q-1)c."""
+def _left_mult(step: dict, acc: dict, k: int) -> dict:
+    """T_{s_i} acc at q = 2^k, for step = {w: (s_i w, l(s_i w) > l(w))}:
+    c, c << k and (c << k) - c are c, qc and (q-1)c.
+
+    When s_i w is shorter than w, T_{s_i w} receives from T_w alone (the
+    other rule writes only to the longer word), so it is set, not added to.
+    """
     out: dict = {}
     get = out.get
     for w, c in acc.items():
         if not c:
             continue
-        sw, longer = left_step(w, i)
+        sw, longer = step[w]
         if longer:
             out[sw] = get(sw, 0) + c
         else:
             qc = c << k
-            out[sw] = get(sw, 0) + qc
+            out[sw] = qc
             out[w] = get(w, 0) + qc - c
     return out
 
@@ -471,11 +524,13 @@ def regular_representation(n: int) -> ModulePresentation:
 def _verified_regular(n: int) -> ModulePresentation:
     basis = [w.one_line for w in permutations_of(n)]
     index = {w: t for t, w in enumerate(basis)}
+    steps = _kept_steps(n).steps
     gens = []
     for i in range(1, n):
+        step = steps[i]
         entries = {}
         for t, w in enumerate(basis):
-            sw, longer = left_step(w, i)
+            sw, longer = step[w]
             if longer:
                 entries[(index[sw], t)] = ONE
             else:

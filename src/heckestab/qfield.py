@@ -39,6 +39,7 @@ is always exact.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -71,6 +72,9 @@ _HEU_TRIES = 6
 # ask for; the Specht generators with |lam| <= 7 reach q^11.
 WIRE_EXPONENT_BOUND = 64
 
+# The coefficient forms poly_wire writes: an int, or a fraction of two ints.
+_WIRE_COEFFICIENT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
 
 def _trim(coeffs: list) -> Poly:
     """The polynomial with these coefficients: no trailing zeros."""
@@ -81,11 +85,19 @@ def _trim(coeffs: list) -> Poly:
 
 def _cleared(x) -> tuple:
     """(p, c) with p in Z[q], c a positive int and x = p / c, for a tuple
-    of int or Fraction coefficients, or for one coefficient."""
+    of int or Fraction coefficients, or for one coefficient.
+
+    Any other coefficient raises TypeError: a float would otherwise enter
+    as the binary fraction nearest to it, and a string as whatever
+    Fraction parses it as.
+    """
     if type(x) is not tuple:
         x = (x,)
     if all(type(a) is int for a in x):
         return _trim(list(x)), 1
+    for a in x:
+        if not isinstance(a, (int, Fraction)):
+            raise TypeError(f"not an exact coefficient: {a!r}")
     coeffs = [Fraction(a) for a in x]
     c = math.lcm(*(a.denominator for a in coeffs))
     return _trim([a.numerator * (c // a.denominator) for a in coeffs]), c
@@ -305,8 +317,10 @@ def poly_wire(a) -> str:
 def poly_parse_wire(s: str) -> tuple:
     """The polynomial a poly_wire string names, with Fraction coefficients.
 
-    Raises ValueError("bad polynomial term ...") on a malformed term,
-    a negative exponent or one above WIRE_EXPONENT_BOUND included.
+    Raises ValueError("bad polynomial term ...") on a malformed term: a
+    coefficient in a form poly_wire does not write (a decimal such as 0.5
+    or 1e3 included), a negative exponent or one above
+    WIRE_EXPONENT_BOUND.
     """
     s = s.strip()
     if s == "0":
@@ -314,7 +328,7 @@ def poly_parse_wire(s: str) -> tuple:
     coeffs: dict = {}
     for term in s.split("+"):
         c, _, k = term.partition("*q^")
-        if not k:
+        if not k or not _WIRE_COEFFICIENT.fullmatch(c):
             raise ValueError(f"bad polynomial term {term!r}")
         try:
             exp = int(k)

@@ -15,6 +15,7 @@ compositions (tuples of nonnegative integers summing to n) whose parts cut
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 
 __all__ = [
     "Permutation",
@@ -40,6 +41,14 @@ class Permutation:
             raise ValueError(f"not a permutation of 1..{len(ol)}: {ol}")
         self.one_line = ol
         self._len = None
+
+    @classmethod
+    def _new(cls, one_line: tuple) -> "Permutation":
+        """Internal constructor for a tuple already known to be a permutation."""
+        self = object.__new__(cls)
+        self.one_line = one_line
+        self._len = None
+        return self
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -74,14 +83,19 @@ class Permutation:
 
     @property
     def length(self) -> int:
-        """Coxeter length = number of inversions."""
+        """Coxeter length = number of inversions.
+
+        Each value is placed into the sorted list of the values left of
+        it; the values it is inserted before are its inversions.
+        """
         if self._len is None:
-            ol = self.one_line
-            self._len = sum(
-                1
-                for a, b in itertools.combinations(range(self.n), 2)
-                if ol[a] > ol[b]
-            )
+            seen: list = []
+            count = 0
+            for v in self.one_line:
+                j = bisect_left(seen, v)
+                count += len(seen) - j
+                seen.insert(j, v)
+            self._len = count
         return self._len
 
     def reduced_word(self) -> tuple:

@@ -423,6 +423,20 @@ class TestErrorsAndDeterminism:
         assert len(err.splitlines()) == 1
         assert "bad polynomial term" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("wire", ["0.5*q^1", "1e3*q^0", "1*q^1+-0.25*q^0"])
+    def test_decimal_coefficient_in_tower_file(self, capsys, tmp_path, wire):
+        # to_wire never writes a decimal, so such a file is bad input
+        obj = sequence_to_json_obj(build_Mm(1, 3))
+        obj["modules"][2]["generators"][0]["entries"][0][2] = wire
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "seq", "degrees", "--in", str(bad), "--amax", "1")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert "bad polynomial term" in json.loads(err)["error"]
+
     @pytest.mark.parametrize(
         "where, value, message",
         [

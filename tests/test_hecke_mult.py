@@ -7,6 +7,8 @@ path: integers, non-integral rationals, integers of at least 2^80 (a wide
 packing width) and the denominators q, q - 1 and q^2 + 1.
 """
 
+import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -14,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hecke_reference as ref
-from heckestab.hecke import HeckeElement, mult
+from heckestab import hecke
+from heckestab.hecke import REGULAR_BOUND, HeckeElement, mult
 from heckestab.qfield import ONE, Q, Scalar, poly_pack, poly_unpack
 from heckestab.symgroup import Permutation, permutations_of
 
@@ -117,6 +120,85 @@ class TestAgainstScalarFold:
         x = HeckeElement.one(3).scale((Q - 1) / Q)
         y = HeckeElement.basis(3, Permutation((2, 1, 3))).scale(Q / (Q - 1))
         assert mult(x, y) == HeckeElement.basis(3, Permutation((2, 1, 3)))
+
+
+def seeded_element(n: int, seed: int) -> HeckeElement:
+    """Three terms of S_n with rational coefficients and the denominators
+    q, q - 1 and q^2 + 1, whose products cancel against each other."""
+    rng = random.Random(seed)
+    words = set()
+    while len(words) < 3:
+        words.add(tuple(rng.sample(range(1, n + 1), n)))
+    coefficients = (
+        Scalar((Fraction(-2, 3), 1)) / Q,
+        Q / (Q - 1) * Fraction(5, 2),
+        Scalar((Fraction(1, 2), 0, 3)) / (Q * Q + 1),
+    )
+    return HeckeElement(n, {Permutation(w): c for w, c in zip(sorted(words), coefficients)})
+
+
+class TestStepMemo:
+    """Left steps come from one memo per rank: kept for n <= REGULAR_BOUND,
+    made afresh for each product above it."""
+
+    @pytest.mark.parametrize("n", [REGULAR_BOUND, REGULAR_BOUND + 1])
+    def test_against_scalar_fold_on_both_sides_of_the_bound(self, n):
+        x, y = seeded_element(n, 1), seeded_element(n, 2)
+        for a, b in ((x, y), (y, x), (x, x)):
+            got = mult(a, b)
+            assert got == ref.mult(a, b)
+            assert in_normal_form(got)
+
+    @pytest.mark.parametrize("n", [REGULAR_BOUND, REGULAR_BOUND + 1])
+    def test_cancelling_coefficients(self, n):
+        # x (T_s - q)(T_s + 1) = 0, and (q-1)/q T_u times q/(q-1) T_v is T_u T_v
+        x = seeded_element(n, 3)
+        s = HeckeElement.basis(n, Permutation.simple(n, 1))
+        one = HeckeElement.one(n)
+        assert mult(mult(x, s - one.scale(Q)), s + one) == HeckeElement(n)
+        u, v = (Permutation(w) for w in ((2, 1, *range(3, n + 1)), tuple(range(n, 0, -1))))
+        got = mult(
+            HeckeElement.basis(n, u).scale((Q - 1) / Q),
+            HeckeElement.basis(n, v).scale(Q / (Q - 1)),
+        )
+        assert got == ref.mult(HeckeElement.basis(n, u), HeckeElement.basis(n, v))
+
+    def test_kept_memo_is_bounded_by_the_group(self):
+        n = REGULAR_BOUND
+        for seed in range(4):
+            mult(seeded_element(n, seed), longest(n))
+        mult(longest(n), longest(n))
+        memo = hecke._kept_steps(n)
+        assert sum(map(len, memo.steps.values())) <= math.factorial(n) * (n - 1)
+        assert set(memo.steps) <= set(range(1, n))
+        assert len(memo.descents) <= math.factorial(n)
+        assert len(memo.perms) <= math.factorial(n)
+
+    def test_no_memo_kept_above_the_bound(self):
+        hecke._kept_steps.cache_clear()
+        n = REGULAR_BOUND + 1
+        mult(seeded_element(n, 4), longest(n))
+        assert hecke._kept_steps.cache_info().currsize == 0
+        mult(seeded_element(n - 1, 4), longest(n - 1))
+        assert hecke._kept_steps.cache_info().currsize == 1
+
+    def test_regular_representation_reads_the_same_steps(self):
+        # built afresh past its own cache, it fills the kept memo of its rank
+        hecke._kept_steps.cache_clear()
+        n = 4
+        V = hecke._verified_regular.__wrapped__(n)
+        steps = hecke._kept_steps(n).steps
+        assert sum(map(len, steps.values())) == math.factorial(n) * (n - 1)
+        assert V.gen_action == hecke.regular_representation(n).gen_action
+
+    def test_products_sharing_terms_are_independent(self):
+        n = REGULAR_BOUND
+        x = seeded_element(n, 5)
+        first, second = mult(x, longest(n)), mult(x, longest(n))
+        assert first == second
+        first.coeffs.clear()
+        assert second.coeffs
+        assert second == mult(x, longest(n))
 
 
 class TestPacking:

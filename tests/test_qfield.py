@@ -62,6 +62,15 @@ class TestNormalization:
         with pytest.raises(ValueError, match="zero divisor"):
             Scalar(poly(1), ())
 
+    @pytest.mark.parametrize(
+        "num, den",
+        [(0.1, 1), ((1, 0.5), 1), (1, 0.5), ((Fraction(1, 2), 2.0), (1,)), ("1/2", 1)],
+    )
+    def test_inexact_coefficients_rejected(self, num, den):
+        # Fraction(0.1) would store the binary fraction nearest 0.1
+        with pytest.raises(TypeError, match="not an exact coefficient"):
+            Scalar(num, den)
+
     @given(scalars(), scalars())
     def test_equal_iff_cross_multiplication_agrees(self, a, b):
         assert (a == b) == (poly_mul(a.num, b.den) == poly_mul(b.num, a.den))
@@ -172,6 +181,7 @@ class TestStrings:
         "wire",
         [
             "1*q^-1", "1*q^2+1*q^-1", "-3*q^-2+1*q^0", "1*q^x", "x*q^0", "1/0*q^0",
+            "0.5*q^1", "1e3*q^0", "1*q^1+-2.5*q^0", "1*q^1+ 1/2*q^0", "+1*q^0",
             f"1*q^{WIRE_EXPONENT_BOUND + 1}", "1*q^0+1*q^999999999",
         ],
     )

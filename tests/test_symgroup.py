@@ -62,11 +62,15 @@ def cycle_type(w):
     return tuple(sorted(lengths, reverse=True))
 
 
-perms = st.integers(1, 6).flatmap(
-    lambda n: st.permutations(list(range(1, n + 1))).map(
-        lambda p: Permutation(tuple(p))
+def permutations_up_to(top):
+    return st.integers(1, top).flatmap(
+        lambda n: st.permutations(list(range(1, n + 1))).map(
+            lambda p: Permutation(tuple(p))
+        )
     )
-)
+
+
+perms = permutations_up_to(6)
 
 
 class TestBasics:
@@ -90,8 +94,9 @@ class TestBasics:
         assert (w * w.inverse()) == e
         assert w.inverse().length == w.length
 
-    @given(perms)
+    @given(perms | permutations_up_to(256))
     def test_length_is_inversions(self, w):
+        # the pairwise count is the reference for the sorted-prefix count
         inv = sum(
             1
             for a in range(1, w.n + 1)
