@@ -58,9 +58,19 @@ coefficient of N_{i_1} ... N_{i_l} is at most min(prod r, prod c), and of
 its trace at most dim times that; a coefficient of (q-1) D N_i + q D^2 is
 at most 2 |D|_1 min(r_i, c_i) + |D|_1^2.  The relation check packs at the
 width k that the largest bound of a difference of two sides certifies,
-where equal integers mean equal polynomials, so nothing is decoded.  A
-trace packs at the width its own bound certifies, multiplies along the
-word, decodes the trace alone and returns tr(N_{i_1} ... N_{i_l}) / D^l.
+where equal integers mean equal polynomials, so nothing is decoded.
+
+Traces are taken for a list of words at once, at one width: k is
+certified by the largest of dim times a word's bound, and each generator
+is packed once.  Evaluation at 2^k is a ring map, and any k with 2^(k-1)
+above a word's trace bound decodes that word exactly, so the common width
+gives every word the trace its own width would.  The words are walked in
+order over a stack of prefix products: each word pops the stack back to
+its longest common prefix with the last word, so a prefix shared by
+consecutive words is multiplied once, and a word of length l keeps at
+most l - 1 matrices on it.  Of the last factor only the diagonal
+is read; each D^l is formed once, and the trace alone is decoded as
+tr(N_{i_1} ... N_{i_l}) / D^l.
 """
 
 from __future__ import annotations
@@ -69,8 +79,8 @@ import math
 from functools import lru_cache
 
 from .linalg import ExactMatrix
-from .qfield import ONE, Q, ZERO, Scalar, pack_width, poly_div_exact, poly_gcd
-from .qfield import poly_mul, poly_pack, poly_unpack, scal
+from .qfield import ONE, Q, ZERO, Scalar, _make, pack_width, poly_div_exact
+from .qfield import poly_gcd, poly_mul, poly_pack, poly_unpack, scal
 from .symgroup import (
     Permutation,
     coset_min_reps,
@@ -223,12 +233,20 @@ class _Steps:
     steps[i][w] = (s_i w, whether l(s_i w) > l(w)), descents[w] = the
     smallest left descent of w, and perms[w] = Permutation(w).  Every key
     is a factor's one-line tuple or a left step of one, so a permutation:
-    perms builds it without checking it again."""
+    perms builds it without checking it again.  Each s_i w is interned
+    through a plain dict, so a filled memo holds one tuple per
+    permutation, not one per step."""
 
     __slots__ = ("steps", "descents", "perms")
 
     def __init__(self):
-        self.steps = _Memo(lambda i: _Memo(lambda w: left_step(w, i)))
+        shared: dict = {}
+
+        def step(i, w):
+            sw, longer = left_step(w, i)
+            return shared.setdefault(sw, sw), longer
+
+        self.steps = _Memo(lambda i: _Memo(lambda w: step(i, w)))
         self.descents = _Memo(first_descent)
         self.perms = _Memo(Permutation._new)
 
@@ -416,29 +434,52 @@ class ModulePresentation:
         return out
 
     def word_trace(self, word) -> Scalar:
-        """Trace of T_{s_{i_1}} ... T_{s_{i_l}}: tr(N_{i_1} ... N_{i_l}) / D^l.
+        """Trace of T_{s_{i_1}} ... T_{s_{i_l}}: tr(N_{i_1} ... N_{i_l}) / D^l."""
+        return self.word_traces([word])[0]
 
-        The product is taken at q = 2^k with k from dim times the bound on
-        its entries; only the diagonal of the last factor is used, and only
-        the trace is decoded.
+    def word_traces(self, words) -> list:
+        """tr(N_{i_1} ... N_{i_l}) / D^l for each word (i_1, ..., i_l), in
+        order: one width, shared prefixes and a prefix stack, as the module
+        docstring says.
+
+        >>> from heckestab.specht import specht_module
+        >>> specht_module((2, 1)).word_traces([(), (1,), (1, 2), (1,)])
+        [Scalar(2), Scalar(q-1), Scalar(-q), Scalar(q-1)]
         """
-        word = tuple(word)
-        if not word:
-            return scal(self.dim)
+        words = [tuple(w) for w in words]
         form = self.integral_form()
-        k = pack_width(self.dim * form.bound(word))
-        gens = {i: form.packed(i, k) for i in set(word)}
-        acc = [{t: 1} for t in range(self.dim)]
-        for i in word[:-1]:
-            acc = _packed_product(acc, gens[i])
-        last = gens[word[-1]]
-        h = sum(
-            x * last[c].get(t, 0) for t, row in enumerate(acc) for c, x in row.items()
-        )
-        den = (1,)
-        for _ in word:
-            den = poly_mul(den, form.den)
-        return Scalar(poly_unpack(h, k), den)
+        k = pack_width(max((self.dim * form.bound(w) for w in words), default=0))
+        gens = {i: form.packed(i, k) for i in {i for w in words for i in w}}
+        # stack[j] = (i_j, N_{i_0} ... N_{i_j} packed) along the prefix
+        # i_0 i_1 ... of the last word
+        stack: list = []
+        dens = [(1,)]  # dens[l] = D^l
+        out = []
+        for word in words:
+            if not word:
+                out.append(scal(self.dim))
+                continue
+            head = word[:-1]
+            j = 0
+            while j < min(len(stack), len(head)) and stack[j][0] == head[j]:
+                j += 1
+            del stack[j:]
+            for i in head[j:]:
+                top = _packed_product(stack[-1][1], gens[i]) if stack else gens[i]
+                stack.append((i, top))
+            last = gens[word[-1]]
+            if stack:
+                h = sum(
+                    x * last[c].get(t, 0)
+                    for t, row in enumerate(stack[-1][1])
+                    for c, x in row.items()
+                )
+            else:
+                h = sum(row.get(t, 0) for t, row in enumerate(last))
+            while len(dens) <= len(word):
+                dens.append(poly_mul(dens[-1], form.den))
+            out.append(_make(poly_unpack(h, k), dens[len(word)]))
+        return out
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""

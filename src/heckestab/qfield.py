@@ -74,6 +74,7 @@ WIRE_EXPONENT_BOUND = 64
 
 # The coefficient forms poly_wire writes: an int, or a fraction of two ints.
 _WIRE_COEFFICIENT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_WIRE_EXPONENT = re.compile(r"[0-9]+")
 
 
 def _trim(coeffs: list) -> Poly:
@@ -319,8 +320,8 @@ def poly_parse_wire(s: str) -> tuple:
 
     Raises ValueError("bad polynomial term ...") on a malformed term: a
     coefficient in a form poly_wire does not write (a decimal such as 0.5
-    or 1e3 included), a negative exponent or one above
-    WIRE_EXPONENT_BOUND.
+    or 1e3 included), an exponent that is not ASCII digits (1_0, a space
+    or a non-ASCII digit included), or one above WIRE_EXPONENT_BOUND.
     """
     s = s.strip()
     if s == "0":
@@ -328,7 +329,7 @@ def poly_parse_wire(s: str) -> tuple:
     coeffs: dict = {}
     for term in s.split("+"):
         c, _, k = term.partition("*q^")
-        if not k or not _WIRE_COEFFICIENT.fullmatch(c):
+        if not _WIRE_EXPONENT.fullmatch(k) or not _WIRE_COEFFICIENT.fullmatch(c):
             raise ValueError(f"bad polynomial term {term!r}")
         try:
             exp = int(k)

@@ -24,15 +24,17 @@ chains of broken border strips of sizes mu_1, mu_2, ... filling lam, see
 partitions.hecke_character.  No Specht module is built for it.  At q = 1
 the table is the S_n character table; its column orthogonality, checked
 exactly once per rank, certifies that it is invertible and gives the
-inverse.  The traces of V, which lie in Z[q] for a module, are solved
-against it at q = 1 over Q, and the solution is certified exactly in Z[q].
+inverse, kept as integer rows over L = lcm(z_mu).  The traces of V, which
+lie in Z[q] for a module, are taken at every class representative in one
+pass, solved against the table at q = 1 in integers, each multiplicity a
+quotient by L with no remainder, and the solution is certified exactly in
+Z[q].
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .hecke import ModulePresentation
 from .linalg import EchelonBasis, ExactMatrix
@@ -148,11 +150,16 @@ class CharacterTable:
     cycle types with the identity class first (reversed partitions_of
     order).  Each entry chi^lam(T_{gamma_mu}) is read from the
     q-Murnaghan-Nakayama rule (Ram, Invent. Math. 106, 1991), so no Specht
-    module is built.  At q = 1 the table is the S_n character table, and
-    the column orthogonality sum_mu chi^lam(mu) chi^nu(mu) / z_mu =
-    delta_{lam,nu} is checked exactly once per rank: it certifies that the
-    table is invertible over Q, hence over Q(q), and gives the inverse
-    chi^lam(mu) / z_mu with no elimination.
+    module is built.  class_words holds the reduced word of each class
+    representative, in column order.
+
+    At q = 1 the table is the S_n character table, and the column
+    orthogonality sum_mu chi^lam(mu) chi^nu(mu) / z_mu = delta_{lam,nu} is
+    checked once per rank, multiplied through by L = lcm(z_mu) so that it
+    is an identity of integers: it certifies that the table is invertible
+    over Q, hence over Q(q), and gives the inverse with no elimination.
+    inverse_at_one holds it as integer rows chi^lam(mu) L / z_mu, and
+    inverse_scale is L.
     """
 
     __slots__ = (
@@ -160,8 +167,10 @@ class CharacterTable:
         "row_labels",
         "classes",
         "class_reps",
+        "class_words",
         "values",
-        "_inverse_at_one",
+        "inverse_at_one",
+        "inverse_scale",
     )
 
     def __init__(self, n: int):
@@ -172,6 +181,7 @@ class CharacterTable:
         self.classes = tuple(reversed(partitions_of(n)))
         reps = conjugacy_min_reps(n)
         self.class_reps = tuple(reps[mu] for mu in self.classes)
+        self.class_words = tuple(w.reduced_word() for w in self.class_reps)
         coeffs = [
             [hecke_character(lam, mu) for mu in self.classes] for lam in self.row_labels
         ]
@@ -180,12 +190,14 @@ class CharacterTable:
         # is chi^lam(mu) / z_mu exactly when the columns are orthonormal
         at_one = [[sum(c) for c in row] for row in coeffs]
         z = [_centralizer_order(mu) for mu in self.classes]
-        inverse = [[Fraction(x, zi) for x, zi in zip(row, z)] for row in at_one]
+        scale = lcm(*z)
+        inverse = [[x * (scale // zi) for x, zi in zip(row, z)] for row in at_one]
         for li, row in enumerate(inverse):
             for ni, other in enumerate(at_one):
-                if sum(x * y for x, y in zip(row, other)) != int(li == ni):
+                if sum(x * y for x, y in zip(row, other)) != scale * (li == ni):
                     raise ValueError("degenerate character table")
-        self._inverse_at_one = inverse
+        self.inverse_at_one = tuple(map(tuple, inverse))
+        self.inverse_scale = scale
 
 
 def _centralizer_order(mu) -> int:
@@ -206,29 +218,51 @@ def character_table(n: int) -> CharacterTable:
 def decompose(V: ModulePresentation) -> dict:
     """Multiplicities of each S^lam in V, by solving against the table.
 
+    The traces of V at every class representative are taken in one pass
+    (ModulePresentation.word_traces) and handed to _multiplicities.
+
+    >>> decompose(specht_module((2, 1)))
+    {(2, 1): 1}
+    >>> from heckestab.hecke import regular_representation
+    >>> decompose(regular_representation(3))
+    {(3,): 1, (2, 1): 2, (1, 1, 1): 1}
+    """
+    table = character_table(V.n)
+    return _multiplicities(table, V.dim, V.word_traces(table.class_words))
+
+
+def _multiplicities(table: CharacterTable, dim: int, traces) -> dict:
+    """{lam: m_lam} for a module of dimension dim with the given traces at
+    the table's class representatives, or ValueError('not a module').
+
     A module's traces are sum_lam m_lam chi^lam with integers m_lam >= 0,
     and every chi^lam lies in Z[q], so each trace t must lie in Z[q]; its
     value at q = 1 is then sum(t.num).  The m_lam are read off these
-    values through the inverse of the q = 1 table and certified: they are
-    nonnegative integers, sum (with dimensions) to dim V, and reproduce
-    every t.num in Z[q].  Anything else raises ValueError('not a module').
+    values through the integer inverse of the q = 1 table: L m_lam is the
+    dot product of its row lam with the values, so m_lam is that product
+    divided by L, and a nonzero remainder or a negative quotient is not a
+    module.  This is the solve over Q multiplied through by L, so it
+    accepts and rejects what that solve does.  The m_lam are then
+    certified: they sum (with dimensions) to dim, and reproduce every
+    t.num in Z[q].
 
     These are exactly the traces a solution over Q(q) accepts.  If that
     solution is made of nonnegative integers m_lam, then t = sum m_lam
     chi^lam lies in Z[q] and passes here with the same m_lam; if the
     traces pass here, those m_lam solve the system over Q(q).
     """
-    table = character_table(V.n)
-    traces = [character(V, w) for w in table.class_reps]
     if any(t.den != (1,) for t in traces):
         raise ValueError("not a module")
     at_one = [sum(t.num) for t in traces]
-    sol = [sum(x * y for x, y in zip(row, at_one)) for row in table._inverse_at_one]
-    if any(m.denominator != 1 or m < 0 for m in sol):
-        raise ValueError("not a module")
-    sol = [int(m) for m in sol]
+    scale = table.inverse_scale
+    sol = []
+    for row in table.inverse_at_one:
+        m, r = divmod(sum(x * y for x, y in zip(row, at_one)), scale)
+        if r or m < 0:
+            raise ValueError("not a module")
+        sol.append(m)
     dims = (m * syt_count(lam) for m, lam in zip(sol, table.row_labels) if m)
-    if sum(dims) != V.dim:
+    if sum(dims) != dim:
         raise ValueError("not a module")
     for ci, t in enumerate(traces):
         acc = ()

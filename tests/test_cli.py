@@ -10,6 +10,7 @@ from heckestab import sequences
 from heckestab.cli import MULT_N_BOUND, main
 from heckestab.sequences import (
     build_Mm,
+    load_sequence,
     non_finitely_generated,
     save_sequence,
     sequence_to_json_obj,
@@ -94,6 +95,22 @@ class TestSeqGolden:
         code, out, err = run(capsys, *argv)
         assert (code, err) == (case["exit"], "")
         assert out == case["stdout"]
+
+
+class TestGoldenTowersLoad:
+    @pytest.mark.parametrize(
+        "tower",
+        sorted({tuple(c["tower"]) for c in GOLDEN_SEQ if c["tower"]}),
+        ids=" ".join,
+    )
+    def test_saved_again_byte_identically(self, capsys, monkeypatch, tmp_path, tower):
+        # every tower file the golden cases read parses under the wire
+        # grammar and is written back unchanged
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert run(capsys, "seq", "build", *tower, "--out", str(first))[0] == 0
+        monkeypatch.setattr(sequences, "_last_loaded", (None, None))
+        save_sequence(load_sequence(str(first)), str(second))
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestSeqPipeline:
@@ -426,6 +443,20 @@ class TestErrorsAndDeterminism:
     @pytest.mark.parametrize("wire", ["0.5*q^1", "1e3*q^0", "1*q^1+-0.25*q^0"])
     def test_decimal_coefficient_in_tower_file(self, capsys, tmp_path, wire):
         # to_wire never writes a decimal, so such a file is bad input
+        obj = sequence_to_json_obj(build_Mm(1, 3))
+        obj["modules"][2]["generators"][0]["entries"][0][2] = wire
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "seq", "degrees", "--in", str(bad), "--amax", "1")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert "bad polynomial term" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("wire", ["1*q^1_0", "1*q^ 2", "1*q^\u0663"])
+    def test_exponent_not_in_ascii_digits_in_tower_file(self, capsys, tmp_path, wire):
+        # int() reads all three, but poly_wire writes only [0-9]+
         obj = sequence_to_json_obj(build_Mm(1, 3))
         obj["modules"][2]["generators"][0]["entries"][0][2] = wire
         bad = tmp_path / "bad.json"

@@ -4,11 +4,13 @@ import doctest
 
 import pytest
 
-from heckestab import linalg, partitions, qfield, symgroup
+from heckestab import hecke, linalg, partitions, qfield, specht, symgroup
 
 
 @pytest.mark.parametrize(
-    "module", [qfield, symgroup, partitions, linalg], ids=lambda m: m.__name__
+    "module",
+    [qfield, symgroup, partitions, linalg, hecke, specht],
+    ids=lambda m: m.__name__,
 )
 def test_examples_pass(module):
     result = doctest.testmod(module)

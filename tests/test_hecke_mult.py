@@ -174,6 +174,19 @@ class TestStepMemo:
         assert len(memo.descents) <= math.factorial(n)
         assert len(memo.perms) <= math.factorial(n)
 
+    def test_filled_memo_shares_one_tuple_per_permutation(self):
+        # every s_i w of a filled H_6 memo is one of 720 interned tuples,
+        # not one tuple per step
+        n = REGULAR_BOUND
+        hecke._kept_steps.cache_clear()
+        steps = hecke._kept_steps(n).steps
+        for i in range(1, n):
+            for w in permutations_of(n):
+                steps[i][w.one_line]
+        assert sum(map(len, steps.values())) == math.factorial(n) * (n - 1)
+        shared = {id(sw) for step in steps.values() for sw, _ in step.values()}
+        assert len(shared) <= math.factorial(n)
+
     def test_no_memo_kept_above_the_bound(self):
         hecke._kept_steps.cache_clear()
         n = REGULAR_BOUND + 1

@@ -1,6 +1,6 @@
 """Differential tests of the packed relation check and the packed trace.
 
-``ModulePresentation`` checks its relations, and ``character`` takes
+``ModulePresentation`` checks its relations, and ``word_traces`` takes
 traces, on integer matrices packed at q = 2^k with k certified from l1
 bounds.  ``hecke_reference`` keeps the ExactMatrix versions they replaced.
 Both must accept the same modules with the same message and give equal
@@ -25,7 +25,8 @@ from heckestab.hecke import (
 from heckestab.linalg import ExactMatrix
 from heckestab.partitions import partitions_of
 from heckestab.qfield import ONE, Q, ZERO, Scalar
-from heckestab.specht import character, specht_module
+from heckestab import hecke
+from heckestab.specht import character, character_table, decompose, specht_module
 from heckestab.symgroup import Permutation
 
 WIDE = 2**64
@@ -142,6 +143,102 @@ class TestWideAndRationalEntries:
         assert V.word_trace(()) == ZERO
         assert V.word_trace((1, 2)) == ZERO
         assert specht_module((2, 1)).word_trace(()) == Scalar(2)
+
+
+@st.composite
+def word_lists(draw, n, max_len):
+    """Words in any order, with repeats, the empty word, and words that
+    share no prefix with their neighbours."""
+    ws = draw(st.lists(words(n, max_len), max_size=5))
+    if ws and draw(st.booleans()):
+        ws.append(draw(st.sampled_from(ws)))
+    if draw(st.booleans()):
+        ws.append(())
+    if n > 2 and draw(st.booleans()):
+        ws += [(1,) * min(max_len, 2), (n - 1,) * min(max_len, 2)]
+    return draw(st.permutations(ws))
+
+
+def reference_traces(V, ws):
+    """The ExactMatrix trace of each word, each distinct word taken once."""
+    seen = {w: ref.matrix_trace(V.word_matrix(w)) for w in set(ws)}
+    return [seen[w] for w in ws]
+
+
+def counting_products(monkeypatch):
+    """A list that grows by one on each packed matrix product."""
+    calls = []
+    product = hecke._packed_product
+
+    def counted(a, b):
+        calls.append(None)
+        return product(a, b)
+
+    monkeypatch.setattr(hecke, "_packed_product", counted)
+    return calls
+
+
+class TestWordTraces:
+    """word_traces takes every word of a list at one width, over a stack
+    of prefix products; each trace must equal the ExactMatrix trace."""
+
+    @settings(max_examples=30)
+    @given(st.data())
+    def test_specht_modules(self, data):
+        V = specht_module(data.draw(shapes(7)))
+        ws = data.draw(word_lists(V.n, 5))
+        assert V.word_traces(ws) == reference_traces(V, ws)
+
+    @settings(max_examples=20)
+    @given(st.data())
+    def test_induced_and_regular_modules(self, data):
+        if data.draw(st.booleans()):
+            V = regular_representation(data.draw(st.integers(0, 4)))
+        else:
+            lam = data.draw(shapes(3))
+            side = data.draw(st.sampled_from((index_rep, sign_rep)))
+            V = induce_pair(specht_module(lam), side(data.draw(st.integers(0, 2))))
+        ws = data.draw(word_lists(V.n, 4))
+        assert V.word_traces(ws) == reference_traces(V, ws)
+
+    @settings(max_examples=60)
+    @given(unchecked_modules(), st.data())
+    def test_wide_and_rational_modules(self, V, data):
+        ws = data.draw(word_lists(V.n, 4))
+        assert V.word_traces(ws) == reference_traces(V, ws)
+
+    def test_no_words(self):
+        assert specht_module((2, 1)).word_traces([]) == []
+
+    @pytest.mark.parametrize(
+        "ws, products",
+        [
+            ([(1, 2, 3)], 1),
+            ([(1, 2, 3), (1, 2, 3)], 1),
+            ([(1, 2, 3), (2, 3, 1)], 2),
+            ([(1, 2, 3), (1, 2, 1), (1, 2, 3, 2)], 2),
+            # (1, 2) pops the stack back to (1,), so (1, 2) is formed again
+            ([(1, 2, 3), (1, 2), (1, 2, 1)], 2),
+            ([(), (3,), (1, 3), (3, 2, 1)], 1),
+        ],
+    )
+    def test_each_prefix_run_multiplied_once(self, monkeypatch, ws, products):
+        V = specht_module((2, 1, 1))
+        want = reference_traces(V, ws)
+        calls = counting_products(monkeypatch)
+        assert V.word_traces(ws) == want
+        assert len(calls) == products
+
+    def test_rank_seven_decompose_makes_seven_products(self, monkeypatch):
+        # the 15 class words of S_7 have 7 distinct prefixes of length 2
+        # or more below their last letter, and they come in runs
+        V = specht_module((4, 2, 1))
+        table = character_table(7)
+        calls = counting_products(monkeypatch)
+        assert decompose(V) == {(4, 2, 1): 1}
+        assert len(calls) == 7
+        prefixes = {w[:j] for w in table.class_words for j in range(2, len(w))}
+        assert len(prefixes) == 7
 
 
 def outcome(check, V):

@@ -183,6 +183,9 @@ class TestStrings:
             "1*q^-1", "1*q^2+1*q^-1", "-3*q^-2+1*q^0", "1*q^x", "x*q^0", "1/0*q^0",
             "0.5*q^1", "1e3*q^0", "1*q^1+-2.5*q^0", "1*q^1+ 1/2*q^0", "+1*q^0",
             f"1*q^{WIRE_EXPONENT_BOUND + 1}", "1*q^0+1*q^999999999",
+            # exponents poly_wire never writes, which int() would read
+            "1*q^1_0", "1*q^ 2", "1*q^2 +1*q^0", "1*q^+2", "1*q^\u0663",
+            "1*q^\uff12", "1*q^",
         ],
     )
     def test_parse_wire_rejects_bad_terms(self, wire):

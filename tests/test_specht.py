@@ -1,9 +1,11 @@
 """Seminormal modules, characters, decomposition, coinvariant quotients."""
 
+import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +33,7 @@ from heckestab.specht import (
     decompose,
     specht_module,
 )
-from heckestab.symgroup import Permutation, conjugacy_min_reps
+from heckestab.symgroup import Permutation, conjugacy_min_reps, permutations_of
 
 
 def reference_multiplicities(table, traces):
@@ -74,6 +76,30 @@ def traced_table_values(n):
     )
 
 
+@lru_cache(maxsize=None)
+def class_sizes(n):
+    """{cycle type: number of permutations of S_n of that type}, counted."""
+    sizes = Counter()
+    for w in permutations_of(n):
+        seen, cycles = set(), []
+        for start in range(1, n + 1):
+            length = 0
+            while start not in seen:
+                seen.add(start)
+                start = w(start)
+                length += 1
+            if length:
+                cycles.append(length)
+        sizes[tuple(sorted(cycles, reverse=True))] += 1
+    return sizes
+
+
+def centralizer_order(mu):
+    """z_mu as n! over the size of the class of mu, counted in S_n."""
+    n = sum(mu)
+    return math.factorial(n) // class_sizes(n)[tuple(mu)]
+
+
 def table_traces(table, coeffs):
     """sum_lam coeffs[lam] chi_lam at each class, as a trace vector."""
     traces = [ZERO] * len(table.classes)
@@ -84,15 +110,11 @@ def table_traces(table, coeffs):
 
 
 def decompose_traces(table, traces):
-    """decompose on a stand-in module of rank table.n whose character at
-    the class representatives is traces.  Its dim is the sum of the
-    coefficients of traces[0], the trace of the identity: its value at
-    q = 1 when it is a polynomial."""
-    by_class = dict(zip(table.class_reps, traces))
-    module = SimpleNamespace(n=table.n, dim=sum(traces[0].num))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(specht, "character", lambda V, w: by_class[w])
-        return decompose(module)
+    """What decompose makes of a module of rank table.n whose character
+    at the class representatives is traces, through the solve it calls.
+    Its dim is the sum of the coefficients of traces[0], the trace of the
+    identity: its value at q = 1 when it is a polynomial."""
+    return specht._multiplicities(table, sum(traces[0].num), traces)
 
 
 def one_dim(x):
@@ -224,17 +246,31 @@ class TestCharacterTable:
 
     @pytest.mark.parametrize("n", range(8))
     def test_inverse_at_one(self, n):
-        # a right inverse of the q = 1 system, whose entry (class, lam)
-        # is chi^lam(mu); the table's own check is the left one
+        # the integer rows over L are chi^lam(mu) / z_mu, and they form a
+        # right inverse of the q = 1 system, whose entry (class, lam) is
+        # chi^lam(mu); the table's own check is the left one
         table = character_table(n)
+        scale = table.inverse_scale
         m = len(table.classes)
+        for li in range(m):
+            for ci, mu in enumerate(table.classes):
+                assert Fraction(table.inverse_at_one[li][ci], scale) == Fraction(
+                    table.values[li][ci].specialize(1), centralizer_order(mu)
+                )
         for ci in range(m):
             for cj in range(m):
                 total = sum(
-                    table.values[li][ci].specialize(1) * table._inverse_at_one[li][cj]
+                    table.values[li][ci].specialize(1) * table.inverse_at_one[li][cj]
                     for li in range(m)
                 )
-                assert total == (ci == cj)
+                assert total == scale * (ci == cj)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_class_words_are_reduced_words_of_the_reps(self, n):
+        table = character_table(n)
+        assert table.class_words == tuple(w.reduced_word() for w in table.class_reps)
+        for w, word in zip(table.class_reps, table.class_words):
+            assert len(word) == w.length
 
     def test_builds_no_specht_module(self, monkeypatch):
         def refuse(lam):
