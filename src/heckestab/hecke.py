@@ -70,7 +70,8 @@ its longest common prefix with the last word, so a prefix shared by
 consecutive words is multiplied once, and a word of length l keeps at
 most l - 1 matrices on it.  Of the last factor only the diagonal
 is read; each D^l is formed once, and the trace alone is decoded as
-tr(N_{i_1} ... N_{i_l}) / D^l.
+tr(N_{i_1} ... N_{i_l}) / D^l: by one exact division, with no gcd, when
+D^l divides the trace in Z[q], as the quotient over 1 is already reduced.
 """
 
 from __future__ import annotations
@@ -79,13 +80,12 @@ import math
 from functools import lru_cache
 
 from .linalg import ExactMatrix
-from .qfield import ONE, Q, ZERO, Scalar, _make, pack_width, poly_div_exact
+from .qfield import ONE, Q, ZERO, Scalar, _make, _quotient, pack_width, poly_div_exact
 from .qfield import poly_gcd, poly_mul, poly_pack, poly_unpack, scal
 from .symgroup import (
     Permutation,
     coset_min_reps,
     first_descent,
-    is_distinguished,
     left_step,
     permutations_of,
 )
@@ -207,10 +207,7 @@ def mult(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     perms = memo.perms
     for w, h in _fold(xs, ys, k, memo).items():
         if h:
-            num = poly_unpack(h, k)
-            out.coeffs[perms[w]] = (
-                Scalar._new(num, den) if den == (1,) else Scalar(num, den)
-            )
+            out.coeffs[perms[w]] = _make(poly_unpack(h, k), den)
     return out
 
 
@@ -382,7 +379,8 @@ class ModulePresentation:
         """The defining relations with D cleared, compared at q = 2^k.
 
         Each side is a product of at most three N_i, or (q-1) D N_i + q D^2,
-        so k is taken from the bound on both sides of every relation.
+        so k is taken from the bound on both sides of every relation.  The
+        braid sides N_i (N_{i+1} N_i) and (N_{i+1} N_i) N_{i+1} share N_{i+1} N_i.
         """
         form = self.integral_form()
         bound = form.bound
@@ -417,9 +415,8 @@ class ModulePresentation:
                     )
         for i in range(r - 1):
             a, b = gens[i], gens[i + 1]
-            if _packed_product(_packed_product(a, b), a) != _packed_product(
-                _packed_product(b, a), b
-            ):
+            ba = _packed_product(b, a)
+            if _packed_product(a, ba) != _packed_product(ba, b):
                 raise ValueError(f"relation failure: braid at s_{i + 1}")
 
     def generator(self, i: int) -> ExactMatrix:
@@ -432,10 +429,6 @@ class ModulePresentation:
         for i in word:
             out = out @ self.gen_action[i - 1]
         return out
-
-    def word_trace(self, word) -> Scalar:
-        """Trace of T_{s_{i_1}} ... T_{s_{i_l}}: tr(N_{i_1} ... N_{i_l}) / D^l."""
-        return self.word_traces([word])[0]
 
     def word_traces(self, words) -> list:
         """tr(N_{i_1} ... N_{i_l}) / D^l for each word (i_1, ..., i_l), in
@@ -478,7 +471,9 @@ class ModulePresentation:
                 h = sum(row.get(t, 0) for t, row in enumerate(last))
             while len(dens) <= len(word):
                 dens.append(poly_mul(dens[-1], form.den))
-            out.append(_make(poly_unpack(h, k), dens[len(word)]))
+            num, den = poly_unpack(h, k), dens[len(word)]
+            quot = _quotient(num, den)
+            out.append(_make(num, den) if quot is None else Scalar._new(quot, (1,)))
         return out
 
     def __repr__(self):
@@ -589,14 +584,6 @@ def index_rep(n: int) -> ModulePresentation:
     )
 
 
-def _simple_index(u: Permutation):
-    """If u = s_t, return t; otherwise None."""
-    diff = [x for x in range(1, u.n + 1) if u(x) != x]
-    if len(diff) == 2 and diff[1] == diff[0] + 1 and u(diff[0]) == diff[1]:
-        return diff[0]
-    return None
-
-
 def induce_pair(V: ModulePresentation, W: ModulePresentation) -> ModulePresentation:
     """The induced module H_{m+k} tensor_{H_(m,k)} (V boxtimes W).
 
@@ -605,12 +592,20 @@ def induce_pair(V: ModulePresentation, W: ModulePresentation) -> ModulePresentat
     T_s acts by one of three cases on the coset factor: move to the longer
     coset, act through the parabolic on a tensor slot, or the quadratic
     combination when the coset gets shorter.
+
+    The case is read off the positions a and b of s and s+1 in d, which
+    increases on the position blocks 1..m and m+1..m+k (Deodhar's lemma).
+    No value lies strictly between s and s+1.  So if a and b lie in two
+    blocks, exchanging s and s+1 keeps both increasing: s d is again
+    distinguished, and longer than d exactly when a < b.  If they lie in
+    one block, then b = a + 1, so s d = d s_a with l(s d) = l(d) + 1 and
+    T_s T_d = T_d T_{s_a}; a != m as positions a and a + 1 share a block,
+    and T_{s_a} acts by V's generator a if a < m, by W's a - m if a > m.
     """
     m, k = V.n, W.n
     n = m + k
-    comp = (m, k)
-    reps = coset_min_reps(n, comp)
-    rep_index = {d.one_line: t for t, d in enumerate(reps)}
+    reps = [d.one_line for d in coset_min_reps(n, (m, k))]
+    rep_index = {d: t for t, d in enumerate(reps)}
     p, r = V.dim, W.dim
     dim = len(reps) * p * r
 
@@ -621,36 +616,25 @@ def induce_pair(V: ModulePresentation, W: ModulePresentation) -> ModulePresentat
     for s in range(1, n):
         entries: dict = {}
         for di, d in enumerate(reps):
-            sd_line, longer = left_step(d.one_line, s)
-            sd = Permutation(sd_line)
-            if is_distinguished(sd, comp):
-                ti = rep_index[sd_line]
-                if longer:
-                    for i in range(p):
-                        for j in range(r):
-                            entries[(idx(ti, i, j), idx(di, i, j))] = ONE
-                else:
-                    for i in range(p):
-                        for j in range(r):
-                            entries[(idx(ti, i, j), idx(di, i, j))] = Q
-                            entries[(idx(di, i, j), idx(di, i, j))] = Q_MINUS_ONE
+            a, b = d.index(s), d.index(s + 1)  # 0-based, 1 below the a and b above
+            if (a < m) != (b < m):
+                ti = rep_index[left_step(d, s)[0]]
+                for i in range(p):
+                    for j in range(r):
+                        x, y = idx(di, i, j), idx(ti, i, j)
+                        if a < b:
+                            entries[(y, x)] = ONE
+                        else:
+                            entries[(y, x)] = Q
+                            entries[(x, x)] = Q_MINUS_ONE
+            elif b < m:
+                for (ii, i), c in V.gen_action[a].entries.items():
+                    for j in range(r):
+                        entries[(idx(di, ii, j), idx(di, i, j))] = c
             else:
-                u = d.inverse() * sd
-                t = _simple_index(u)
-                if t is None or t == m:
-                    raise ValueError(
-                        f"coset case analysis failed at s_{s}, d = {d.one_line}"
-                    )
-                if t < m:
-                    g = V.gen_action[t - 1]
-                    for (ii, i), c in g.entries.items():
-                        for j in range(r):
-                            entries[(idx(di, ii, j), idx(di, i, j))] = c
-                else:
-                    g = W.gen_action[t - m - 1]
-                    for (jj, j), c in g.entries.items():
-                        for i in range(p):
-                            entries[(idx(di, i, jj), idx(di, i, j))] = c
+                for (jj, j), c in W.gen_action[a - m].entries.items():
+                    for i in range(p):
+                        entries[(idx(di, i, jj), idx(di, i, j))] = c
         gens.append(ExactMatrix(dim, dim, entries))
     assert dim == math.comb(n, m) * p * r
     label = f"Ind({V.label or 'V'}, {W.label or 'W'})"

@@ -306,8 +306,9 @@ class EchelonBasis:
         for m in maps:
             if m.rows != dim or m.cols != dim:
                 raise ValueError("shape mismatch")
-            ind = projection @ m @ section
-            if projection @ m != ind @ projection:
+            pm = projection @ m
+            ind = pm @ section
+            if pm != ind @ projection:
                 raise ValueError("not invariant")
             induced.append(ind)
         return QuotientStructure(projection, section, induced)

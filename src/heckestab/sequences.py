@@ -481,8 +481,9 @@ def _phi_tower(V: ConsistentSequence, a: int, pieces) -> PhiSequence:
     maps = []
     for n in range(V.n_max - a):
         f = V.connectors[a + n]
-        T = structures[n + 1].projection @ f @ structures[n].section
-        if T @ structures[n].projection != structures[n + 1].projection @ f:
+        pf = structures[n + 1].projection @ f
+        T = pf @ structures[n].section
+        if T @ structures[n].projection != pf:
             raise ValueError(
                 f"tail coinvariants not preserved by the connector at n = {n}"
             )
@@ -816,12 +817,16 @@ def noetherian_experiment(m: int, trials: int, seed: int, n_max: int) -> dict:
     table the verdict kept on the trial, so each module is decomposed
     once.  Evidence, not proof; identical seeds give identical reports.
     At least one trial and n_max >= 1 are required: zero trials, or a
-    window with no connector, would be a vacuous verdict.
+    window with no connector, would be a vacuous verdict.  So is
+    n_max < 2m + 1: M(m)_n = 0 for n < m, so every seed degree up to
+    n_max - m - 1 < m would draw a zero seed.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    if n_max < 2 * m + 1:
+        raise ValueError(f"n_max must be at least 2m + 1 = {2 * m + 1}")
     V = build_Mm(m, n_max)
     rng = random.Random(seed)
     deg_cap = max(0, n_max - m - 1)

@@ -140,7 +140,7 @@ def character(V: ModulePresentation, w: Permutation) -> Scalar:
     """
     if w.n != V.n:
         raise ValueError("rank mismatch")
-    return V.word_trace(w.reduced_word())
+    return V.word_traces([w.reduced_word()])[0]
 
 
 class CharacterTable:

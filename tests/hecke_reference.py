@@ -10,13 +10,18 @@ two-case rule
 and T_w y is the fold of that rule over a reduced word of w.
 ``check_relations`` and ``character`` are the relation check and the trace
 that ``ModulePresentation`` and ``heckestab.specht.character`` computed
-with ExactMatrix products before they moved to packed integers.  All are
-kept only as the slow, obviously correct side of the differential tests.
+with ExactMatrix products before they moved to packed integers.
+``induce_pair`` is the induced module as ``heckestab.hecke.induce_pair``
+built it before it read each coset case off two positions: it forms s d
+as a Permutation and tests it for being distinguished, and otherwise
+finds the simple reflection d^-1 s d.  All are kept only as the slow,
+obviously correct side of the differential tests.
 """
 
 from heckestab.hecke import HeckeElement, ModulePresentation
 from heckestab.linalg import ExactMatrix
-from heckestab.qfield import Q, ZERO, Scalar
+from heckestab.qfield import ONE, Q, ZERO, Scalar
+from heckestab.symgroup import Permutation, coset_min_reps, is_distinguished
 from helpers import swap_values
 
 Q_MINUS_ONE = Q - 1
@@ -99,3 +104,58 @@ def check_relations(V: ModulePresentation) -> None:
         a, b = gens[i], gens[i + 1]
         if a @ b @ a != b @ a @ b:
             raise ValueError(f"relation failure: braid at s_{i + 1}")
+
+
+def _simple_index(u: Permutation):
+    """If u = s_t, return t; otherwise None."""
+    diff = [x for x in range(1, u.n + 1) if u(x) != x]
+    if len(diff) == 2 and diff[1] == diff[0] + 1 and u(diff[0]) == diff[1]:
+        return diff[0]
+    return None
+
+
+def induce_pair(V: ModulePresentation, W: ModulePresentation) -> ModulePresentation:
+    """Ind(V boxtimes W) with the basis and label of
+    ``heckestab.hecke.induce_pair``, its relations unchecked."""
+    m, k = V.n, W.n
+    n = m + k
+    comp = (m, k)
+    reps = coset_min_reps(n, comp)
+    rep_index = {d.one_line: t for t, d in enumerate(reps)}
+    p, r = V.dim, W.dim
+    dim = len(reps) * p * r
+
+    def idx(di, i, j):
+        return (di * p + i) * r + j
+
+    gens = []
+    for s in range(1, n):
+        entries: dict = {}
+        for di, d in enumerate(reps):
+            sd = swap_values(d, s)
+            if is_distinguished(sd, comp):
+                ti = rep_index[sd.one_line]
+                for i in range(p):
+                    for j in range(r):
+                        if sd.length > d.length:
+                            entries[(idx(ti, i, j), idx(di, i, j))] = ONE
+                        else:
+                            entries[(idx(ti, i, j), idx(di, i, j))] = Q
+                            entries[(idx(di, i, j), idx(di, i, j))] = Q_MINUS_ONE
+            else:
+                t = _simple_index(d.inverse() * sd)
+                if t is None or t == m:
+                    raise ValueError(
+                        f"coset case analysis failed at s_{s}, d = {d.one_line}"
+                    )
+                if t < m:
+                    for (ii, i), c in V.gen_action[t - 1].entries.items():
+                        for j in range(r):
+                            entries[(idx(di, ii, j), idx(di, i, j))] = c
+                else:
+                    for (jj, j), c in W.gen_action[t - m - 1].entries.items():
+                        for i in range(p):
+                            entries[(idx(di, i, jj), idx(di, i, j))] = c
+        gens.append(ExactMatrix(dim, dim, entries))
+    label = f"Ind({V.label or 'V'}, {W.label or 'W'})"
+    return ModulePresentation(n, dim, gens, label=label, check=False)

@@ -411,6 +411,15 @@ class TestErrorsAndDeterminism:
         assert out == ""
         assert "n_max" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("nmax", ["6", "1"])
+    def test_noetherian_needs_a_nonzero_seed_degree(self, capsys, nmax):
+        # every seed of M(3) below degree 7 lies in a degree where M(3) is 0
+        code, out, err = run(capsys, "seq", "noetherian", "--m", "3", "--trials",
+                             "5", "--seed", "1", "--nmax", nmax)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "n_max must be at least 2m + 1 = 7"}
+
     @pytest.mark.parametrize(
         "content, path",
         [

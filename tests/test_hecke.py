@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hecke_reference as ref
 from hecke_reference import matrix_trace
 from helpers import from_word, sign_rep
 from heckestab.hecke import (
@@ -17,7 +18,9 @@ from heckestab.hecke import (
     tau,
 )
 from heckestab.linalg import ExactMatrix
+from heckestab.partitions import partitions_of
 from heckestab.qfield import ONE, Q, ZERO, scal
+from heckestab.specht import specht_module
 from heckestab.symgroup import Permutation, permutations_of
 
 
@@ -200,3 +203,44 @@ class TestInduce:
         assert left.gen_action == V.gen_action
         right = induce_pair(index_rep(0), V)
         assert right.gen_action == V.gen_action
+
+
+@st.composite
+def factor_modules(draw, max_rank):
+    """An index, sign, regular (rank <= 3) or Specht (rank <= 4) module of
+    rank at most max_rank, rank 0 included where the kind has one."""
+    kinds = ["index", "sign", "regular"] + ["specht"] * (max_rank > 0)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "index":
+        return index_rep(draw(st.integers(0, max_rank)))
+    if kind == "sign":
+        return sign_rep(draw(st.integers(0, max_rank)))
+    if kind == "regular":
+        return regular_representation(draw(st.integers(0, min(3, max_rank))))
+    n = draw(st.integers(1, min(4, max_rank)))
+    return specht_module(draw(st.sampled_from(partitions_of(n))))
+
+
+class TestInduceAgainstReference:
+    """induce_pair reads each coset case off the positions of s and s+1;
+    hecke_reference.induce_pair forms s d and d^-1 s d as Permutations."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_generators_equal_entry_for_entry(self, data):
+        V = data.draw(factor_modules(7))
+        W = data.draw(factor_modules(7 - V.n))
+        got = induce_pair(V, W)
+        want = ref.induce_pair(V, W)
+        assert (got.n, got.dim, got.label) == (want.n, want.dim, want.label)
+        assert [g.entries for g in got.gen_action] == [
+            g.entries for g in want.gen_action
+        ]
+
+    @pytest.mark.parametrize("m, k", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_blocks(self, m, k):
+        V, W = regular_representation(m), sign_rep(k)
+        got = induce_pair(V, W).gen_action
+        assert [g.entries for g in got] == [
+            g.entries for g in ref.induce_pair(V, W).gen_action
+        ]

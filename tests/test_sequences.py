@@ -771,6 +771,12 @@ class TestNoetherianExperiment:
         with pytest.raises(ValueError, match="n_max must be at least 1"):
             noetherian_experiment(2, 1, 1, n_max)
 
+    @pytest.mark.parametrize("m, n_max", [(3, 6), (3, 1), (2, 4), (1, 2)])
+    def test_needs_a_nonzero_seed_degree(self, m, n_max):
+        # seed degrees run up to n_max - m - 1 and M(m)_n = 0 for n < m
+        with pytest.raises(ValueError, match=f"at least 2m \\+ 1 = {2 * m + 1}"):
+            noetherian_experiment(m, 5, 1, n_max)
+
     def test_json_safe(self):
         report = noetherian_experiment(1, 3, 1, 4)
         json.dumps(report)

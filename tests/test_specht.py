@@ -209,7 +209,7 @@ class TestCharacter:
             w = Permutation(tuple(rng.sample(range(1, 5), 4)))
             words = all_reduced_words(w)
             traces = {matrix_trace(V.word_matrix(u)).to_wire() for u in words}
-            traces |= {V.word_trace(u).to_wire() for u in words}
+            traces |= {V.word_traces([u])[0].to_wire() for u in words}
             assert len(traces) == 1
 
 
