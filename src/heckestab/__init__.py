@@ -43,7 +43,6 @@ from .sequences import (
     build_Mm,
     check_consistency,
     degrees,
-    direct_sum,
     free_cover,
     generation_degree,
     is_uniformly_stable,
@@ -92,7 +91,7 @@ __all__ = [
     "span", "generation_degree", "free_cover", "phi_a", "degrees",
     "weight", "multiplicity_table", "is_uniformly_stable",
     "shift", "shift_decompose_Mm", "noetherian_experiment",
-    "direct_sum", "seq_kernel",
+    "seq_kernel",
     "save_sequence", "load_sequence",
     "run_criteria", "verify_all",
 ]

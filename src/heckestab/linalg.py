@@ -81,16 +81,6 @@ class ExactMatrix:
                     entries[(i, j)] = v
         return cls(nrows, ncols, entries)
 
-    @classmethod
-    def from_columns(cls, nrows: int, columns) -> "ExactMatrix":
-        entries = {}
-        columns = list(columns)
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                if v:
-                    entries[(i, j)] = v
-        return cls(nrows, len(columns), entries)
-
     # -- structure ------------------------------------------------------
 
     def columns(self):
@@ -191,21 +181,6 @@ class ExactMatrix:
                 else:
                     out.pop(i, None)
         return out
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json_obj(self):
-        triples = [
-            [i, j, v.to_wire()] for (i, j), v in sorted(self.entries.items())
-        ]
-        return {"rows": self.rows, "cols": self.cols, "entries": triples}
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "ExactMatrix":
-        entries = {
-            (int(i), int(j)): Scalar.from_wire(w) for i, j, w in obj["entries"]
-        }
-        return cls(int(obj["rows"]), int(obj["cols"]), entries)
 
 
 # -- sparse vector helpers -------------------------------------------------

@@ -7,7 +7,7 @@ builds the whole stability toolkit:
 
   * M(W), the induced sequence sum_{m<=n} H_n (x)_{H_(m,n-m)} (W_m (x) index),
     whose connectors are inclusions of distinguished coset bases;
-  * span / generation degree, free covers, kernels and sums;
+  * span / generation degree, free covers and kernels;
   * the coinvariant tower Phi_a with its maps T, and the observed
     injective / surjective / stability degrees;
   * weight, multiplicity tables c_{lam,n}, and the uniform-stability
@@ -32,16 +32,14 @@ from fractions import Fraction
 from .hecke import ModulePresentation, regular_representation
 from .linalg import EchelonBasis, ExactMatrix, kernel_basis, rank
 from .partitions import pad, partition_label, unpad
-from .qfield import ONE, scal
+from .qfield import ONE, Scalar, scal
 from .specht import coinvariant_quotients, decompose, specht_module
-from .symgroup import coset_min_reps
+from .symgroup import Permutation, coset_min_reps
 
 __all__ = [
     "ConsistentSequence",
     "SequenceMorphism",
     "check_consistency",
-    "zero_module",
-    "zero_sequence",
     "build_M",
     "build_Mm",
     "build_M_specht",
@@ -58,7 +56,6 @@ __all__ = [
     "shift",
     "shift_decompose_Mm",
     "noetherian_experiment",
-    "direct_sum",
     "seq_kernel",
     "sequence_to_json_obj",
     "sequence_from_json_obj",
@@ -171,17 +168,6 @@ class SequenceMorphism:
                 )
 
 
-def zero_module(n: int) -> ModulePresentation:
-    gens = [ExactMatrix.zeros(0, 0)] * max(n - 1, 0)
-    return ModulePresentation(n, 0, gens, label="0", check=False)
-
-
-def zero_sequence(n_max: int) -> ConsistentSequence:
-    modules = [zero_module(n) for n in range(n_max + 1)]
-    connectors = [ExactMatrix.zeros(0, 0) for _ in range(n_max)]
-    return ConsistentSequence(modules, connectors, label="0", check=False)
-
-
 def _block_diagonal(blocks) -> ExactMatrix:
     entries = {}
     rows = cols = 0
@@ -204,43 +190,42 @@ def _presentation_direct_sum(n, parts, label="") -> ModulePresentation:
 
 
 def _build_M_layout(W: dict, n_max: int, label: str):
-    """build_M plus, per degree, the list of (m, offset, coset reps)."""
+    """build_M plus, per degree, the label (m, d, i) of each basis vector.
+
+    The vector labelled (m, d, i) is T_d (x) w_i in the summand induced
+    from W[m]: d is a coset representative's one-line tuple, in
+    coset_min_reps order, and w_i the i-th basis vector of W[m].
+    """
     W = {m: P for m, P in W.items() if P.dim > 0}
     for m, P in W.items():
         if P.n != m:
             raise ValueError(f"W[{m}] has rank {P.n}")
     modules = []
-    layouts = []
+    labels = []
     for n in range(n_max + 1):
-        parts = []
-        layout = []
-        offset = 0
-        for m in sorted(W):
-            if m > n:
-                continue
-            ind = W[m].induced_by_index(n - m)
-            layout.append((m, offset, coset_min_reps(n, (m, n - m))))
-            parts.append(ind)
-            offset += ind.dim
+        summands = [m for m in sorted(W) if m <= n]
+        parts = [W[m].induced_by_index(n - m) for m in summands]
         modules.append(_presentation_direct_sum(n, parts, label=f"{label}_{n}"))
-        layouts.append(layout)
+        labels.append(
+            [
+                (m, d.one_line, i)
+                for m in summands
+                for d in coset_min_reps(n, (m, n - m))
+                for i in range(W[m].dim)
+            ]
+        )
     connectors = []
     for n in range(n_max):
-        entries = {}
-        target = {m: (off, reps) for m, off, reps in layouts[n + 1]}
-        for m, off, reps in layouts[n]:
-            p = W[m].dim
-            off2, reps2 = target[m]
-            where = {d.one_line: t for t, d in enumerate(reps2)}
-            for di, d in enumerate(reps):
-                ti = where[d.embed(n + 1).one_line]
-                for i in range(p):
-                    entries[(off2 + ti * p + i, off + di * p + i)] = ONE
+        where = {lab: t for t, lab in enumerate(labels[n + 1])}
+        entries = {
+            (where[(m, d + (n + 1,), i)], j): ONE
+            for j, (m, d, i) in enumerate(labels[n])
+        }
         connectors.append(
             ExactMatrix(modules[n + 1].dim, modules[n].dim, entries)
         )
     seq = ConsistentSequence(modules, connectors, label=label)
-    return seq, layouts
+    return seq, labels
 
 
 def build_M(W: dict, n_max: int, label: str = "") -> ConsistentSequence:
@@ -413,21 +398,18 @@ def free_cover(V: ConsistentSequence, d: int) -> SequenceMorphism:
             f"insufficient degree: V needs generation degree {gen}, got {d}"
         )
     W = {i: V.modules[i] for i in range(d + 1) if V.modules[i].dim > 0}
-    if not W:
-        cover = zero_sequence(V.n_max)
-        comps = [ExactMatrix.zeros(V.modules[n].dim, 0) for n in range(V.n_max + 1)]
-        return SequenceMorphism(cover, V, comps)
-    cover, layouts = _build_M_layout(W, V.n_max, label=f"cover<= {d}")
+    cover, labels = _build_M_layout(W, V.n_max, label=f"cover<= {d}")
     components = []
     for n in range(V.n_max + 1):
+        comps = {m: V.phi_composite(m, n) for m in W if m <= n}
+        blocks = {}
         entries = {}
-        for m, offset, reps in layouts[n]:
-            p = W[m].dim
-            comp = V.phi_composite(m, n)
-            for di, rep in enumerate(reps):
-                block = V.modules[n].word_matrix(rep.reduced_word()) @ comp
-                for (r, i), c in block.entries.items():
-                    entries[(r, offset + di * p + i)] = c
+        for j, (m, rep, i) in enumerate(labels[n]):
+            if (m, rep) not in blocks:
+                T_d = V.modules[n].word_matrix(Permutation(rep).reduced_word())
+                blocks[(m, rep)] = (T_d @ comps[m]).columns()
+            for r, c in blocks[(m, rep)][i].items():
+                entries[(r, j)] = c
         components.append(
             ExactMatrix(V.modules[n].dim, cover.modules[n].dim, entries)
         )
@@ -732,19 +714,19 @@ def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:
     if a < 0:
         raise ValueError("a must be nonnegative")
     W = regular_representation(m)
-    base, layouts = _build_M_layout({m: W}, n_max + a, f"M({m})")
+    base, labels = _build_M_layout({m: W}, n_max + a, f"M({m})")
     # where[n][j]: (0 for the M(m) summand or 1 for C_a, index there) of
-    # basis vector j of the shift in degree n; sizes[n]: the two dims
+    # basis vector j of the shift in degree n, in the summand when its d
+    # keeps {1..m} off the new letters {1..a}; sizes[n]: the two dims
     where = []
     sizes = []
     for n in range(n_max + 1):
-        reps = layouts[n + a][0][2] if layouts[n + a] else []
         size = [0, 0]
         positions = []
-        for d in reps:
-            part = 0 if all(d(x) > a for x in range(1, m + 1)) else 1
-            positions.extend((part, size[part] + i) for i in range(W.dim))
-            size[part] += W.dim
+        for _, d, _ in labels[n + a]:
+            part = 0 if min(d[:m]) > a else 1
+            positions.append((part, size[part]))
+            size[part] += 1
         where.append(positions)
         sizes.append(size)
 
@@ -876,23 +858,6 @@ def noetherian_experiment(m: int, trials: int, seed: int, n_max: int) -> dict:
     }
 
 
-def direct_sum(V: ConsistentSequence, W: ConsistentSequence) -> ConsistentSequence:
-    if V.n_max != W.n_max:
-        raise ValueError("truncation mismatch")
-    modules = [
-        _presentation_direct_sum(
-            n, [V.modules[n], W.modules[n]], label=f"({V.label})(+)({W.label})_{n}"
-        )
-        for n in range(V.n_max + 1)
-    ]
-    connectors = [
-        _block_diagonal([V.connectors[n], W.connectors[n]]) for n in range(V.n_max)
-    ]
-    return ConsistentSequence(
-        modules, connectors, label=f"({V.label})(+)({W.label})", check=False
-    )
-
-
 def seq_kernel(f: SequenceMorphism) -> ConsistentSequence:
     """Degreewise kernel, a consistent subsequence of the source."""
     V = f.source
@@ -914,12 +879,17 @@ def sequence_to_json_obj(V: ConsistentSequence) -> dict:
             {
                 "n": n,
                 "dim": mod.dim,
-                "generators": [g.to_json_obj() for g in mod.gen_action],
+                "generators": [_matrix_to_json(g) for g in mod.gen_action],
             }
             for n, mod in enumerate(V.modules)
         ],
-        "connectors": [f.to_json_obj() for f in V.connectors],
+        "connectors": [_matrix_to_json(f) for f in V.connectors],
     }
+
+
+def _matrix_to_json(f: ExactMatrix) -> dict:
+    triples = [[i, j, v.to_wire()] for (i, j), v in sorted(f.entries.items())]
+    return {"rows": f.rows, "cols": f.cols, "entries": triples}
 
 
 _JSON_KINDS = {dict: "an object", list: "a list", int: "an integer"}
@@ -950,9 +920,10 @@ def _get_size(obj: dict, key: str, path: str) -> int:
 
 def _matrix_from_json(obj, path: str) -> ExactMatrix:
     _expect(obj, dict, path)
-    _get_size(obj, "rows", path)
-    _get_size(obj, "cols", path)
-    for k, entry in enumerate(_get(obj, "entries", list, path)):
+    rows = _get_size(obj, "rows", path)
+    cols = _get_size(obj, "cols", path)
+    triples = _get(obj, "entries", list, path)
+    for k, entry in enumerate(triples):
         if not (
             isinstance(entry, list)
             and len(entry) == 3
@@ -962,7 +933,8 @@ def _matrix_from_json(obj, path: str) -> ExactMatrix:
             raise ValueError(
                 f"malformed tower file: {path}.entries[{k}] must be [row, col, value]"
             )
-    return ExactMatrix.from_json_obj(obj)
+    entries = {(i, j): Scalar.from_wire(w) for i, j, w in triples}
+    return ExactMatrix(rows, cols, entries)
 
 
 def sequence_from_json_obj(obj) -> ConsistentSequence:
@@ -1024,6 +996,10 @@ def load_sequence(path) -> ConsistentSequence:
     if _last_loaded[0] == digest:
         return _last_loaded[1]
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-    V = sequence_from_json_obj(json.load(text))
+    try:
+        obj = json.load(text)
+    except RecursionError:
+        raise ValueError("malformed tower file: nested too deeply") from None
+    V = sequence_from_json_obj(obj)
     _last_loaded = (digest, V)
     return V

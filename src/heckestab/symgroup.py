@@ -231,29 +231,13 @@ def double_coset_min_reps(n: int, mu, lam) -> list:
 
     A representative is distinguished on the right for lam (increasing on
     lam position blocks) and on the left for mu (values within a mu block
-    appear in increasing positions).
+    appear in increasing positions, i.e. d^-1 is distinguished for mu).
 
     >>> [d.one_line for d in double_coset_min_reps(3, (2, 1), (2, 1))]
     [(1, 2, 3), (1, 3, 2)]
     """
     mu = _check_composition(n, mu)
-    lam = _check_composition(n, lam)
-    out = []
-    for d in coset_min_reps(n, lam):
-        pos = [0] * (n + 1)
-        for p, v in enumerate(d.one_line):
-            pos[v] = p
-        ok = True
-        for start, end in blocks_of(mu):
-            for v in range(start, end):
-                if pos[v] > pos[v + 1]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(d)
-    return out
+    return [d for d in coset_min_reps(n, lam) if is_distinguished(d.inverse(), mu)]
 
 
 def conjugacy_min_reps(n: int) -> dict:

@@ -5,7 +5,10 @@ deterministic detail string; run_criteria prints one PASS/FAIL line per
 criterion on stdout and all timings on stderr, so that two runs with the
 same configuration produce byte-identical stdout.  verify_all additionally
 re-runs the whole battery and compares the two reports byte for byte,
-which is itself the final criterion.
+which is itself the final criterion.  Between the passes it clears the
+process memos (clear_memos), so the second pass rebuilds every module and
+table the first one built, and a construction that varies between builds
+shows.
 
 Failures are never downgraded: any exception inside a criterion surfaces
 as a FAIL line carrying the exception text.
@@ -17,6 +20,7 @@ import math
 import sys
 import time
 
+from . import hecke, partitions, sequences, specht
 from .hecke import regular_representation
 from .partitions import (
     pad,
@@ -41,7 +45,7 @@ from .sequences import (
 from .specht import coinvariant_quotients, decompose, specht_module
 from .symgroup import double_coset_stabilization
 
-__all__ = ["CRITERIA", "run_criteria", "verify_all"]
+__all__ = ["CRITERIA", "clear_memos", "run_criteria", "verify_all"]
 
 SPECHT_SET = ((1,), (2,), (1, 1), (2, 1), (3,))
 
@@ -268,12 +272,28 @@ def run_criteria(n_max=6, err=None):
     return all_ok, "\n".join(lines) + "\n"
 
 
+def clear_memos() -> None:
+    """Forget the process memos a battery pass fills: verified modules,
+    character tables, S_n step memos, partition caches, the loaded tower."""
+    for memo in (
+        specht._verified_specht,
+        specht.character_table,
+        hecke._verified_regular,
+        hecke._kept_steps,
+        partitions.partitions_of,
+        partitions._murnaghan_nakayama,
+    ):
+        memo.cache_clear()
+    sequences._last_loaded = (None, None)
+
+
 def verify_all(n_max=6, out=None, err=None) -> int:
     """Full battery plus the determinism criterion; 0 iff everything passed."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     t0 = time.perf_counter()
     ok_first, report_first = run_criteria(n_max, err=err)
+    clear_memos()
     ok_second, report_second = run_criteria(n_max, err=err)
     identical = report_first.encode() == report_second.encode()
     out.write(report_first)

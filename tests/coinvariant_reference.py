@@ -8,6 +8,7 @@ vector e_j, read in the non-pivot coordinates.  It is kept only as the
 slow side of the differential tests.
 """
 
+from helpers import from_columns
 from heckestab.hecke import ModulePresentation
 from heckestab.linalg import EchelonBasis, ExactMatrix, QuotientStructure
 from heckestab.qfield import ONE, Q
@@ -20,7 +21,7 @@ def quotient_structure(dim: int, subspace_vectors, maps=()) -> QuotientStructure
         basis.insert(v)
     free = [j for j in range(dim) if j not in basis.pivots]
     where = {j: t for t, j in enumerate(free)}
-    projection = ExactMatrix.from_columns(
+    projection = from_columns(
         len(free),
         ({where[i]: c for i, c in basis.reduce({j: ONE}).items()} for j in range(dim)),
     )

@@ -1,15 +1,18 @@
 """Small helpers the tests share for what the package itself never needs.
 
-Permutation words and descents, the sign module of H_n, and constant
-scalars read as Fractions.  They are the test oracles' vocabulary; no
+Permutation words and descents, the sign module of H_n, constant
+scalars read as Fractions, matrices from sparse columns, the zero tower
+and pointwise sums of towers.  They are the test oracles' vocabulary; no
 package code reaches them.
 """
 
 from fractions import Fraction
 
+from heckestab import sequences
 from heckestab.hecke import ModulePresentation
 from heckestab.linalg import ExactMatrix
 from heckestab.qfield import Scalar, scal
+from heckestab.sequences import ConsistentSequence, build_M
 from heckestab.symgroup import Permutation, left_step
 
 
@@ -66,3 +69,37 @@ def as_fraction(c: Scalar) -> Fraction:
     if not is_constant(c):
         raise ValueError(f"not a constant: {c}")
     return Fraction(c.num[0], c.den[0]) if c.num else Fraction(0)
+
+
+def from_columns(nrows: int, columns) -> ExactMatrix:
+    """The nrows x len(columns) matrix with the given sparse columns."""
+    entries = {}
+    columns = list(columns)
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            if v:
+                entries[(i, j)] = v
+    return ExactMatrix(nrows, len(columns), entries)
+
+
+def zero_sequence(n_max: int) -> ConsistentSequence:
+    return build_M({}, n_max, "0")
+
+
+def direct_sum(V: ConsistentSequence, W: ConsistentSequence) -> ConsistentSequence:
+    """V (+) W degree by degree, with block-diagonal actions and connectors."""
+    if V.n_max != W.n_max:
+        raise ValueError("truncation mismatch")
+    modules = [
+        sequences._presentation_direct_sum(
+            n, [V.modules[n], W.modules[n]], label=f"({V.label})(+)({W.label})_{n}"
+        )
+        for n in range(V.n_max + 1)
+    ]
+    connectors = [
+        sequences._block_diagonal([V.connectors[n], W.connectors[n]])
+        for n in range(V.n_max)
+    ]
+    return ConsistentSequence(
+        modules, connectors, label=f"({V.label})(+)({W.label})", check=False
+    )

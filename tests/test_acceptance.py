@@ -9,34 +9,65 @@ anywhere in the battery.
 import io
 import re
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from heckestab.verify import run_criteria
+from heckestab import hecke, partitions, specht, verify
 
 N_MAX = 6
 
 # run_criteria(6)'s report, pinned: `verify all` prints it before line 12
 GOLDEN = Path(__file__).parent / "golden" / "verify_all.txt"
 
+# the process memos a battery pass fills
+MEMOS = (
+    specht._verified_specht,
+    specht.character_table,
+    hecke._verified_regular,
+    hecke._kept_steps,
+    partitions.partitions_of,
+    partitions._murnaghan_nakayama,
+)
+
 
 @pytest.fixture(scope="module")
 def battery():
-    err_first = io.StringIO()
-    err_second = io.StringIO()
+    """verify_all from cleared memos, with each pass's report and misses."""
+    reports, misses = [], []
+    run_criteria = verify.run_criteria
+
+    def recorded(n_max, err):
+        before = [memo.cache_info().misses for memo in MEMOS]
+        ok, report = run_criteria(n_max, err=err)
+        reports.append(report)
+        misses.append(
+            {
+                memo.__name__: memo.cache_info().misses - start
+                for memo, start in zip(MEMOS, before)
+            }
+        )
+        return ok, report
+
+    out, err = io.StringIO(), io.StringIO()
+    verify.clear_memos()
     t0 = time.perf_counter()
-    _, report_first = run_criteria(N_MAX, err=err_first)
-    _, report_second = run_criteria(N_MAX, err=err_second)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "run_criteria", recorded)
+        code = verify.verify_all(N_MAX, out=out, err=err)
     total = time.perf_counter() - t0
     timings = {}
-    for line in err_first.getvalue().splitlines():
+    for line in err.getvalue().splitlines():
         match = re.match(r"\[timing\] (.+): ([0-9.]+)s", line)
         if match:
-            timings[match.group(1)] = float(match.group(2))
+            timings.setdefault(match.group(1), float(match.group(2)))
     return {
-        "first": report_first,
-        "second": report_second,
+        "code": code,
+        "out": out.getvalue(),
+        "first": reports[0],
+        "second": reports[1],
+        "misses": misses,
         "timings": timings,
         "total": total,
     }
@@ -105,7 +136,52 @@ def test_11_unstable_counterexample(battery):
 
 def test_12_reports_byte_identical(battery):
     assert battery["first"].encode() == battery["second"].encode()
+    assert battery["out"] == battery["first"] + (
+        "PASS 12 determinism: two runs produced byte-identical reports\n"
+    )
+    assert battery["code"] == 0
     assert battery["total"] < 600.0
+
+
+def test_12_second_pass_recomputes(battery):
+    # verify_all clears the memos between the passes, so pass 2 builds
+    # every module and table that pass 1 built
+    first, second = battery["misses"]
+    assert all(first.values())
+    assert second == first
+
+
+def test_12_fails_when_a_rebuilt_table_differs(monkeypatch):
+    # a character table whose rebuild swaps two row labels: only a second
+    # pass that rebuilds the tables can tell the two passes apart
+    builds = Counter()
+    build = specht.CharacterTable
+
+    def varying(n):
+        table = build(n)
+        builds[n] += 1
+        if builds[n] > 1 and n >= 3:
+            labels = list(table.row_labels)
+            labels[0], labels[1] = labels[1], labels[0]
+            table.row_labels = tuple(labels)
+        return table
+
+    monkeypatch.setattr(specht, "CharacterTable", varying)
+    monkeypatch.setattr(
+        verify, "CRITERIA", [c for c in verify.CRITERIA if c[0] == "decomposition-oracle"]
+    )
+    specht.character_table.cache_clear()
+    out = io.StringIO()
+    try:
+        code = verify.verify_all(N_MAX, out=out, err=io.StringIO())
+    finally:
+        specht.character_table.cache_clear()
+    assert code == 1
+    assert out.getvalue().splitlines() == [
+        "PASS  1 decomposition-oracle: regular ranks <= 4 and 50 induction tables"
+        " match the Pieri rule",
+        "FAIL 12 determinism: reports differ between runs",
+    ]
 
 
 def test_report_matches_golden(battery):

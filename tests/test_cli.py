@@ -436,6 +436,27 @@ class TestErrorsAndDeterminism:
             assert out == ""
             assert path in json.loads(err)["error"]
 
+    DEEP = "[" * 100000 + "]" * 100000
+
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            (DEEP, ["seq", "degrees", "--amax", "1"]),
+            ('{"schema": "hecke-stab/1", "modules": ' + DEEP + "}", ["seq", "weight"]),
+        ],
+        ids=["top-level", "modules"],
+    )
+    def test_deeply_nested_tower_file(self, capsys, tmp_path, text, argv):
+        # the JSON decoder gives up on such nesting with a RecursionError
+        deep = tmp_path / "deep.json"
+        deep.write_text(text)
+        code, out, err = run(capsys, *argv, "--in", str(deep))
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "malformed tower file: nested too deeply"}
+
     @pytest.mark.parametrize("wire", ["1*q^-1", "1*q^2+1*q^-1"])
     def test_negative_exponent_in_tower_file(self, capsys, tmp_path, wire):
         obj = sequence_to_json_obj(build_Mm(1, 3))

@@ -45,7 +45,8 @@ sizes = st.sampled_from([0, 2, FILE_DIM_BOUND, FILE_DIM_BOUND + 1, 10**12])
 
 @pytest.fixture(scope="module")
 def tower_files(tmp_path_factory):
-    """Tower files: valid (stable or not), not JSON, of the wrong schema, a list."""
+    """Tower files: valid (stable or not), not JSON, of the wrong schema, a
+    list, nested too deeply for the JSON decoder."""
     root = tmp_path_factory.mktemp("towers")
     files = {
         "valid": root / "valid.json",
@@ -53,12 +54,14 @@ def tower_files(tmp_path_factory):
         "not-json": root / "not-json.json",
         "wrong-schema": root / "wrong-schema.json",
         "list": root / "list.json",
+        "deep": root / "deep.json",
     }
     save_sequence(build_Mm(1, 3), files["valid"])
     save_sequence(non_finitely_generated(3), files["unstable"])
     files["not-json"].write_text("{ not json")
     files["wrong-schema"].write_text(json.dumps({"schema": "other/9", "modules": []}))
     files["list"].write_text(json.dumps([{"schema": "hecke-stab/1"}]))
+    files["deep"].write_text("[" * 100000 + "]" * 100000)
     return {name: str(path) for name, path in files.items()}
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import sequences_reference as ref
+from helpers import zero_sequence
 from heckestab.qfield import ONE, scal
 from heckestab.sequences import (
     build_M_specht,
@@ -23,7 +24,6 @@ from heckestab.sequences import (
     is_uniformly_stable,
     non_finitely_generated,
     span,
-    zero_sequence,
 )
 
 # (name, builder, smallest and largest n_max drawn)

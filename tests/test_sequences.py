@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import linalg_reference
 import sequences_reference as ref
-from heckestab import hecke, sequences
+from helpers import direct_sum, from_columns, zero_sequence
+from heckestab import hecke, sequences, verify
 from heckestab.hecke import ModulePresentation, regular_representation
 from heckestab.linalg import EchelonBasis, ExactMatrix
 from heckestab.partitions import pieri_add, syt_count, unpad
@@ -25,7 +26,6 @@ from heckestab.sequences import (
     build_Mm,
     check_consistency,
     degrees,
-    direct_sum,
     free_cover,
     generation_degree,
     is_uniformly_stable,
@@ -42,7 +42,6 @@ from heckestab.sequences import (
     shift_decompose_Mm,
     span,
     weight,
-    zero_sequence,
 )
 from heckestab.symgroup import permutations_of
 
@@ -304,7 +303,7 @@ small_scalars = st.sampled_from(
 
 def as_matrix(dim, basis):
     """The dim x len(basis) matrix whose columns are the stored vectors."""
-    return ExactMatrix.from_columns(dim, basis.vectors)
+    return from_columns(dim, basis.vectors)
 
 
 class TestRestriction:
@@ -387,6 +386,14 @@ class TestFreeCover:
         f = free_cover(V, 2)
         assert f.source.dims() == V.dims()
         assert seq_kernel(f).dims() == [0] * 6
+
+    @pytest.mark.parametrize("lam", [(2,), (2, 1)])
+    def test_induced_tower_is_its_own_cover(self, lam):
+        # V = M(W) with W in degree m = |lam| alone: the degree-m cover sends
+        # T_d (x) w to T_d . w, which is the same basis vector of V
+        V = build_Mm(2, 5) if lam == (2,) else build_M_specht(lam, 5)
+        f = free_cover(V, sum(lam))
+        assert list(f.components) == [ExactMatrix.identity(k) for k in V.dims()]
 
     def test_insufficient_degree(self):
         with pytest.raises(ValueError, match="insufficient degree"):
@@ -604,11 +611,8 @@ class TestShift:
         original = sequences._build_M_layout
 
         def rotated(W, n_max, label):
-            seq, layouts = original(W, n_max, label)
-            return seq, [
-                [(m, off, reps[1:] + reps[:1]) for m, off, reps in layout]
-                for layout in layouts
-            ]
+            seq, labels = original(W, n_max, label)
+            return seq, [degree[1:] + degree[:1] for degree in labels]
 
         monkeypatch.setattr(sequences, "_build_M_layout", rotated)
         with pytest.raises(ValueError, match=r"mixes M\(1\) and C_1"):
@@ -717,6 +721,15 @@ class TestSerialization:
         assert other is not V
         assert other.dims() == build_Mm(1, 4).dims()
 
+    def test_cleared_memos_forget_the_saved_tower(self, tmp_path):
+        V = build_Mm(1, 4)
+        p = tmp_path / "a.json"
+        save_sequence(V, p)
+        verify.clear_memos()
+        back = load_sequence(p)
+        assert back is not V
+        assert back.dims() == V.dims()
+
     def test_unknown_schema(self):
         with pytest.raises(ValueError, match="schema"):
             sequence_from_json_obj({"schema": "hecke-stab/99"})
@@ -735,7 +748,7 @@ class TestSerialization:
     def test_load_verifies_relations(self):
         V = build_Mm(1, 3)
         obj = sequence_to_json_obj(V)
-        fake = ExactMatrix.identity(V.modules[2].dim).to_json_obj()
+        fake = sequences._matrix_to_json(ExactMatrix.identity(V.modules[2].dim))
         obj["modules"][2]["generators"][0] = fake
         with pytest.raises(ValueError, match="relation failure"):
             sequence_from_json_obj(obj)
