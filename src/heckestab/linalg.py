@@ -15,6 +15,18 @@ leaves (0, y) with M y = 0; reducing (b, 0) leaves (b - M x, -x), which
 gives the solution x once its real part is zero.  A quotient needs no more
 than the reduced basis either: reduce leaves only non-pivot coordinates,
 and the projection of a pivot coordinate is read off its stored vector.
+
+The kernels build no scalar equal to one they already hold, and each
+shortcut gives the entry the full computation would, in the same form:
+
+* a product with 1 is the other factor (see ``Scalar.__mul__``), and
+  every connector of an M(W) tower is a 0/1 matrix;
+* the first contribution to an entry of a product, an image or a sum is
+  stored as the contribution itself, which is what 0 + x normalises to;
+* subtracting c v_p from a vector whose entry at the pivot p is c
+  cancels that entry exactly, since a stored vector is 1 at its pivot, so
+  the entry is dropped and only the other entries of v_p are updated.
+  ``_cancel_pivot`` checks that v_p is 1 at p before it relies on it.
 """
 
 from __future__ import annotations
@@ -117,11 +129,15 @@ class ExactMatrix:
             raise ValueError("shape mismatch")
         entries = dict(self.entries)
         for key, v in other.entries.items():
-            w = entries.get(key, ZERO) + v
+            w = entries.get(key)
+            if w is None:
+                entries[key] = v
+                continue
+            w = w + v
             if w:
                 entries[key] = w
             else:
-                entries.pop(key, None)
+                del entries[key]
         out = ExactMatrix.zeros(self.rows, self.cols)
         out.entries = entries
         return out
@@ -152,11 +168,15 @@ class ExactMatrix:
             for (i, k), u in self.entries.items():
                 for j, v in rows_of_other[k].items():
                     key = (i, j)
-                    w = acc.get(key, ZERO) + u * v
+                    w = acc.get(key)
+                    if w is None:
+                        acc[key] = u * v
+                        continue
+                    w = w + u * v
                     if w:
                         acc[key] = w
                     else:
-                        acc.pop(key, None)
+                        del acc[key]
             out = ExactMatrix.zeros(self.rows, other.cols)
             out.entries = acc
             return out
@@ -175,31 +195,58 @@ class ExactMatrix:
             if not c:
                 continue
             for i, v in cols[j].items():
-                w = out.get(i, ZERO) + v * c
+                w = out.get(i)
+                if w is None:
+                    out[i] = v * c
+                    continue
+                w = w + v * c
                 if w:
                     out[i] = w
                 else:
-                    out.pop(i, None)
+                    del out[i]
         return out
 
 
 # -- sparse vector helpers -------------------------------------------------
 
 
-def vec_add_scaled(u: dict, v: dict, c: Scalar) -> None:
-    """In place: u += c*v."""
+def vec_add_scaled(u: dict, v: dict, c: Scalar, skip=None) -> None:
+    """In place: u += c*v, over the entries of v other than the one at ``skip``."""
     if not c:
         return
     for i, x in v.items():
-        w = u.get(i, ZERO) + c * x
+        if i == skip:
+            continue
+        w = u.get(i)
+        if w is None:
+            if x:
+                u[i] = c * x
+            continue
+        w = w + c * x
         if w:
             u[i] = w
         else:
-            u.pop(i, None)
+            del u[i]
 
 
 def vec_scale(v: dict, c: Scalar) -> dict:
     return {i: x * c for i, x in v.items()} if c else {}
+
+
+def _cancel_pivot(u: dict, v: dict, p) -> None:
+    """In place: u -= u[p] * v, for v the vector stored at pivot p.
+
+    v is 1 at p, so the entry at p cancels exactly: it is dropped, and
+    only the other entries of v are added.  A v that is not 1 at p means
+    the basis is no longer reduced; that raises ValueError, as a stored
+    pivot in a residue does.
+    """
+    x = v.get(p)
+    if x is None or not x.is_one():
+        raise ValueError(f"echelon basis not reduced: pivot {p} is already stored")
+    c = u.pop(p, None)
+    if c is not None and len(v) > 1:
+        vec_add_scaled(u, v, -c, skip=p)
 
 
 class EchelonBasis:
@@ -223,8 +270,8 @@ class EchelonBasis:
     def reduce(self, vec: dict) -> dict:
         """Return the residue of ``vec`` after reduction, as a fresh dict."""
         v = {i: c for i, c in vec.items() if c}
-        for p, c in [(p, c) for p, c in v.items() if p in self.pivots]:
-            vec_add_scaled(v, self.vectors[self.pivots[p]], -c)
+        for p in [p for p in v if p in self.pivots]:
+            _cancel_pivot(v, self.vectors[self.pivots[p]], p)
         return v
 
     def insert(self, vec: dict):
@@ -245,9 +292,8 @@ class EchelonBasis:
         if not lead.is_one():
             v = vec_scale(v, ONE / lead)
         for u in self.vectors:
-            c = u.get(p)
-            if c:
-                vec_add_scaled(u, v, -c)
+            if p in u:
+                _cancel_pivot(u, v, p)
         self.pivots[p] = len(self.vectors)
         self.vectors.append(v)
         return p

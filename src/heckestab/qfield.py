@@ -428,11 +428,21 @@ class Scalar:
         return other + (-self)
 
     def __mul__(self, other):
+        """The product in normal form.
+
+        A factor equal to 1 returns the other factor itself: scalars are
+        immutable and always normalised, so that is the product's value
+        in the product's normal form, built without arithmetic.
+        """
         other = _coerce(other)
         if other is NotImplemented:
             return other
         if not self.num or not other.num:
             return ZERO
+        if self.num == _P_ONE and self.den == _P_ONE:
+            return other
+        if other.num == _P_ONE and other.den == _P_ONE:
+            return self
         if self.den == _P_ONE and other.den == _P_ONE:
             return Scalar._new(poly_mul(self.num, other.num), _P_ONE)
         # cross-cancel before multiplying to keep degrees small; the

@@ -273,19 +273,24 @@ def _closure(module: ModulePresentation, vectors) -> EchelonBasis:
     A queued vector may be cleared of later pivots in place before its turn.
     It then differs from the vector inserted by a combination of vectors
     inserted after it, each queued too, so the generators still reach the
-    whole span.
+    whole span.  A basis of module.dim vectors spans the module, so no
+    later vector can be independent: the closure stops there, with the
+    basis it would end with.
     """
     basis = EchelonBasis()
     queue = deque()
+    full = module.dim
     for v in vectors:
-        if v and basis.insert(dict(v)) is not None:
+        if v and len(basis.vectors) < full and basis.insert(dict(v)) is not None:
             queue.append(basis.vectors[-1])
-    while queue:
+    while queue and len(basis.vectors) < full:
         v = queue.popleft()
         for g in module.gen_action:
             w = g.apply(v)
             if w and basis.insert(w) is not None:
                 queue.append(basis.vectors[-1])
+                if len(basis.vectors) == full:
+                    return basis
     return basis
 
 

@@ -16,10 +16,144 @@ All three run on ``EchelonBasis`` below, the unreduced echelon basis the
 package kept before its basis became reduced: a stored vector is the
 residue it had when inserted, so it may be nonzero at pivots stored after
 it, and a reduction walks the pivots in ascending order.
+
+The sparse kernels here do full arithmetic on every entry, as the package
+did before its kernels skipped the trivial steps: each contribution is
+added to the entry it lands on (``u.get(i, ZERO) + c * x``), zero
+included, and a stored vector's pivot entry is cancelled by subtraction
+like any other.  ``matmul``, ``apply``, ``vec_add_scaled`` and
+``ReducedEchelonBasis`` (the package's reduced basis, on these kernels)
+are the reference for the package's shortcuts, which must give the same
+keys in the same order and the same (num, den) on every entry.
 """
 
-from heckestab.linalg import ExactMatrix, vec_add_scaled, vec_scale
+from heckestab.linalg import ExactMatrix
 from heckestab.qfield import ONE, ZERO
+
+
+def vec_add_scaled(u: dict, v: dict, c) -> None:
+    """In place: u += c*v."""
+    if not c:
+        return
+    for i, x in v.items():
+        w = u.get(i, ZERO) + c * x
+        if w:
+            u[i] = w
+        else:
+            u.pop(i, None)
+
+
+def vec_scale(v: dict, c) -> dict:
+    return {i: x * c for i, x in v.items()} if c else {}
+
+
+def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """a @ b, every product added to its entry."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    rows_of_b = [dict() for _ in range(b.rows)]
+    for (k, j), v in b.entries.items():
+        rows_of_b[k][j] = v
+    acc: dict = {}
+    for (i, k), u in a.entries.items():
+        for j, v in rows_of_b[k].items():
+            w = acc.get((i, j), ZERO) + u * v
+            if w:
+                acc[(i, j)] = w
+            else:
+                acc.pop((i, j), None)
+    out = ExactMatrix.zeros(a.rows, b.cols)
+    out.entries = acc
+    return out
+
+
+def apply(matrix: ExactMatrix, vec: dict) -> dict:
+    """The image of a sparse column vector, every product added to its entry."""
+    cols = matrix.columns()
+    out: dict = {}
+    for j, c in vec.items():
+        if not c:
+            continue
+        for i, v in cols[j].items():
+            w = out.get(i, ZERO) + v * c
+            if w:
+                out[i] = w
+            else:
+                out.pop(i, None)
+    return out
+
+
+class ReducedEchelonBasis:
+    """The package's reduced echelon basis, on the full-arithmetic kernels.
+
+    Each stored vector is 1 at its pivot and 0 at every other stored
+    pivot; a reduction subtracts vec[p] v_p for each pivot p in the
+    support of vec, the entry at p included.
+    """
+
+    def __init__(self):
+        self.pivots: dict = {}
+        self.vectors: list = []
+
+    def __len__(self):
+        return len(self.vectors)
+
+    def reduce(self, vec: dict) -> dict:
+        v = {i: c for i, c in vec.items() if c}
+        for p, c in [(p, c) for p, c in v.items() if p in self.pivots]:
+            vec_add_scaled(v, self.vectors[self.pivots[p]], -c)
+        return v
+
+    def insert(self, vec: dict):
+        v = self.reduce(vec)
+        if not v:
+            return None
+        p = min(v.keys())
+        if p in self.pivots:
+            raise ValueError(f"echelon basis not reduced: pivot {p} is already stored")
+        lead = v[p]
+        if not lead.is_one():
+            v = vec_scale(v, ONE / lead)
+        for u in self.vectors:
+            c = u.get(p)
+            if c:
+                vec_add_scaled(u, v, -c)
+        self.pivots[p] = len(self.vectors)
+        self.vectors.append(v)
+        return p
+
+    def quotient(self, dim: int, maps=()) -> tuple:
+        """(projection, section, induced), read off the reduced vectors."""
+        free = [j for j in range(dim) if j not in self.pivots]
+        where = {j: t for t, j in enumerate(free)}
+        entries = {}
+        for j in range(dim):
+            t = self.pivots.get(j)
+            if t is None:
+                entries[(where[j], j)] = ONE
+                continue
+            for i, c in self.vectors[t].items():
+                if i != j:
+                    entries[(where[i], j)] = -c
+        projection = ExactMatrix(len(free), dim, entries)
+        section = ExactMatrix(dim, len(free), {(j, t): ONE for t, j in enumerate(free)})
+        induced = []
+        for m in maps:
+            if m.rows != dim or m.cols != dim:
+                raise ValueError("shape mismatch")
+            pm = matmul(projection, m)
+            ind = matmul(pm, section)
+            if pm != matmul(ind, projection):
+                raise ValueError("not invariant")
+            induced.append(ind)
+        return projection, section, induced
+
+
+def rank(matrix: ExactMatrix) -> int:
+    basis = EchelonBasis()
+    for col in matrix.columns():
+        basis.insert(col)
+    return len(basis)
 
 
 class EchelonBasis:
@@ -159,8 +293,8 @@ def quotient_structure(dim: int, subspace_vectors, maps=()) -> tuple:
     for m in maps:
         if m.rows != dim or m.cols != dim:
             raise ValueError("shape mismatch")
-        ind = projection @ m @ section
-        if projection @ m != ind @ projection:
+        ind = matmul(matmul(projection, m), section)
+        if matmul(projection, m) != matmul(ind, projection):
             raise ValueError("not invariant")
         induced.append(ind)
     return projection, section, induced

@@ -1,6 +1,9 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -15,6 +18,9 @@ from heckestab.sequences import (
     save_sequence,
     sequence_to_json_obj,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -385,6 +391,25 @@ class TestErrorsAndDeterminism:
         _, n2, _ = run(capsys, "seq", "noetherian", "--m", "1", "--trials", "2",
                        "--seed", "9", "--nmax", "4")
         assert n1 == n2
+
+    def test_verify_all_stdout_ignores_the_hash_seed(self, tmp_path):
+        # two fresh interpreters, run side by side, under hash seeds 0 and
+        # 1: set and dict orders that leaked into stdout would differ.
+        # Costs one cold `verify all`, about 1.5 s of wall time on 2 vCPUs.
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "heckestab.cli", "verify", "all"],
+                cwd=tmp_path,
+                env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed),
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+            )
+            for seed in ("0", "1")
+        ]
+        (out0, err0), (out1, err1) = (p.communicate(timeout=300) for p in procs)
+        assert [p.returncode for p in procs] == [0, 0], (err0 + err1).decode()
+        assert out0.startswith(b"PASS")
+        assert out0 == out1
 
     def test_build_files_identical(self, capsys, tmp_path):
         a = tmp_path / "a.json"

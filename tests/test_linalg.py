@@ -343,3 +343,118 @@ class TestAgainstReference:
             return qs.projection, qs.section, qs.induced
 
         assert outcome(new) == outcome(ref.quotient_structure, dim, vectors, maps)
+
+
+# Entries for the kernel differential tests: 1, small Z[q] polynomials and
+# quotients whose denominator is not 1, each with its negative, so that
+# products with 1 and contributions that cancel are both common.
+_KERNEL_VALUES = [
+    ONE, Q, Q + 1, Q * Q - 1, scal(2), Q / (Q + 1), ONE / (2 * Q),
+    (Q - 1) / (Q * Q + 1), scal(Fraction(1, 3)),
+]
+kernel_entries = st.sampled_from(_KERNEL_VALUES + [-x for x in _KERNEL_VALUES])
+sparse_entries = st.one_of(st.just(ZERO), kernel_entries)
+
+
+def forms(entries: dict) -> list:
+    """(key, num, den) of every entry, in the dict's order."""
+    return [(k, v.num, v.den) for k, v in entries.items()]
+
+
+def sparse_vectors(dim=6):
+    return st.dictionaries(st.integers(0, dim - 1), kernel_entries, max_size=dim)
+
+
+@st.composite
+def sparse_matrices(draw, rows, cols):
+    data = draw(
+        st.lists(st.lists(sparse_entries, min_size=cols, max_size=cols),
+                 min_size=rows, max_size=rows)
+    )
+    return ExactMatrix.from_rows(data) if rows else ExactMatrix.zeros(0, cols)
+
+
+@st.composite
+def matmul_pairs(draw):
+    """(a, b) with a.cols == b.rows.  With ``cancel`` the last inner index
+    repeats the first with b's row negated, so every product through the
+    first index cancels against one through the last."""
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    a, b = draw(sparse_matrices(r, k + 1)), draw(sparse_matrices(k + 1, c))
+    if k and draw(st.booleans()):
+        a_entries = {key: v for key, v in a.entries.items() if key[1] != k}
+        a_entries.update({(i, k): v for (i, j), v in a.entries.items() if j == 0})
+        b_entries = {key: v for key, v in b.entries.items() if key[0] != k}
+        b_entries.update({(k, j): -v for (i, j), v in b.entries.items() if i == 0})
+        a = ExactMatrix(r, k + 1, a_entries)
+        b = ExactMatrix(k + 1, c, b_entries)
+    return a, b
+
+
+class TestKernelsAgainstFullArithmetic:
+    """The kernels' shortcuts against linalg_reference's full arithmetic:
+    the same keys in the same order and the same (num, den) everywhere."""
+
+    @given(matmul_pairs())
+    @settings(max_examples=80)
+    def test_matmul(self, pair):
+        a, b = pair
+        assert forms((a @ b).entries) == forms(ref.matmul(a, b).entries)
+
+    @given(matmul_pairs(), st.data())
+    @settings(max_examples=80)
+    def test_apply(self, pair, data):
+        # a column of b as the vector: the cancelling pairs carry over
+        a, b = pair
+        vectors = b.columns() or [{}]
+        vec = vectors[data.draw(st.integers(0, len(vectors) - 1))]
+        vec[data.draw(st.integers(0, a.cols - 1))] = data.draw(sparse_entries)
+        assert forms(a.apply(vec)) == forms(ref.apply(a, vec))
+
+    @given(sparse_vectors(), sparse_vectors(), sparse_entries, st.data())
+    @settings(max_examples=80)
+    def test_vec_add_scaled(self, u, v, c, data):
+        # entries of u that c*v cancels, on some of v's keys
+        for i in data.draw(st.lists(st.sampled_from(sorted(v) or [0]), max_size=3)):
+            if i in v and c:
+                u[i] = -(c * v[i])
+        mine, theirs = dict(u), dict(u)
+        vec_add_scaled(mine, v, c)
+        ref.vec_add_scaled(theirs, v, c)
+        assert forms(mine) == forms(theirs)
+
+    @given(st.lists(sparse_vectors(), max_size=7), st.lists(sparse_vectors(), max_size=4))
+    @settings(max_examples=80)
+    def test_echelon_basis(self, vectors, probes):
+        basis, reference = EchelonBasis(), ref.ReducedEchelonBasis()
+        for v in vectors:
+            assert basis.insert(v) == reference.insert(v)
+        assert list(basis.pivots.items()) == list(reference.pivots.items())
+        assert [forms(v) for v in basis.vectors] == [forms(v) for v in reference.vectors]
+        for probe in probes + vectors:
+            assert forms(basis.reduce(probe)) == forms(reference.reduce(probe))
+
+    @given(st.integers(0, 4), st.data())
+    @settings(max_examples=60)
+    def test_quotient(self, dim, data):
+        # the image of m is invariant under m and under any scalar map
+        m = data.draw(sparse_matrices(dim, dim))
+        maps = [m, ExactMatrix.identity(dim).scale(data.draw(kernel_entries))]
+        basis, reference = EchelonBasis(), ref.ReducedEchelonBasis()
+        for col in m.columns():
+            basis.insert(col)
+            reference.insert(col)
+        qs = basis.quotient(dim, maps)
+        projection, section, induced = reference.quotient(dim, maps)
+        assert forms(qs.projection.entries) == forms(projection.entries)
+        assert forms(qs.section.entries) == forms(section.entries)
+        assert [forms(x.entries) for x in qs.induced] == [forms(x.entries) for x in induced]
+
+    @given(matmul_pairs())
+    @settings(max_examples=60)
+    def test_rank_and_kernel(self, pair):
+        for a in pair:
+            assert rank(a) == ref.rank(a)
+            assert [sorted(forms(v)) for v in kernel_basis(a)] == [
+                sorted(forms(v)) for v in ref.kernel_basis(a)
+            ]

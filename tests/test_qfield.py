@@ -117,6 +117,22 @@ class TestArithmetic:
         for x in (Q, scal(-1)):
             assert x * x - (Q - 1) * x - Q == ZERO
 
+    @given(scalars())
+    def test_product_with_one_is_the_other_factor(self, a):
+        # a factor 1 returns the other operand itself, already in normal
+        # form, on either side and whatever its denominator (a product
+        # with 0 is ZERO, and 1 times 1 may be either operand)
+        for product in (ONE * a, a * ONE, 1 * a, a * 1):
+            assert (product.num, product.den) == (a.num, a.den)
+            if a and a != ONE:
+                assert product is a
+
+    def test_product_with_one_keeps_a_denominator(self):
+        a = (Q - 1) / (2 * Q * Q + 2)
+        assert (a * ONE) is a and (ONE * a) is a
+        assert (a.num, a.den) == ((-1, 1), (2, 0, 2))
+        assert (ONE * 3).num == (3,) and (3 * ONE).num == (3,)
+
     def test_negative_power(self):
         assert q_power(-2) * q_power(2) == ONE
         assert Q ** -1 == ONE / Q

@@ -246,6 +246,87 @@ class TestKeptWork:
         assert eliminated == 2 * list(V.modules)
 
 
+def unstopped_closure(module, vectors):
+    """_closure without its stop: every queued vector meets every generator."""
+    basis = EchelonBasis()
+    queue = []
+    for v in vectors:
+        if v and basis.insert(dict(v)) is not None:
+            queue.append(basis.vectors[-1])
+    while queue:
+        v = queue.pop(0)
+        for g in module.gen_action:
+            w = g.apply(v)
+            if w and basis.insert(w) is not None:
+                queue.append(basis.vectors[-1])
+    return basis
+
+
+class TestSkippedWork:
+    """Work the L1 kernels and closures skip, pinned by counts, not timings."""
+
+    def test_connector_products_are_generator_entries(self):
+        # a connector is a 0/1 matrix with one 1 per column and at most one
+        # per row, so f @ G and G' @ f take each entry from the generator
+        V = build_Mm(2, 4)
+        seen = 0
+        for n, f in enumerate(V.connectors):
+            assert all(x is ONE for x in f.entries.values())
+            assert len(f.entries) == f.cols
+            row_of = {j: k for (k, j) in f.entries}
+            col_of = {k: j for (k, j) in f.entries}
+            assert len(row_of) == f.cols and len(col_of) == f.cols
+            for G in V.modules[n].gen_action:
+                for (i, j), x in (f @ G).entries.items():
+                    assert x is G.entries[(col_of[i], j)]
+                    seen += 1
+            for G in V.modules[n + 1].gen_action:
+                for (i, j), x in (G @ f).entries.items():
+                    assert x is G.entries[(i, row_of[j])]
+                    seen += 1
+        assert seen > 40
+
+    def test_full_closure_applies_no_generator(self, monkeypatch):
+        bases = []
+
+        class Recorded(EchelonBasis):
+            def __init__(self):
+                super().__init__()
+                bases.append(self)
+
+        class Watched:
+            """A generator that records the basis size at each apply."""
+
+            def __init__(self, g):
+                self.g = g
+
+            def apply(self, v):
+                sizes.append(len(bases[-1]))
+                return self.g.apply(v)
+
+        monkeypatch.setattr(sequences, "EchelonBasis", Recorded)
+        filled = 0
+        for V in (build_Mm(2, 4), build_M_specht((2, 1), 5)):
+            for n, module in enumerate(V.modules):
+                seed_sets = [
+                    [{0: ONE}] if module.dim else [],
+                    V.connectors[n - 1].columns() if n else [],
+                    [{i: ONE} for i in range(module.dim)],
+                ]
+                for vectors in seed_sets:
+                    sizes = []
+                    watched = mock.Mock(
+                        dim=module.dim, gen_action=[Watched(g) for g in module.gen_action]
+                    )
+                    basis = sequences._closure(watched, vectors)
+                    assert all(size < module.dim for size in sizes)
+                    reference = unstopped_closure(module, vectors)
+                    assert list(basis.pivots.items()) == list(reference.pivots.items())
+                    assert basis.vectors == reference.vectors
+                    filled += len(basis) == module.dim and bool(sizes)
+        assert filled > 5
+
+
 class TestSpan:
     def test_canonical_seed_generates_m1(self):
         V = build_Mm(1, 5)
