@@ -79,9 +79,9 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .linalg import ExactMatrix
-from .qfield import ONE, Q, ZERO, Scalar, _make, _quotient, pack_width, poly_div_exact
-from .qfield import poly_gcd, poly_mul, poly_pack, poly_unpack, scal
+from .linalg import ExactMatrix, vec_add_scaled, vec_scale
+from .qfield import MINUS_ONE, ONE, Q, Scalar, _make, _quotient, pack_width
+from .qfield import poly_div_exact, poly_gcd, poly_mul, poly_pack, poly_unpack, scal
 from .symgroup import (
     Permutation,
     coset_min_reps,
@@ -129,33 +129,27 @@ class HeckeElement:
     def one(cls, n: int) -> "HeckeElement":
         return cls(n, {Permutation.identity(n): ONE})
 
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
+    def _plus(self, other: "HeckeElement", c: Scalar) -> "HeckeElement":
+        """self + c*other, for the c = 1 of ``+`` and the c = -1 of ``-``."""
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        coeffs = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            s = coeffs.get(w, ZERO) + c
-            if s:
-                coeffs[w] = s
-            else:
-                coeffs.pop(w, None)
         out = HeckeElement(self.n)
-        out.coeffs = coeffs
+        out.coeffs = dict(self.coeffs)
+        vec_add_scaled(out.coeffs, other.coeffs, c)
         return out
+
+    def __add__(self, other: "HeckeElement") -> "HeckeElement":
+        return self._plus(other, ONE)
+
+    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
+        return self._plus(other, MINUS_ONE)
 
     def __neg__(self):
-        out = HeckeElement(self.n)
-        out.coeffs = {w: -c for w, c in self.coeffs.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
+        return self.scale(MINUS_ONE)
 
     def scale(self, c) -> "HeckeElement":
-        c = scal(c)
         out = HeckeElement(self.n)
-        if c:
-            out.coeffs = {w: x * c for w, x in self.coeffs.items()}
+        out.coeffs = vec_scale(self.coeffs, scal(c))
         return out
 
     def __mul__(self, other):

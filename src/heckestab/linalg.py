@@ -16,22 +16,17 @@ gives the solution x once its real part is zero.  A quotient needs no more
 than the reduced basis either: reduce leaves only non-pivot coordinates,
 and the projection of a pivot coordinate is read off its stored vector.
 
-The kernels build no scalar equal to one they already hold, and each
-shortcut gives the entry the full computation would, in the same form:
-
-* a product with 1 is the other factor (see ``Scalar.__mul__``), and
-  every connector of an M(W) tower is a 0/1 matrix;
-* the first contribution to an entry of a product, an image or a sum is
-  stored as the contribution itself, which is what 0 + x normalises to;
-* subtracting c v_p from a vector whose entry at the pivot p is c
-  cancels that entry exactly, since a stored vector is 1 at its pivot, so
-  the entry is dropped and only the other entries of v_p are updated.
-  ``_cancel_pivot`` checks that v_p is 1 at p before it relies on it.
+Every sparse sum and scale of Scalars, in a matrix sum, an image, a
+vector update or a Hecke element, runs through :func:`vec_add_scaled` and
+:func:`vec_scale`, whose docstring states the rule by which they build no
+scalar equal to one they already hold; ``ExactMatrix.__matmul__`` inlines
+the same rule.  A reduction also drops each pivot entry it cancels
+exactly (``_cancel_pivot``).
 """
 
 from __future__ import annotations
 
-from .qfield import ONE, ZERO, Scalar, scal
+from .qfield import MINUS_ONE, ONE, ZERO, Scalar, scal
 
 __all__ = [
     "ExactMatrix",
@@ -47,8 +42,8 @@ __all__ = [
 class ExactMatrix:
     """An immutable sparse matrix over Q(q).
 
-    ``entries`` is assigned only while a constructor builds the matrix, so
-    the column index that ``apply`` builds on first use stays valid.
+    ``entries`` is set only by ``__init__`` and ``_new``, so the column
+    index that ``apply`` builds on first use stays valid.
     """
 
     __slots__ = ("rows", "cols", "entries", "_by_column")
@@ -71,6 +66,16 @@ class ExactMatrix:
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def _new(cls, rows: int, cols: int, entries: dict) -> "ExactMatrix":
+        """Internal constructor for nonzero Scalar entries inside the shape."""
+        self = object.__new__(cls)
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+        self._by_column = None
+        return self
+
+    @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls(n, n, {(i, i): ONE for i in range(n)})
 
@@ -88,9 +93,7 @@ class ExactMatrix:
             if len(row) != ncols:
                 raise ValueError("ragged rows")
             for j, v in enumerate(row):
-                v = scal(v)
-                if v:
-                    entries[(i, j)] = v
+                entries[(i, j)] = v
         return cls(nrows, ncols, entries)
 
     # -- structure ------------------------------------------------------
@@ -124,40 +127,30 @@ class ExactMatrix:
 
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other):
+    def _plus(self, other, c: Scalar) -> "ExactMatrix":
+        """self + c*other, for the c = 1 of ``+`` and the c = -1 of ``-``."""
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
         entries = dict(self.entries)
-        for key, v in other.entries.items():
-            w = entries.get(key)
-            if w is None:
-                entries[key] = v
-                continue
-            w = w + v
-            if w:
-                entries[key] = w
-            else:
-                del entries[key]
-        out = ExactMatrix.zeros(self.rows, self.cols)
-        out.entries = entries
-        return out
+        vec_add_scaled(entries, other.entries, c)
+        return ExactMatrix._new(self.rows, self.cols, entries)
 
-    def __neg__(self):
-        out = ExactMatrix.zeros(self.rows, self.cols)
-        out.entries = {k: -v for k, v in self.entries.items()}
-        return out
+    def __add__(self, other):
+        return self._plus(other, ONE)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, MINUS_ONE)
+
+    def __neg__(self):
+        return self.scale(MINUS_ONE)
 
     def scale(self, c) -> "ExactMatrix":
-        c = scal(c)
-        out = ExactMatrix.zeros(self.rows, self.cols)
-        if c:
-            out.entries = {k: v * c for k, v in self.entries.items()}
-        return out
+        return ExactMatrix._new(self.rows, self.cols, vec_scale(self.entries, scal(c)))
 
     def __matmul__(self, other):
+        """self @ other.  It reads ``other`` by rows, so it inlines the
+        sum rule of :func:`vec_add_scaled` instead of calling it per column.
+        """
         if isinstance(other, ExactMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch")
@@ -177,9 +170,7 @@ class ExactMatrix:
                         acc[key] = w
                     else:
                         del acc[key]
-            out = ExactMatrix.zeros(self.rows, other.cols)
-            out.entries = acc
-            return out
+            return ExactMatrix._new(self.rows, other.cols, acc)
         raise TypeError("matmul expects an ExactMatrix")
 
     def apply(self, vec: dict) -> dict:
@@ -192,18 +183,7 @@ class ExactMatrix:
         if cols is None:
             cols = self._by_column = self.columns()
         for j, c in vec.items():
-            if not c:
-                continue
-            for i, v in cols[j].items():
-                w = out.get(i)
-                if w is None:
-                    out[i] = v * c
-                    continue
-                w = w + v * c
-                if w:
-                    out[i] = w
-                else:
-                    del out[i]
+            vec_add_scaled(out, cols[j], c)
         return out
 
 
@@ -211,7 +191,19 @@ class ExactMatrix:
 
 
 def vec_add_scaled(u: dict, v: dict, c: Scalar, skip=None) -> None:
-    """In place: u += c*v, over the entries of v other than the one at ``skip``."""
+    """In place: u += c*v, over the entries of v other than the one at ``skip``.
+
+    Each entry comes out as the full computation u.get(i, 0) + c*x gives
+    it, in the same normal form, without building a scalar equal to one
+    already held:
+
+    * a first contribution to an entry of u is stored as c*x itself,
+      which is what 0 + c*x normalises to;
+    * a product with 1 is the other factor (see ``Scalar.__mul__``), so
+      c = 1, or a 1 in v, stores the other operand's own object, and every
+      connector of an M(W) tower is a 0/1 matrix;
+    * an entry that cancels is deleted, so u stays sparse.
+    """
     if not c:
         return
     for i, x in v.items():
@@ -305,10 +297,10 @@ class EchelonBasis:
         leaves only those, so column j of the projection is reduce(e_j)
         read in them, and that is read straight off the stored vectors: a
         free j maps to itself, and a pivot p maps to -v_p away from p.
-        So projection * section = identity, and the induced maps satisfy
-        projection @ map = induced @ projection exactly.  Each map (a
-        dim x dim ExactMatrix) must send the span into itself; otherwise
-        ValueError('not invariant') is raised.
+        So projection * section = identity, and each induced map is
+        :meth:`QuotientStructure.induced_map` of its map, certified there.
+        Each map (a dim x dim ExactMatrix) must send the span into itself;
+        otherwise ValueError('not invariant') is raised.
         """
         free = [j for j in range(dim) if j not in self.pivots]
         where = {j: t for t, j in enumerate(free)}
@@ -323,16 +315,9 @@ class EchelonBasis:
                     entries[(where[i], j)] = -c
         projection = ExactMatrix(len(free), dim, entries)
         section = ExactMatrix(dim, len(free), {(j, t): ONE for t, j in enumerate(free)})
-        induced = []
-        for m in maps:
-            if m.rows != dim or m.cols != dim:
-                raise ValueError("shape mismatch")
-            pm = projection @ m
-            ind = pm @ section
-            if pm != ind @ projection:
-                raise ValueError("not invariant")
-            induced.append(ind)
-        return QuotientStructure(projection, section, induced)
+        qs = QuotientStructure(projection, section, [])
+        qs.induced = [qs.induced_map(m, qs) for m in maps]
+        return qs
 
 
 def rank(matrix: ExactMatrix) -> int:
@@ -416,6 +401,20 @@ class QuotientStructure:
     @property
     def quotient_dim(self):
         return self.projection.rows
+
+    def induced_map(self, f: ExactMatrix, source: "QuotientStructure") -> ExactMatrix:
+        """The map T = P f S_source that f induces from source's quotient to this one.
+
+        T is well defined exactly when f sends the subspace of ``source``
+        into this one, that is when T P_source = P f; that is checked
+        exactly, and ValueError('not invariant') is raised otherwise.  A
+        map of the wrong shape raises ValueError('shape mismatch').
+        """
+        pf = self.projection @ f
+        T = pf @ source.section
+        if T @ source.projection != pf:
+            raise ValueError("not invariant")
+        return T
 
 
 def quotient_structure(dim: int, subspace_vectors, maps=()) -> QuotientStructure:

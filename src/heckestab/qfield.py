@@ -48,6 +48,7 @@ __all__ = [
     "Scalar",
     "ZERO",
     "ONE",
+    "MINUS_ONE",
     "Q",
     "scal",
     "poly_gcd",
@@ -558,9 +559,10 @@ def _make(num: Poly, den: Poly) -> Scalar:
 
 ZERO = Scalar._new(_P_ZERO, _P_ONE)
 ONE = Scalar._new(_P_ONE, _P_ONE)
+MINUS_ONE = Scalar._new((-1,), _P_ONE)
 Q = Scalar._new((0, 1), _P_ONE)
 
-_SMALL = {0: ZERO, 1: ONE, -1: Scalar._new((-1,), _P_ONE)}
+_SMALL = {0: ZERO, 1: ONE, -1: MINUS_ONE}
 
 
 def scal(x) -> Scalar:

@@ -27,7 +27,6 @@ import io
 import json
 import random
 from collections import deque
-from fractions import Fraction
 
 from .hecke import ModulePresentation, regular_representation
 from .linalg import EchelonBasis, ExactMatrix, kernel_basis, rank
@@ -443,8 +442,9 @@ def phi_a(V: ConsistentSequence, a: int) -> PhiSequence:
     """Quotients Phi_a(V)_n = V_{a+n} / Q_n and induced maps T.
 
     T[v] = [phi_{a+n}(v)] is well defined because the connectors push the
-    coinvariant subspace forward; both that and the H_a-equivariance of T
-    are verified exactly.  This is the one-rank case of the towers that
+    coinvariant subspace forward; ``QuotientStructure.induced_map`` builds
+    T and certifies that exactly, and the H_a-equivariance of T is
+    verified exactly too.  This is the one-rank case of the towers that
     ``degrees`` reads, with the quotients of coinvariant_quotients.
     """
     if not 0 <= a <= V.n_max:
@@ -467,13 +467,7 @@ def _phi_tower(V: ConsistentSequence, a: int, pieces) -> PhiSequence:
     structures = [qs for _, qs in pieces]
     maps = []
     for n in range(V.n_max - a):
-        f = V.connectors[a + n]
-        pf = structures[n + 1].projection @ f
-        T = pf @ structures[n].section
-        if T @ structures[n].projection != pf:
-            raise ValueError(
-                f"tail coinvariants not preserved by the connector at n = {n}"
-            )
+        T = structures[n + 1].induced_map(V.connectors[a + n], structures[n])
         bad = _not_intertwined(T, spaces[n], spaces[n + 1])
         if bad:
             raise ValueError(
@@ -830,7 +824,7 @@ def noetherian_experiment(m: int, trials: int, seed: int, n_max: int) -> dict:
                 for i in sorted(support):
                     c = rng.randint(-3, 3)
                     if c:
-                        vec[i] = scal(Fraction(c))
+                        vec[i] = scal(c)
             seeds.append((deg, vec))
         sub = span(V, seeds, label=f"trial {t}")
         verdict = is_uniformly_stable(sub)

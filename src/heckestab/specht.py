@@ -45,7 +45,7 @@ from .partitions import (
     syt_count,
     syt_enumerate,
 )
-from .qfield import ONE, Q, Scalar, poly_add, q_power, scal
+from .qfield import MINUS_ONE, ONE, Q, Scalar, poly_add, q_power
 from .symgroup import Permutation, conjugacy_min_reps
 
 __all__ = [
@@ -60,8 +60,6 @@ __all__ = [
 ]
 
 SPECHT_BOUND = 7
-
-MINUS_ONE = scal(-1)
 
 
 def _positions(tableau):
@@ -295,9 +293,10 @@ def coinvariant_quotients(V: ModulePresentation, ranks) -> dict:
     every retained rank a in ranks.
 
     The tail subspaces are nested, Q_a = Q_{a+1} + im(T_{s_{a+1}} - q), so
-    one echelon basis is fed the columns of T_{s_j} - q for j from N - 1
-    down and read at each rank on the way.  A subspace has one reduced
-    echelon basis, so each quotient is the one Q_a alone would give.
+    one echelon basis is fed the columns of T_{s_j} + (-q)I for j from
+    N - 1 down and read at each rank on the way.  A subspace has one
+    reduced echelon basis, so each quotient is the one Q_a alone would
+    give.
     """
     N = V.n
     ranks = sorted(set(ranks), reverse=True)
@@ -305,13 +304,13 @@ def coinvariant_quotients(V: ModulePresentation, ranks) -> dict:
         if not 0 <= a <= N:
             raise ValueError(f"retained rank {a} outside 0..{N}")
     basis = EchelonBasis()
-    q_eye = ExactMatrix.identity(V.dim).scale(Q)
+    minus_q_eye = ExactMatrix.identity(V.dim).scale(-Q)
     fed = N  # the tail generators s_j with j >= fed are in the basis
     out = {}
     for a in ranks:
         while fed > a + 1:
             fed -= 1
-            for col in (V.gen_action[fed - 1] - q_eye).columns():
+            for col in (V.gen_action[fed - 1] + minus_q_eye).columns():
                 basis.insert(col)
         qs = basis.quotient(V.dim, V.gen_action[: max(a - 1, 0)])
         quotient = ModulePresentation(

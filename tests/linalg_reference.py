@@ -21,14 +21,15 @@ The sparse kernels here do full arithmetic on every entry, as the package
 did before its kernels skipped the trivial steps: each contribution is
 added to the entry it lands on (``u.get(i, ZERO) + c * x``), zero
 included, and a stored vector's pivot entry is cancelled by subtraction
-like any other.  ``matmul``, ``apply``, ``vec_add_scaled`` and
-``ReducedEchelonBasis`` (the package's reduced basis, on these kernels)
-are the reference for the package's shortcuts, which must give the same
-keys in the same order and the same (num, den) on every entry.
+like any other.  ``matmul``, ``apply``, ``add``, ``sub``, ``neg``,
+``scale``, ``vec_add_scaled`` and ``ReducedEchelonBasis`` (the package's
+reduced basis, on these kernels) are the reference for the package's
+shortcuts, which must give the same keys in the same order and the same
+(num, den) on every entry.
 """
 
 from heckestab.linalg import ExactMatrix
-from heckestab.qfield import ONE, ZERO
+from heckestab.qfield import ONE, ZERO, scal
 
 
 def vec_add_scaled(u: dict, v: dict, c) -> None:
@@ -62,9 +63,36 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
                 acc[(i, j)] = w
             else:
                 acc.pop((i, j), None)
-    out = ExactMatrix.zeros(a.rows, b.cols)
-    out.entries = acc
-    return out
+    return ExactMatrix(a.rows, b.cols, acc)
+
+
+def add(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """a + b, every entry of b added to its entry of a."""
+    if a.rows != b.rows or a.cols != b.cols:
+        raise ValueError("shape mismatch")
+    entries = dict(a.entries)
+    for key, v in b.entries.items():
+        w = entries.get(key, ZERO) + v
+        if w:
+            entries[key] = w
+        else:
+            entries.pop(key, None)
+    return ExactMatrix(a.rows, a.cols, entries)
+
+
+def neg(a: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(a.rows, a.cols, {key: -v for key, v in a.entries.items()})
+
+
+def sub(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """a - b as a + (-b), a negated copy of b first."""
+    return add(a, neg(b))
+
+
+def scale(a: ExactMatrix, c) -> ExactMatrix:
+    c = scal(c)
+    entries = {key: v * c for key, v in a.entries.items()} if c else {}
+    return ExactMatrix(a.rows, a.cols, entries)
 
 
 def apply(matrix: ExactMatrix, vec: dict) -> dict:

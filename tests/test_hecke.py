@@ -1,6 +1,7 @@
 """T-basis arithmetic, module presentations, induction from Young pairs."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +31,36 @@ def T(n, *word):
 
 def basis_elements(n):
     return [HeckeElement.basis(n, w) for w in permutations_of(n)]
+
+
+coefficient_values = st.sampled_from(
+    [ONE, -ONE, Q, Q / (Q + 1), (Q - 1) / (Q * Q + 1), scal(Fraction(1, 3))]
+)
+
+
+@st.composite
+def element_pairs(draw):
+    """(x, y) in H_3.  Some coefficients of y are x's and some their
+    negatives, so that coefficients cancel in x - y and in x + y."""
+    words = st.lists(st.sampled_from(list(permutations_of(3))), max_size=4, unique=True)
+    x = HeckeElement(3, {w: draw(coefficient_values) for w in draw(words)})
+    y = {w: draw(coefficient_values) for w in draw(words)}
+    for w, c in x.coeffs.items():
+        sign = draw(st.sampled_from([0, 1, -1]))
+        if sign:
+            y[w] = c if sign == 1 else -c
+    return x, HeckeElement(3, y)
+
+
+def coefficient_forms(coeffs: dict) -> list:
+    return [(w, c.num, c.den) for w, c in coeffs.items()]
+
+
+def coefficientwise(x, y, c) -> dict:
+    """x + c*y computed coefficient by coefficient, zeros dropped."""
+    keys = list(x.coeffs) + [w for w in y.coeffs if w not in x.coeffs]
+    sums = {w: x.coeffs.get(w, ZERO) + c * y.coeffs.get(w, ZERO) for w in keys}
+    return {w: s for w, s in sums.items() if s}
 
 
 class TestAlgebra:
@@ -92,6 +123,29 @@ class TestAlgebra:
         assert x.scale(0) == HeckeElement(3)
         assert x - x == HeckeElement(3)
         assert x.scale(ZERO) == HeckeElement(3)
+
+
+class TestLinearAgainstCoefficients:
+    """+, -, negation and scale against coefficient-wise arithmetic: the
+    same basis elements in the same order and the same (num, den)."""
+
+    @given(element_pairs(), st.one_of(coefficient_values, st.integers(-2, 2)))
+    @settings(max_examples=80)
+    def test_sum_difference_negation_and_scale(self, pair, c):
+        x, y = pair
+        zero = HeckeElement(3)
+        for mine, theirs in [
+            (x + y, coefficientwise(x, y, ONE)),
+            (x - y, coefficientwise(x, y, -ONE)),
+            (-y, coefficientwise(zero, y, -ONE)),
+            (y.scale(c), coefficientwise(zero, y, scal(c))),
+        ]:
+            assert coefficient_forms(mine.coeffs) == coefficient_forms(theirs)
+
+    def test_scale_refuses_inexact_factors(self):
+        for x in (HeckeElement(3), T(3, 1)):
+            with pytest.raises(TypeError):
+                x.scale(0.5)
 
 
 class TestTau:

@@ -361,6 +361,10 @@ def forms(entries: dict) -> list:
     return [(k, v.num, v.den) for k, v in entries.items()]
 
 
+def matrix_forms(m: ExactMatrix) -> tuple:
+    return m.rows, m.cols, forms(m.entries)
+
+
 def sparse_vectors(dim=6):
     return st.dictionaries(st.integers(0, dim - 1), kernel_entries, max_size=dim)
 
@@ -391,6 +395,20 @@ def matmul_pairs(draw):
     return a, b
 
 
+@st.composite
+def sum_pairs(draw):
+    """(a, b) of one shape.  Some entries of b are a's and some their
+    negatives, so that entries cancel in a - b and in a + b."""
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    a, b = draw(sparse_matrices(r, c)), draw(sparse_matrices(r, c))
+    entries = dict(b.entries)
+    for key, v in a.entries.items():
+        sign = draw(st.sampled_from([0, 1, -1]))
+        if sign:
+            entries[key] = v if sign == 1 else -v
+    return a, ExactMatrix(r, c, entries)
+
+
 class TestKernelsAgainstFullArithmetic:
     """The kernels' shortcuts against linalg_reference's full arithmetic:
     the same keys in the same order and the same (num, den) everywhere."""
@@ -410,6 +428,30 @@ class TestKernelsAgainstFullArithmetic:
         vec = vectors[data.draw(st.integers(0, len(vectors) - 1))]
         vec[data.draw(st.integers(0, a.cols - 1))] = data.draw(sparse_entries)
         assert forms(a.apply(vec)) == forms(ref.apply(a, vec))
+
+    @given(sum_pairs(), st.one_of(sparse_entries, st.integers(-2, 2)))
+    @settings(max_examples=80)
+    def test_sum_difference_negation_and_scale(self, pair, c):
+        a, b = pair
+        assert matrix_forms(a + b) == matrix_forms(ref.add(a, b))
+        assert matrix_forms(a - b) == matrix_forms(ref.sub(a, b))
+        assert matrix_forms(-b) == matrix_forms(ref.neg(b))
+        assert matrix_forms(b.scale(c)) == matrix_forms(ref.scale(b, c))
+
+    def test_sums_and_scales_store_operand_entries(self):
+        # no scalar equal to an operand's entry is built: identity(n).scale(x)
+        # stores x itself, and a + b stores b's entry where a has none
+        x = Q / (Q + 1)
+        assert all(v is x for v in ExactMatrix.identity(3).scale(x).entries.values())
+        a = ExactMatrix(2, 2, {(0, 0): Q})
+        b = ExactMatrix(2, 2, {(0, 0): ONE, (1, 1): x})
+        assert (a + b).entries[(1, 1)] is x
+
+    def test_scale_refuses_inexact_factors(self):
+        # even with no entry to scale, the factor is coerced and checked
+        for m in (ExactMatrix.zeros(2, 2), ExactMatrix.identity(2)):
+            with pytest.raises(TypeError):
+                m.scale(0.5)
 
     @given(sparse_vectors(), sparse_vectors(), sparse_entries, st.data())
     @settings(max_examples=80)
@@ -449,6 +491,31 @@ class TestKernelsAgainstFullArithmetic:
         assert forms(qs.projection.entries) == forms(projection.entries)
         assert forms(qs.section.entries) == forms(section.entries)
         assert [forms(x.entries) for x in qs.induced] == [forms(x.entries) for x in induced]
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.booleans(), st.data())
+    @settings(max_examples=80)
+    def test_induced_map_between_quotients(self, d1, d2, carried, data):
+        # f: k^d1 -> k^d2; the target subspace holds f(U) when ``carried``,
+        # and otherwise is a proper subspace that f(U) often leaves
+        f = data.draw(sparse_matrices(d2, d1))
+        sources = data.draw(st.lists(sparse_vectors(d1), min_size=1, max_size=3))
+        targets = data.draw(st.lists(sparse_vectors(d2), max_size=d2 - 1))
+        if carried:
+            targets += [ref.apply(f, v) for v in sources]
+        source, target = EchelonBasis(), EchelonBasis()
+        reference = ref.ReducedEchelonBasis()
+        for v in sources:
+            source.insert(v)
+        for v in targets:
+            target.insert(v)
+            reference.insert(v)
+        S, P = source.quotient(d1), target.quotient(d2)
+        if any(reference.reduce(ref.apply(f, v)) for v in sources):
+            with pytest.raises(ValueError, match="not invariant"):
+                P.induced_map(f, S)
+        else:
+            expected = ref.matmul(ref.matmul(P.projection, f), S.section)
+            assert matrix_forms(P.induced_map(f, S)) == matrix_forms(expected)
 
     @given(matmul_pairs())
     @settings(max_examples=60)
