@@ -339,6 +339,8 @@ class ModulePresentation:
     __slots__ = ("n", "dim", "gen_action", "label", "_form", "_induced")
 
     def __init__(self, n, dim, gen_action, label="", check=True):
+        if n < 0:
+            raise ValueError(f"rank n = {n} is negative")
         gen_action = tuple(gen_action)
         if len(gen_action) != max(n - 1, 0):
             raise ValueError(f"H_{n} needs {max(n - 1, 0)} generators")

@@ -73,6 +73,11 @@ FILE_DIM_BOUND = 1 << 15
 class ConsistentSequence:
     """Modules V_0..V_{n_max} with intertwining connectors.
 
+    Each commuting square phi_n T_{s_i} = T_{s_i} phi_n is checked once, by
+    this constructor, as M(W) and parsed files are built.  Towers derived
+    from a checked one (shift, span, kernel, C_a) pass check=False; where
+    each is built, one line proves its squares.  Tower modules have no label.
+
     ``multiplicity_table`` and ``degrees`` keep their reports in one memo
     slot, filled on first use: sound because a tower and its modules are
     never mutated, and no caller mutates a report.
@@ -178,14 +183,14 @@ def _block_diagonal(blocks) -> ExactMatrix:
     return ExactMatrix(rows, cols, entries)
 
 
-def _presentation_direct_sum(n, parts, label="") -> ModulePresentation:
+def _presentation_direct_sum(n, parts) -> ModulePresentation:
     """Block-diagonal sum of presentations of the same rank."""
     gens = [
         _block_diagonal([p.gen_action[i] for p in parts])
         for i in range(max(n - 1, 0))
     ]
     dim = sum(p.dim for p in parts)
-    return ModulePresentation(n, dim, gens, label=label, check=False)
+    return ModulePresentation(n, dim, gens, check=False)
 
 
 def _build_M_layout(W: dict, n_max: int, label: str):
@@ -204,7 +209,7 @@ def _build_M_layout(W: dict, n_max: int, label: str):
     for n in range(n_max + 1):
         summands = [m for m in sorted(W) if m <= n]
         parts = [W[m].induced_by_index(n - m) for m in summands]
-        modules.append(_presentation_direct_sum(n, parts, label=f"{label}_{n}"))
+        modules.append(_presentation_direct_sum(n, parts))
         labels.append(
             [
                 (m, d.one_line, i)
@@ -313,13 +318,15 @@ def _restriction_matrix(basis_from, basis_to, mat) -> ExactMatrix:
 
 
 def _subsequence(V: ConsistentSequence, bases, label: str) -> ConsistentSequence:
-    """The subsequence of V spanned in degree n by bases[n], in its coordinates."""
+    """The subsequence of V spanned in degree n by bases[n], in its coordinates.
+
+    Unchecked: its squares are V's, restricted to spans _restriction_matrix certifies.
+    """
     modules = [
         ModulePresentation(
             n,
             len(basis),
             [_restriction_matrix(basis, basis, g) for g in V.modules[n].gen_action],
-            label=f"{label}_{n}",
             check=False,
         )
         for n, basis in enumerate(bases)
@@ -328,7 +335,7 @@ def _subsequence(V: ConsistentSequence, bases, label: str) -> ConsistentSequence
         _restriction_matrix(bases[n], bases[n + 1], V.connectors[n])
         for n in range(V.n_max)
     ]
-    return ConsistentSequence(modules, connectors, label=label)
+    return ConsistentSequence(modules, connectors, label=label, check=False)
 
 
 def _generated(V: ConsistentSequence) -> list:
@@ -443,9 +450,10 @@ def phi_a(V: ConsistentSequence, a: int) -> PhiSequence:
 
     T[v] = [phi_{a+n}(v)] is well defined because the connectors push the
     coinvariant subspace forward; ``QuotientStructure.induced_map`` builds
-    T and certifies that exactly, and the H_a-equivariance of T is
-    verified exactly too.  This is the one-rank case of the towers that
-    ``degrees`` reads, with the quotients of coinvariant_quotients.
+    T = P' phi S and certifies that exactly, as it does t_i = P G_i S for the
+    quotient generators, so V's squares make T equivariant unchecked:
+    T t_i = P' phi G_i S = P' G'_i phi S = t'_i T.  This is the one-rank case
+    of the towers that ``degrees`` reads, with the quotients of coinvariant_quotients.
     """
     if not 0 <= a <= V.n_max:
         raise ValueError(f"a = {a} outside truncation 0..{V.n_max}")
@@ -458,23 +466,15 @@ def _phi_towers(V: ConsistentSequence, ranks) -> dict:
         coinvariant_quotients(module, [a for a in ranks if a <= module.n])
         for module in V.modules
     ]
-    return {a: _phi_tower(V, a, [q[a] for q in quotients[a:]]) for a in ranks}
-
-
-def _phi_tower(V: ConsistentSequence, a: int, pieces) -> PhiSequence:
-    """Phi_a(V) from the (quotient, structure) pairs of V_a, ..., V_{n_max}."""
-    spaces = [quotient for quotient, _ in pieces]
-    structures = [qs for _, qs in pieces]
-    maps = []
-    for n in range(V.n_max - a):
-        T = structures[n + 1].induced_map(V.connectors[a + n], structures[n])
-        bad = _not_intertwined(T, spaces[n], spaces[n + 1])
-        if bad:
-            raise ValueError(
-                f"induced map not H_{a}-equivariant at n = {n}, s_{bad[0]}"
-            )
-        maps.append(T)
-    return PhiSequence(a, spaces, maps)
+    towers = {}
+    for a in ranks:
+        pieces = [q[a] for q in quotients[a:]]
+        maps = [
+            target.induced_map(V.connectors[a + n], source)
+            for n, ((_, source), (_, target)) in enumerate(zip(pieces, pieces[1:]))
+        ]
+        towers[a] = PhiSequence(a, [quotient for quotient, _ in pieces], maps)
+    return towers
 
 
 def degrees(V: ConsistentSequence, a_max: int) -> dict:
@@ -667,27 +667,19 @@ def shift(V: ConsistentSequence, a: int) -> ConsistentSequence:
 
     The a new letters enter at the front, so the retained generators are
     s_{a+1}, ..., s_{a+n-1}, relabelled to 1, ..., n-1; the connectors are
-    reused unchanged and the truncation shrinks to n_max - a.
+    reused unchanged and the truncation shrinks to n_max - a.  Unchecked:
+    its square at (n, i) is V's square at (n + a, i + a).
     """
     if not 0 <= a <= V.n_max:
         raise ValueError(f"shift amount {a} outside truncation 0..{V.n_max}")
     if a == 0:
         return V
-    modules = []
-    for n in range(V.n_max - a + 1):
-        big = V.modules[a + n]
-        modules.append(
-            ModulePresentation(
-                n,
-                big.dim,
-                big.gen_action[a:],
-                label=f"S+{a}({V.label})_{n}",
-                check=False,
-            )
-        )
-    connectors = [V.connectors[a + n] for n in range(V.n_max - a)]
+    modules = [
+        ModulePresentation(n, big.dim, big.gen_action[a:], check=False)
+        for n, big in enumerate(V.modules[a:])
+    ]
     return ConsistentSequence(
-        modules, connectors, label=f"S+{a}({V.label})"
+        modules, V.connectors[a:], label=f"S+{a}({V.label})", check=False
     )
 
 
@@ -700,10 +692,10 @@ def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:
     preserves the subset-lex order), and the remaining vectors form the
     complement C_a, a consistent subsequence of generation degree <= m-1.
 
-    M(m) is built once, on the window n_max + a, and the shift is read off
-    it: degree n of S_{+a}M(m) is M(m)_{n+a} with generators s_{a+1}, ...,
-    s_{a+n-1} and connector phi_{n+a}, all verified with M(m).  The
-    degree-(n + a) coset representatives sort the shifted basis.
+    M(m) is built once, on the window n_max + a, and S_{+a}M(m) is
+    shift(M(m), a).  The degree-(n + a) coset representatives sort the
+    shifted basis.  C_a is unchecked: split certifies that every map of
+    the shift is block diagonal, so C_a's squares are blocks of its squares.
     matches_fresh_Mm compares the summand blocks with the degree-n modules
     and connectors of M(m), which depend only on n and m, not on the
     window, so equal those of a fresh M(m).
@@ -714,6 +706,7 @@ def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:
         raise ValueError("a must be nonnegative")
     W = regular_representation(m)
     base, labels = _build_M_layout({m: W}, n_max + a, f"M({m})")
+    shifted = shift(base, a)
     # where[n][j]: (0 for the M(m) summand or 1 for C_a, index there) of
     # basis vector j of the shift in degree n, in the summand when its d
     # keeps {1..m} off the new letters {1..a}; sizes[n]: the two dims
@@ -745,26 +738,23 @@ def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:
 
     matches = True
     c_modules = []
-    for n in range(n_max + 1):
+    for n, module in enumerate(shifted.modules):
         c_gens = []
-        shifted = base.modules[n + a].gen_action[a:]
-        for g, fresh in zip(shifted, base.modules[n].gen_action):
+        for g, fresh in zip(module.gen_action, base.modules[n].gen_action):
             b_block, c_block = split(g, n, n)
             matches = matches and b_block == fresh
             c_gens.append(c_block)
-        c_modules.append(
-            ModulePresentation(n, sizes[n][1], c_gens, label=f"C_{a}_{n}", check=False)
-        )
+        c_modules.append(ModulePresentation(n, sizes[n][1], c_gens, check=False))
     c_connectors = []
-    for n in range(n_max):
-        b_block, c_block = split(base.connectors[n + a], n + 1, n)
+    for n, f in enumerate(shifted.connectors):
+        b_block, c_block = split(f, n + 1, n)
         matches = matches and b_block == base.connectors[n]
         c_connectors.append(c_block)
     complement = ConsistentSequence(
-        c_modules, c_connectors, label=f"C_{a} of S+{a}M({m})"
+        c_modules, c_connectors, label=f"C_{a} of S+{a}M({m})", check=False
     )
     gen_deg = generation_degree(complement)
-    shifted_dims = [base.modules[n + a].dim for n in range(n_max + 1)]
+    shifted_dims = shifted.dims()
     return {
         "m": m,
         "a": a,

@@ -91,9 +91,7 @@ def direct_sum(V: ConsistentSequence, W: ConsistentSequence) -> ConsistentSequen
     if V.n_max != W.n_max:
         raise ValueError("truncation mismatch")
     modules = [
-        sequences._presentation_direct_sum(
-            n, [V.modules[n], W.modules[n]], label=f"({V.label})(+)({W.label})_{n}"
-        )
+        sequences._presentation_direct_sum(n, [V.modules[n], W.modules[n]])
         for n in range(V.n_max + 1)
     ]
     connectors = [
@@ -103,3 +101,16 @@ def direct_sum(V: ConsistentSequence, W: ConsistentSequence) -> ConsistentSequen
     return ConsistentSequence(
         modules, connectors, label=f"({V.label})(+)({W.label})", check=False
     )
+
+
+def assert_squares_hold(V: ConsistentSequence, a_max: int = 2) -> None:
+    """Run, exactly, the checks that a derived tower is built without.
+
+    V's commuting squares, and for each a <= a_max the H_a-equivariance of
+    every map T of Phi_a(V).
+    """
+    assert sequences.check_consistency(V)["ok"]
+    for a in range(min(a_max, V.n_max) + 1):
+        tower = sequences.phi_a(V, a)
+        for n, T in enumerate(tower.maps):
+            assert sequences._not_intertwined(T, tower.spaces[n], tower.spaces[n + 1]) == []

@@ -332,6 +332,20 @@ class TestErrorsAndDeterminism:
         assert code == 2
         assert "nmax" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["build", "--kind", "Mm", "--m", "-1", "--nmax", "4", "--out", "x.json"],
+            ["noetherian", "--m", "-1", "--trials", "2", "--seed", "1", "--nmax", "4"],
+        ],
+    )
+    def test_negative_m_names_the_rank(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "seq", *command)
+        assert (code, out) == (2, "")
+        assert err == '{"error": "rank n = -1 is negative"}\n'
+        assert list(tmp_path.iterdir()) == []
+
     def test_verify_all_has_no_nmax(self, capsys):
         # the battery runs at its fixed window; --nmax is not an option
         code, out, err = run(capsys, "verify", "all", "--nmax", "2")

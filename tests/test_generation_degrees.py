@@ -15,7 +15,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import sequences_reference as ref
-from helpers import zero_sequence
+from helpers import assert_squares_hold, zero_sequence
 from heckestab.qfield import ONE, scal
 from heckestab.sequences import (
     build_M_specht,
@@ -23,6 +23,7 @@ from heckestab.sequences import (
     generation_degree,
     is_uniformly_stable,
     non_finitely_generated,
+    shift,
     span,
 )
 
@@ -85,6 +86,16 @@ def test_span_and_subsequence_match_reference(data):
     event(f"spans_ambient={sub.dims() == V.dims()}")
     assert generation_degree(sub) == ref.generation_degree(sub)
     assert is_uniformly_stable(sub)["clauses"] == ref.stability_clauses(sub)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_span_and_its_shifts_keep_the_squares(data):
+    # span and shift build unchecked; run the checks they skip
+    V = data.draw(towers())
+    sub = span(V, data.draw(seed_sets(V)))
+    for a in range(sub.n_max + 1):
+        assert_squares_hold(shift(sub, a))
 
 
 @pytest.mark.parametrize("name", sorted(TOWERS))

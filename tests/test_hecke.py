@@ -225,6 +225,16 @@ class TestPresentation:
         with pytest.raises(ValueError, match="generators"):
             ModulePresentation(3, 1, [ExactMatrix.identity(1)])
 
+    @pytest.mark.parametrize(
+        "build", [lambda n: ModulePresentation(n, 1, []), regular_representation, index_rep]
+    )
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_rank_refused(self, build, n):
+        # permutations_of(-1) yields one empty permutation, so without the
+        # refusal H_-1 would get a module of dim 1
+        with pytest.raises(ValueError, match=f"^rank n = {n} is negative$"):
+            build(n)
+
     def test_word_matrix_respects_braid(self):
         V = regular_representation(3)
         assert V.word_matrix((1, 2, 1)) == V.word_matrix((2, 1, 2))

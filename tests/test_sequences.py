@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import linalg_reference
 import sequences_reference as ref
-from helpers import direct_sum, from_columns, zero_sequence
+from helpers import assert_squares_hold, direct_sum, from_columns, zero_sequence
 from heckestab import hecke, sequences, verify
 from heckestab.hecke import ModulePresentation, regular_representation
 from heckestab.linalg import EchelonBasis, ExactMatrix
@@ -333,16 +333,19 @@ class TestSpan:
         sub = span(V, [(1, {0: ONE})])
         assert sub.dims() == V.dims()
         assert generation_degree(sub) == 1
-        assert check_consistency(sub)["ok"]
+        assert_squares_hold(sub)
 
     def test_empty_seeds_span_zero(self):
         V = build_Mm(1, 4)
-        assert span(V, []).dims() == [0] * 5
+        sub = span(V, [])
+        assert sub.dims() == [0] * 5
+        assert_squares_hold(sub)
 
     def test_zero_ambient(self):
         sub = span(zero_sequence(3), [])
         assert sub.dims() == [0] * 4
         assert generation_degree(sub) == 0
+        assert_squares_hold(sub)
 
     def test_seed_validation(self):
         V = build_Mm(1, 3)
@@ -364,6 +367,7 @@ class TestSpan:
         sub = span(V, seeds)
         assert sub.dims() == V.dims()
         assert generation_degree(sub) == 2
+        assert_squares_hold(sub)
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(0, 5), min_size=0, max_size=4), st.data())
@@ -375,6 +379,8 @@ class TestSpan:
         small = span(V, seeds)
         big = span(V, more)
         assert all(a <= b for a, b in zip(small.dims(), big.dims()))
+        assert_squares_hold(small)
+        assert_squares_hold(big)
 
 
 small_scalars = st.sampled_from(
@@ -451,6 +457,7 @@ class TestRestriction:
                 assert B[n] @ h == g @ B[n]
         for n in range(V.n_max):
             assert B[n + 1] @ U.connectors[n] == V.connectors[n] @ B[n]
+        assert_squares_hold(U)
 
 
 class TestFreeCover:
@@ -458,7 +465,9 @@ class TestFreeCover:
         V = build_Mm(1, 5)
         f = free_cover(V, 1)
         assert f.source.dims() == V.dims()
-        assert seq_kernel(f).dims() == [0] * 6
+        kernel = seq_kernel(f)
+        assert kernel.dims() == [0] * 6
+        assert_squares_hold(kernel)
 
     def test_hook_cover_is_iso(self):
         # V_0 = V_1 = 0, so the degree-2 cover is M(V_2) itself and the
@@ -466,7 +475,9 @@ class TestFreeCover:
         V = build_M_specht((1, 1), 5)
         f = free_cover(V, 2)
         assert f.source.dims() == V.dims()
-        assert seq_kernel(f).dims() == [0] * 6
+        kernel = seq_kernel(f)
+        assert kernel.dims() == [0] * 6
+        assert_squares_hold(kernel)
 
     @pytest.mark.parametrize("lam", [(2,), (2, 1)])
     def test_induced_tower_is_its_own_cover(self, lam):
@@ -634,6 +645,15 @@ class TestShift:
         with pytest.raises(ValueError, match="shift amount"):
             shift(build_Mm(1, 3), 4)
 
+    @pytest.mark.parametrize(
+        "m, lam", [(m, None) for m in (1, 2, 3)] + [(None, lam) for lam in verify.SPECHT_SET]
+    )
+    def test_shifts_inherit_their_squares(self, m, lam):
+        # shift builds unchecked: its square at (n, i) is V's at (n + a, i + a)
+        V = build_Mm(m, 6) if lam is None else build_M_specht(lam, 6)
+        for a in range(V.n_max + 1):
+            assert_squares_hold(shift(V, a))
+
     def test_decompose_m1_a1(self):
         report = shift_decompose_Mm(1, 1, 4)
         assert report["direct_sum_ok"]
@@ -662,6 +682,7 @@ class TestShift:
         complement, want_complement = got.pop("complement"), want.pop("complement")
         assert got == want
         assert sequence_to_json_obj(complement) == sequence_to_json_obj(want_complement)
+        assert_squares_hold(complement)
 
     @pytest.mark.parametrize("a", [0, 1, 2])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -699,9 +720,17 @@ class TestShift:
         with pytest.raises(ValueError, match=r"mixes M\(1\) and C_1"):
             shift_decompose_Mm(1, 1, 4)
 
+    def test_decompose_shifts_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            sequences, "shift", lambda V, a: calls.append((V.label, a)) or shift(V, a)
+        )
+        shift_decompose_Mm(2, 1, 4)
+        assert calls == [("M(2)", 1)]
+
     def test_decompose_checks_each_square_once(self, monkeypatch):
-        # once for M(m) on the window n_max + a, once for C_a: the shift
-        # itself reads M(m)'s squares and is not checked again
+        # once, for M(m) on the window n_max + a: the shift's squares are
+        # M(m)'s and C_a's are blocks of them, so neither is checked again
         checked = []
         original = sequences.check_consistency
         monkeypatch.setattr(
@@ -710,7 +739,7 @@ class TestShift:
             lambda V: checked.append(V.label) or original(V),
         )
         shift_decompose_Mm(2, 1, 4)
-        assert checked == ["M(2)", "C_1 of S+1M(2)"]
+        assert checked == ["M(2)"]
 
 
 class TestPointwise:
@@ -737,7 +766,9 @@ class TestPointwise:
                 for n in range(5)
             ],
         )
-        assert seq_kernel(proj).dims() == W.dims()
+        kernel = seq_kernel(proj)
+        assert kernel.dims() == W.dims()
+        assert_squares_hold(kernel)
 
 
 class TestSerialization:
@@ -810,6 +841,25 @@ class TestSerialization:
         back = load_sequence(p)
         assert back is not V
         assert back.dims() == V.dims()
+
+    @pytest.mark.parametrize(
+        "m, lam",
+        [(m, None) for m in (1, 2, 3)]
+        + [(None, lam) for lam in [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]],
+    )
+    def test_saved_and_parsed_towers_agree(self, tmp_path, monkeypatch, m, lam):
+        # the nine towers of the towers benchmark: the tower a save keeps
+        # and the tower parsed from its file have the same (empty) module
+        # labels and give the same reports
+        V = build_Mm(m, 6) if lam is None else build_M_specht(lam, 6)
+        path = tmp_path / "t.json"
+        self.save_unkept(V, path, monkeypatch)
+        parsed = load_sequence(path)
+        assert parsed is not V
+        assert {mod.label for mod in V.modules + parsed.modules} == {""}
+        assert sequence_to_json_obj(parsed) == sequence_to_json_obj(V)
+        assert degrees(parsed, 2) == degrees(V, 2)
+        assert is_uniformly_stable(parsed, 2) == is_uniformly_stable(V, 2)
 
     def test_unknown_schema(self):
         with pytest.raises(ValueError, match="schema"):
