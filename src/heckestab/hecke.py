@@ -547,6 +547,8 @@ def regular_representation(n: int) -> ModulePresentation:
     Built and verified once per rank, then shared by every caller; sound
     because ModulePresentation and ExactMatrix are never mutated.
     """
+    if n < 0:
+        raise ValueError(f"rank n = {n} is negative")
     if n > REGULAR_BOUND:
         raise ValueError(f"size bound: n = {n} exceeds {REGULAR_BOUND}")
     return _verified_regular(n)

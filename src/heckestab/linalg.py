@@ -80,10 +80,6 @@ class ExactMatrix:
         return cls(n, n, {(i, i): ONE for i in range(n)})
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, {})
-
-    @classmethod
     def from_rows(cls, rows_data) -> "ExactMatrix":
         rows_data = [list(r) for r in rows_data]
         nrows = len(rows_data)

@@ -27,6 +27,7 @@ import io
 import json
 import random
 from collections import deque
+from functools import cache
 
 from .hecke import ModulePresentation, regular_representation
 from .linalg import EchelonBasis, ExactMatrix, kernel_basis, rank
@@ -78,9 +79,9 @@ class ConsistentSequence:
     from a checked one (shift, span, kernel, C_a) pass check=False; where
     each is built, one line proves its squares.  Tower modules have no label.
 
-    ``multiplicity_table`` and ``degrees`` keep their reports in one memo
-    slot, filled on first use: sound because a tower and its modules are
-    never mutated, and no caller mutates a report.
+    ``_memo`` keeps the reports of ``multiplicity_table`` and ``degrees``,
+    the ``_generated`` flags and the saved file's bytes, each made on first
+    use: sound because a tower is never mutated, nor a report by its caller.
     """
 
     __slots__ = ("n_max", "modules", "connectors", "label", "_memo")
@@ -244,20 +245,28 @@ def build_M(W: dict, n_max: int, label: str = "") -> ConsistentSequence:
 
 
 def build_Mm(m: int, n_max: int) -> ConsistentSequence:
-    """M(m): the sequence induced from the regular H_m-module."""
-    return build_M({m: regular_representation(m)}, n_max, label=f"M({m})")
+    """M(m): the sequence induced from the regular H_m-module (see _Mm_layout)."""
+    return _Mm_layout(m, n_max)[0]
+
+
+@cache
+def _Mm_layout(m: int, n_max: int):
+    """(M(m), its labels), built once per (m, n_max): a tower is never mutated."""
+    return _build_M_layout({m: regular_representation(m)}, n_max, f"M({m})")
 
 
 def build_M_specht(lam, n_max: int) -> ConsistentSequence:
-    """M(S^lam): induced from the Specht module in degree |lam|."""
-    lam = tuple(lam)
+    """M(S^lam): induced from the Specht module in degree |lam|, built once
+    per (tuple(lam), n_max) and shared, as M(m) is."""
+    return _M_specht(tuple(lam), n_max)
+
+
+@cache
+def _M_specht(lam: tuple, n_max: int) -> ConsistentSequence:
     if sum(lam) > n_max:
         raise ValueError(f"|lam| = {sum(lam)} exceeds n_max = {n_max}")
-    return build_M(
-        {sum(lam): specht_module(lam)},
-        n_max,
-        label=f"M(S({partition_label(lam)}))",
-    )
+    label = f"M(S({partition_label(lam)}))"
+    return build_M({sum(lam): specht_module(lam)}, n_max, label=label)
 
 
 def non_finitely_generated(n_max: int) -> ConsistentSequence:
@@ -338,7 +347,7 @@ def _subsequence(V: ConsistentSequence, bases, label: str) -> ConsistentSequence
     return ConsistentSequence(modules, connectors, label=label, check=False)
 
 
-def _generated(V: ConsistentSequence) -> list:
+def _generated(V: ConsistentSequence) -> tuple:
     """Entry n: is V_{n+1} the H_{n+1}-span of phi_n(V_n)?  One per n < n_max.
 
     This one closure per degree decides every generation degree.  The
@@ -349,13 +358,15 @@ def _generated(V: ConsistentSequence) -> list:
     every n <= d; above d no seed is added, so by induction on n they give
     V_n exactly when generated[d], ..., generated[n-1] all hold.  Hence
     the seeds of degree <= d span V iff all(generated[d:]); the full
-    bases in degrees <= d are one such seed set.
+    bases in degrees <= d are one such seed set.  V keeps them, as a tuple.
     """
-    return [
-        len(_closure(V.modules[n + 1], V.connectors[n].columns()).vectors)
-        == V.modules[n + 1].dim
-        for n in range(V.n_max)
-    ]
+    if "generated" not in V._memo:
+        V._memo["generated"] = tuple(
+            len(_closure(V.modules[n + 1], V.connectors[n].columns()).vectors)
+            == V.modules[n + 1].dim
+            for n in range(V.n_max)
+        )
+    return V._memo["generated"]
 
 
 def span(V: ConsistentSequence, seeds, label: str = "") -> ConsistentSequence:
@@ -692,9 +703,9 @@ def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:
     preserves the subset-lex order), and the remaining vectors form the
     complement C_a, a consistent subsequence of generation degree <= m-1.
 
-    M(m) is built once, on the window n_max + a, and S_{+a}M(m) is
-    shift(M(m), a).  The degree-(n + a) coset representatives sort the
-    shifted basis.  C_a is unchecked: split certifies that every map of
+    M(m) on the window n_max + a and its labels come from build_Mm's memo;
+    S_{+a}M(m) is shift(M(m), a).  The degree-(n + a) coset representatives
+    sort the shifted basis.  C_a is unchecked: split certifies that every map of
     the shift is block diagonal, so C_a's squares are blocks of its squares.
     matches_fresh_Mm compares the summand blocks with the degree-n modules
     and connectors of M(m), which depend only on n and m, not on the
@@ -704,8 +715,7 @@ def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:
         raise ValueError("m must be at least 1")
     if a < 0:
         raise ValueError("a must be nonnegative")
-    W = regular_representation(m)
-    base, labels = _build_M_layout({m: W}, n_max + a, f"M({m})")
+    base, labels = _Mm_layout(m, n_max + a)
     shifted = shift(base, a)
     # where[n][j]: (0 for the M(m) summand or 1 for C_a, index there) of
     # basis vector j of the shift in degree n, in the summand when its d
@@ -783,10 +793,10 @@ def noetherian_experiment(m: int, trials: int, seed: int, n_max: int) -> dict:
     is what makes stabilization observable before the window ends.  A
     submodule born in the last degree would be flagged unstable on
     vacuous evidence, which measures the truncation, not the module.
-    A trial's generation degree is read off its verdict's generated flags,
-    so each trial closes them once, and the report reads the multiplicity
-    table the verdict kept on the trial, so each module is decomposed
-    once.  Evidence, not proof; identical seeds give identical reports.
+    A trial's generation degree and its report read the generated flags
+    and the multiplicity table its verdict kept on the trial, so each trial
+    closes the flags once and decomposes each module once.  Evidence, not
+    proof; identical seeds give identical reports.
     At least one trial and n_max >= 1 are required: zero trials, or a
     window with no connector, would be a vacuous verdict.  So is
     n_max < 2m + 1: M(m)_n = 0 for n < m, so every seed degree up to
@@ -819,7 +829,7 @@ def noetherian_experiment(m: int, trials: int, seed: int, n_max: int) -> dict:
         sub = span(V, seeds, label=f"trial {t}")
         verdict = is_uniformly_stable(sub)
         table = multiplicity_table(sub)
-        gen_deg = _onset([c["generated"] for c in verdict["clauses"]])
+        gen_deg = generation_degree(sub)
         per_trial.append(
             {
                 "trial": t,
@@ -953,13 +963,17 @@ def sequence_from_json_obj(obj) -> ConsistentSequence:
 
 
 def save_sequence(V: ConsistentSequence, path) -> None:
-    """Write V's tower file; a load of exactly these bytes returns V itself."""
+    """Write V's tower file; a load of exactly these bytes returns V itself.
+    V keeps the bytes and their SHA-256, made on its first save."""
     global _last_loaded
-    text = json.dumps(sequence_to_json_obj(V), sort_keys=True, indent=2) + "\n"
-    data = text.encode("utf-8")
+    if "file" not in V._memo:
+        text = json.dumps(sequence_to_json_obj(V), sort_keys=True, indent=2)
+        data = (text + "\n").encode()
+        V._memo["file"] = (data, hashlib.sha256(data).digest())
+    data, digest = V._memo["file"]
     with open(path, "wb") as fh:
         fh.write(data)
-    _last_loaded = (hashlib.sha256(data).digest(), V)
+    _last_loaded = (digest, V)
 
 
 # (SHA-256 of a tower file's bytes, the tower they hold): the tower last

@@ -274,7 +274,8 @@ def run_criteria(n_max=6, err=None):
 
 def clear_memos() -> None:
     """Forget the process memos a battery pass fills: verified modules,
-    character tables, S_n step memos, partition caches, the loaded tower."""
+    character tables, S_n step memos, partition caches, the M(m) and
+    M(S^lam) towers with all they keep, the loaded tower."""
     for memo in (
         specht._verified_specht,
         specht.character_table,
@@ -282,6 +283,8 @@ def clear_memos() -> None:
         hecke._kept_steps,
         partitions.partitions_of,
         partitions._murnaghan_nakayama,
+        sequences._Mm_layout,
+        sequences._M_specht,
     ):
         memo.cache_clear()
     sequences._last_loaded = (None, None)

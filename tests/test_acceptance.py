@@ -6,15 +6,19 @@ test.  All comparisons are exact; there are no numeric tolerances
 anywhere in the battery.
 """
 
+import importlib
 import io
 import re
 import time
 from collections import Counter
+from contextlib import ExitStack
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from heckestab import hecke, partitions, specht, verify
+import heckestab
+from heckestab import hecke, partitions, sequences, specht, verify
 
 N_MAX = 6
 
@@ -29,16 +33,30 @@ MEMOS = (
     hecke._kept_steps,
     partitions.partitions_of,
     partitions._murnaghan_nakayama,
+    sequences._Mm_layout,
+    sequences._M_specht,
 )
+
+# the package's functools caches that verify.clear_memos leaves, and why
+UNCLEARED = {
+    "heckestab.cli.build_parser": "argparse set-up: no algebra, alike in every pass",
+}
 
 
 @pytest.fixture(scope="module")
 def battery():
-    """verify_all from cleared memos, with each pass's report and misses."""
-    reports, misses = [], []
+    """verify_all from cleared memos, with each pass's report, misses and
+    M(W) builds (label and n_max)."""
+    reports, misses, builds = [], [], []
     run_criteria = verify.run_criteria
+    build = sequences._build_M_layout
+
+    def counted(W, n_max, label):
+        builds[-1].append((label, n_max))
+        return build(W, n_max, label)
 
     def recorded(n_max, err):
+        builds.append([])
         before = [memo.cache_info().misses for memo in MEMOS]
         ok, report = run_criteria(n_max, err=err)
         reports.append(report)
@@ -55,6 +73,7 @@ def battery():
     t0 = time.perf_counter()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "run_criteria", recorded)
+        mp.setattr(sequences, "_build_M_layout", counted)
         code = verify.verify_all(N_MAX, out=out, err=err)
     total = time.perf_counter() - t0
     timings = {}
@@ -68,6 +87,7 @@ def battery():
         "first": reports[0],
         "second": reports[1],
         "misses": misses,
+        "builds": builds,
         "timings": timings,
         "total": total,
     }
@@ -149,6 +169,54 @@ def test_12_second_pass_recomputes(battery):
     first, second = battery["misses"]
     assert all(first.values())
     assert second == first
+
+
+def test_12_each_tower_built_once_per_pass(battery):
+    # build_Mm, build_M_specht and shift_decompose_Mm share the tower memos,
+    # so a cold pass builds each (m or lam, n_max) once; pass 2 rebuilds
+    # every tower pass 1 built, in the same order
+    first, second = battery["builds"]
+    assert ("M(2)", 6) in first and ("M(S(2,1))", 6) in first
+    assert max(Counter(first).values()) == 1
+    assert second == first
+
+
+def package_caches() -> dict:
+    """{qualified name: wrapper} of every functools cache in the package.
+
+    Each is found by its decorator in the source, so a cache the lookup
+    cannot reach (a method or nested function) fails the count below.
+    """
+    found = {}
+    for path in sorted(Path(heckestab.__file__).parent.glob("*.py")):
+        module = importlib.import_module(
+            "heckestab" if path.stem == "__init__" else f"heckestab.{path.stem}"
+        )
+        source = path.read_text()
+        names = re.findall(
+            r"^@(?:functools\.)?(?:lru_)?cache\b.*\n(?:@.*\n)*def (\w+)", source, re.M
+        )
+        decorators = re.findall(r"^\s*@(?:functools\.)?(?:lru_)?cache\b", source, re.M)
+        assert len(names) == len(decorators), path.name
+        for name in names:
+            found[f"{module.__name__}.{name}"] = getattr(module, name)
+    return found
+
+
+def test_clear_memos_clears_every_package_cache():
+    caches = package_caches()
+    assert set(UNCLEARED) <= set(caches)
+    assert len(caches) >= len(MEMOS) + len(UNCLEARED)
+    cleared = []
+    with ExitStack() as stack:
+        for name, memo in caches.items():
+            stack.enter_context(
+                mock.patch.object(
+                    memo, "cache_clear", lambda name=name: cleared.append(name)
+                )
+            )
+        verify.clear_memos()
+    assert sorted(cleared) == sorted(set(caches) - set(UNCLEARED))
 
 
 def test_12_fails_when_a_rebuilt_table_differs(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import hecke_reference as ref
 from hecke_reference import matrix_trace
 from helpers import from_word, sign_rep
+from heckestab import hecke
 from heckestab.hecke import (
     HeckeElement,
     ModulePresentation,
@@ -234,6 +235,17 @@ class TestPresentation:
         # refusal H_-1 would get a module of dim 1
         with pytest.raises(ValueError, match=f"^rank n = {n} is negative$"):
             build(n)
+
+    @pytest.mark.parametrize("n", [-2, -5])
+    def test_negative_regular_rank_keeps_no_steps(self, n):
+        # refused before the S_n step memo is asked for: no empty entry is
+        # kept for the rank, and the memo is not even read
+        before = hecke._kept_steps.cache_info()
+        with pytest.raises(ValueError, match=f"^rank n = {n} is negative$"):
+            regular_representation(n)
+        after = hecke._kept_steps.cache_info()
+        assert after.currsize == before.currsize
+        assert after.hits + after.misses == before.hits + before.misses
 
     def test_word_matrix_respects_braid(self):
         V = regular_representation(3)

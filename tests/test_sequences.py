@@ -15,7 +15,7 @@ from helpers import assert_squares_hold, direct_sum, from_columns, zero_sequence
 from heckestab import hecke, sequences, verify
 from heckestab.hecke import ModulePresentation, regular_representation
 from heckestab.linalg import EchelonBasis, ExactMatrix
-from heckestab.partitions import pieri_add, syt_count, unpad
+from heckestab.partitions import partition_label, pieri_add, syt_count, unpad
 from heckestab.qfield import ONE, Q, ZERO, scal
 from heckestab.sequences import (
     FILE_DIM_BOUND,
@@ -43,6 +43,7 @@ from heckestab.sequences import (
     span,
     weight,
 )
+from heckestab.specht import specht_module
 from heckestab.symgroup import permutations_of
 
 
@@ -142,7 +143,7 @@ class TestConsistency:
         V = build_Mm(1, 3)
         with pytest.raises(ValueError, match="shape"):
             ConsistentSequence(
-                V.modules, [ExactMatrix.zeros(1, 1)] * 3, check=False
+                V.modules, [ExactMatrix(1, 1, {})] * 3, check=False
             )
         with pytest.raises(ValueError, match="one connector"):
             ConsistentSequence(V.modules, V.connectors[:-1], check=False)
@@ -260,6 +261,141 @@ def unstopped_closure(module, vectors):
             if w and basis.insert(w) is not None:
                 queue.append(basis.vectors[-1])
     return basis
+
+
+# the nine towers of the towers benchmark: (m, None) is M(m), (None, lam) M(S^lam)
+BENCH_TOWERS = [(m, None) for m in (1, 2, 3)] + [
+    (None, lam) for lam in [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+]
+
+
+class TestTowerMemo:
+    """build_Mm, build_M_specht and shift_decompose_Mm share one memo of
+    M(W) towers; what each hands out equals a fresh build bit for bit."""
+
+    @staticmethod
+    def fresh(m, lam, n_max):
+        """(tower, labels) from _build_M_layout, past every memo of towers."""
+        if lam is None:
+            return sequences._build_M_layout(
+                {m: regular_representation(m)}, n_max, f"M({m})"
+            )
+        label = f"M(S({partition_label(lam)}))"
+        return sequences._build_M_layout({sum(lam): specht_module(lam)}, n_max, label)
+
+    @staticmethod
+    def reports(V):
+        return (
+            degrees(V, 2),
+            multiplicity_table(V),
+            is_uniformly_stable(V, a_max=2),
+            generation_degree(V),
+            sequences._generated(V),
+        )
+
+    @pytest.mark.parametrize("m, lam", BENCH_TOWERS)
+    def test_builders_match_a_fresh_build(self, m, lam):
+        def kept(n_max):
+            return build_Mm(m, n_max) if lam is None else build_M_specht(lam, n_max)
+
+        for n_max in (4, 6, 4):
+            V = kept(n_max)
+            reports = self.reports(V)
+            fresh, labels = self.fresh(m, lam, n_max)
+            again = kept(n_max) if lam is None else build_M_specht(list(lam), n_max)
+            assert again is V
+            assert (again.label, again.n_max) == (fresh.label, n_max)
+            assert [
+                (mod.n, mod.dim, mod.gen_action, mod.label) for mod in again.modules
+            ] == [(mod.n, mod.dim, mod.gen_action, mod.label) for mod in fresh.modules]
+            assert again.connectors == fresh.connectors
+            assert sequence_to_json_obj(again) == sequence_to_json_obj(fresh)
+            if lam is None:
+                assert sequences._Mm_layout(m, n_max) == (V, labels)
+            assert self.reports(again) == reports == self.reports(fresh)
+
+    @pytest.mark.parametrize("m, a", [(1, 0), (1, 2), (2, 1), (3, 2)])
+    def test_shift_decompose_matches_a_fresh_build(self, m, a, monkeypatch):
+        kept = [shift_decompose_Mm(m, a, 4) for _ in range(2)]
+        assert sequences._Mm_layout(m, 4 + a)[0] is build_Mm(m, 4 + a)
+        monkeypatch.setattr(sequences, "_Mm_layout", sequences._Mm_layout.__wrapped__)
+        fresh = shift_decompose_Mm(m, a, 4)
+        for report in kept:
+            assert report.keys() == fresh.keys()
+            for key, value in report.items():
+                if key == "complement":
+                    assert sequence_to_json_obj(value) == sequence_to_json_obj(
+                        fresh[key]
+                    )
+                else:
+                    assert value == fresh[key]
+
+    def test_commands_share_one_build(self, monkeypatch):
+        builds = []
+        build = sequences._build_M_layout
+
+        def counted(W, n_max, label):
+            builds.append((label, n_max))
+            return build(W, n_max, label)
+
+        monkeypatch.setattr(sequences, "_build_M_layout", counted)
+        V = build_Mm(2, 5)
+        shift_decompose_Mm(2, 1, 4)
+        shift_decompose_Mm(2, 0, 5)
+        noetherian_experiment(2, 2, 7, 5)
+        build_M_specht((2, 1), 5)
+        build_M_specht([2, 1], 5)
+        assert build_Mm(2, 5) is V
+        assert builds == [("M(2)", 5), ("M(S(2,1))", 5)]
+        verify.clear_memos()
+        assert build_Mm(2, 5) is not V
+        assert builds[-1] == ("M(2)", 5)
+
+    def test_refused_builds_are_not_kept(self):
+        with pytest.raises(ValueError, match="exceeds n_max"):
+            build_M_specht((2, 1), 2)
+        with pytest.raises(ValueError, match="is negative"):
+            build_Mm(-1, 3)
+        assert sequences._M_specht.cache_info().currsize == 0
+        assert sequences._Mm_layout.cache_info().currsize == 0
+
+    def test_second_save_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        V = build_Mm(2, 5)
+        want = json.dumps(sequence_to_json_obj(V), sort_keys=True, indent=2) + "\n"
+        path = tmp_path / "t.json"
+        for _ in range(2):
+            monkeypatch.setattr(sequences, "_last_loaded", (None, None))
+            save_sequence(V, path)
+            assert path.read_bytes() == want.encode()
+            # the save filled the slot, so the load is V itself
+            assert load_sequence(path) is V
+            path.unlink()
+        # a parsed tower's first save makes its own bytes: the same ones
+        save_sequence(V, path)
+        monkeypatch.setattr(sequences, "_last_loaded", (None, None))
+        parsed = load_sequence(path)
+        assert parsed is not V
+        other = tmp_path / "u.json"
+        save_sequence(parsed, other)
+        assert other.read_bytes() == want.encode()
+
+    def test_kept_flags_cannot_be_changed_by_a_caller(self):
+        V = build_M_specht((2,), 5)
+        verdict = is_uniformly_stable(V)
+        flags = sequences._generated(V)
+        assert sequences._generated(V) is flags
+        with pytest.raises(TypeError):
+            flags[0] = not flags[0]
+        copy = list(flags)
+        copy[:] = [False] * len(copy)
+        for clause in verdict["clauses"]:
+            clause["generated"] = False
+        degree = generation_degree(V)
+        fresh, _ = self.fresh(None, (2,), 5)
+        assert is_uniformly_stable(V) == is_uniformly_stable(fresh)
+        assert is_uniformly_stable(V)["stable"]
+        assert generation_degree(V) == degree == generation_degree(fresh) == 2
+        assert sequences._generated(V) == sequences._generated(fresh)
 
 
 class TestSkippedWork:
