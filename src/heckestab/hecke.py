@@ -72,10 +72,21 @@ most l - 1 matrices on it.  Of the last factor only the diagonal
 is read; each D^l is formed once, and the trace alone is decoded as
 tr(N_{i_1} ... N_{i_l}) / D^l: by one exact division, with no gcd, when
 D^l divides the trace in Z[q], as the quotient over 1 is already reduced.
+
+Both the relation check and a decomposition read a module's content
+alone: n, dim and the generator matrices.  A module's content key
+(ModulePresentation.content_key) is those as bytes, and equal keys mean
+equal modules and equal modules equal keys (the proof is at content_key).
+So the relation check runs once per key and process: _checked keeps every
+key whose relations held, and a module with that key is built unchecked.
+specht.decompose keeps its solutions by the same key.  This is sound
+because a module is never mutated: gen_action is a tuple of ExactMatrix,
+whose entries are set only at construction.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
 from functools import lru_cache
 
@@ -325,18 +336,33 @@ def tau(x: HeckeElement) -> HeckeElement:
     return out
 
 
+class ContentMemo(dict):
+    """A process memo keyed by ModulePresentation.content_key.  cache_clear
+    empties it, as it does a functools cache."""
+
+    def cache_clear(self) -> None:
+        self.clear()
+
+
+# {content key: None} for every module whose relations were checked and held
+_checked = ContentMemo()
+
+
 class ModulePresentation:
     """An H_n-module given by one generator matrix per T_{s_i}.
 
     Matrices act on column vectors; gen_action[i-1] is the action of
     T_{s_i}.  The defining relations are verified exactly at construction
-    unless check=False (used internally for data already validated).
-    Relation checks and traces run on the integral form, built on first
-    use and kept, and each induced module Ind(V boxtimes index_k) is kept
-    per k: sound because a module is never mutated.
+    unless check=False (used internally for data already validated), once
+    per content key and process: a key in _checked has passed the check,
+    and a key is added only after it passes, so a module that fails raises
+    at every construction.  Relation checks and traces run on the integral
+    form, built on first use and kept, and each induced module
+    Ind(V boxtimes index_k) is kept per k; these and the content key are
+    sound because a module is never mutated.
     """
 
-    __slots__ = ("n", "dim", "gen_action", "label", "_form", "_induced")
+    __slots__ = ("n", "dim", "gen_action", "label", "_form", "_induced", "_key")
 
     def __init__(self, n, dim, gen_action, label="", check=True):
         if n < 0:
@@ -353,8 +379,48 @@ class ModulePresentation:
         self.label = label
         self._form = None
         self._induced = {}
+        self._key = None
         if check:
-            self._check_relations()
+            key = self.content_key()
+            if key not in _checked:
+                self._check_relations()
+                _checked[key] = None
+
+    def content_key(self) -> bytes:
+        """The module's content as bytes, computed once and kept: marshal
+        (version 2) of [n, dim, per generator the positions r * dim + c of
+        its entries in sorted order and, in the same order, their indices
+        into the table, then the table of distinct entries as (num, den),
+        in order of first use].
+
+        Equal keys mean equal modules.  marshal.loads inverts marshal.dumps,
+        and c < dim, so the key gives back n, dim and, for every generator,
+        each nonzero entry's (r, c) and its num/den: the whole matrix.  The
+        label is left out; no computation reads it.
+        Equal modules mean equal keys.  A Scalar is kept in its unique
+        reduced normal form, so equal entries share one table index; an
+        ExactMatrix keeps no zero entry; the order is fixed by the content;
+        and version 2 writes no back-references, so the bytes depend on the
+        value alone, not on which objects are shared.
+        So a memo keyed by it is reached by every repeat, and only by one.
+
+        The parts are lists, and each entry is read through its (r, c), not
+        through items(), because CPython keeps freed small tuples on free
+        lists: a tuple per entry or per generator of every module built
+        would hold memory for the rest of the process.
+        """
+        if self._key is None:
+            dim = self.dim
+            table: dict = {}
+            gens = []
+            for g in self.gen_action:
+                entries = g.entries
+                cells = sorted(entries)
+                gens.append([r * dim + c for r, c in cells])
+                gens.append([table.setdefault(entries[rc], len(table)) for rc in cells])
+            values = [(v.num, v.den) for v in table]
+            self._key = marshal.dumps([self.n, dim, gens, values], 2)
+        return self._key
 
     def integral_form(self) -> "IntegralForm":
         if self._form is None:

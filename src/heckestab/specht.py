@@ -28,7 +28,8 @@ inverse, kept as integer rows over L = lcm(z_mu).  The traces of V, which
 lie in Z[q] for a module, are taken at every class representative in one
 pass, solved against the table at q = 1 in integers, each multiplicity a
 quotient by L with no remainder, and the solution is certified exactly in
-Z[q].
+Z[q].  A module is decomposed once per content key and process
+(decompose).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial, lcm
 
-from .hecke import ModulePresentation
+from .hecke import ContentMemo, ModulePresentation
 from .linalg import EchelonBasis, ExactMatrix
 from .partitions import (
     hecke_character,
@@ -213,11 +214,24 @@ def character_table(n: int) -> CharacterTable:
     return CharacterTable(n)
 
 
+# {content key: multiplicities} of every module decompose has solved
+_decompositions = ContentMemo()
+
+
 def decompose(V: ModulePresentation) -> dict:
     """Multiplicities of each S^lam in V, by solving against the table.
 
     The traces of V at every class representative are taken in one pass
     (ModulePresentation.word_traces) and handed to _multiplicities.
+
+    That is done once per content key (ModulePresentation.content_key) and
+    process, and the solution is kept in _decompositions.  The table is
+    character_table(V.n), and the traces and dim are V's content, so the
+    solution is a function of the content, which equal keys share.  A
+    module is never mutated, so its key stays its content.  Each call
+    returns a fresh dict, so a caller that changes it changes no later
+    result; an exception is never kept, so a module that is not one raises
+    at every call.
 
     >>> decompose(specht_module((2, 1)))
     {(2, 1): 1}
@@ -225,8 +239,13 @@ def decompose(V: ModulePresentation) -> dict:
     >>> decompose(regular_representation(3))
     {(3,): 1, (2, 1): 2, (1, 1, 1): 1}
     """
-    table = character_table(V.n)
-    return _multiplicities(table, V.dim, V.word_traces(table.class_words))
+    key = V.content_key()
+    sol = _decompositions.get(key)
+    if sol is None:
+        table = character_table(V.n)
+        sol = _multiplicities(table, V.dim, V.word_traces(table.class_words))
+        _decompositions[key] = sol
+    return dict(sol)
 
 
 def _multiplicities(table: CharacterTable, dim: int, traces) -> dict:

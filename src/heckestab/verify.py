@@ -274,11 +274,14 @@ def run_criteria(n_max=6, err=None):
 
 def clear_memos() -> None:
     """Forget the process memos a battery pass fills: verified modules,
-    character tables, S_n step memos, partition caches, the M(m) and
-    M(S^lam) towers with all they keep, the loaded tower."""
+    the content keys whose relations held and the decompositions kept by
+    content key, character tables, S_n step memos, partition caches, the
+    M(m) and M(S^lam) towers with all they keep, the loaded tower."""
     for memo in (
         specht._verified_specht,
+        specht._decompositions,
         specht.character_table,
+        hecke._checked,
         hecke._verified_regular,
         hecke._kept_steps,
         partitions.partitions_of,

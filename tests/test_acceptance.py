@@ -43,29 +43,49 @@ UNCLEARED = {
 }
 
 
+# the memos keyed by module content, with the computation each one saves
+CONTENT_MEMOS = {
+    "_check_relations": hecke._checked,
+    "_multiplicities": specht._decompositions,
+}
+
+
 @pytest.fixture(scope="module")
 def battery():
-    """verify_all from cleared memos, with each pass's report, misses and
-    M(W) builds (label and n_max)."""
-    reports, misses, builds = [], [], []
+    """verify_all from cleared memos, with each pass's report, misses, M(W)
+    builds (label and n_max), relation checks and decompositions made, and
+    the content keys kept at its end."""
+    reports, misses, builds, kept = [], [], [], []
     run_criteria = verify.run_criteria
     build = sequences._build_M_layout
+    check = hecke.ModulePresentation._check_relations
+    multiplicities = specht._multiplicities
 
     def counted(W, n_max, label):
         builds[-1].append((label, n_max))
         return build(W, n_max, label)
 
+    def counted_check(module):
+        misses[-1]["_check_relations"] += 1
+        return check(module)
+
+    def counted_multiplicities(table, dim, traces):
+        misses[-1]["_multiplicities"] += 1
+        return multiplicities(table, dim, traces)
+
     def recorded(n_max, err):
         builds.append([])
+        misses.append(dict.fromkeys(CONTENT_MEMOS, 0))
         before = [memo.cache_info().misses for memo in MEMOS]
         ok, report = run_criteria(n_max, err=err)
         reports.append(report)
-        misses.append(
+        misses[-1].update(
             {
                 memo.__name__: memo.cache_info().misses - start
                 for memo, start in zip(MEMOS, before)
             }
         )
+        kept.append({name: len(memo) for name, memo in CONTENT_MEMOS.items()})
         return ok, report
 
     out, err = io.StringIO(), io.StringIO()
@@ -74,6 +94,8 @@ def battery():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "run_criteria", recorded)
         mp.setattr(sequences, "_build_M_layout", counted)
+        mp.setattr(hecke.ModulePresentation, "_check_relations", counted_check)
+        mp.setattr(specht, "_multiplicities", counted_multiplicities)
         code = verify.verify_all(N_MAX, out=out, err=err)
     total = time.perf_counter() - t0
     timings = {}
@@ -88,6 +110,7 @@ def battery():
         "second": reports[1],
         "misses": misses,
         "builds": builds,
+        "kept": kept,
         "timings": timings,
         "total": total,
     }
@@ -165,7 +188,8 @@ def test_12_reports_byte_identical(battery):
 
 def test_12_second_pass_recomputes(battery):
     # verify_all clears the memos between the passes, so pass 2 builds
-    # every module and table that pass 1 built
+    # every module and table that pass 1 built, and checks and decomposes
+    # as many modules
     first, second = battery["misses"]
     assert all(first.values())
     assert second == first
@@ -181,11 +205,22 @@ def test_12_each_tower_built_once_per_pass(battery):
     assert second == first
 
 
-def package_caches() -> dict:
-    """{qualified name: wrapper} of every functools cache in the package.
+def test_12_each_module_checked_and_decomposed_once_per_pass(battery):
+    # the relation check and decompose run once per content key, and each
+    # pass starts from cleared memos: a pass that computed a key twice
+    # would keep fewer keys than it made computations
+    for made, kept in zip(battery["misses"], battery["kept"]):
+        for name in CONTENT_MEMOS:
+            assert made[name] == kept[name] > 0, name
+    assert battery["kept"][0] == battery["kept"][1]
 
-    Each is found by its decorator in the source, so a cache the lookup
-    cannot reach (a method or nested function) fails the count below.
+
+def package_caches() -> dict:
+    """{qualified name: memo} of every functools cache in the package, and
+    of every memo assigned at module level that has a cache_clear.
+
+    Each cache is found by its decorator in the source, so a cache the
+    lookup cannot reach (a method or nested function) fails the count below.
     """
     found = {}
     for path in sorted(Path(heckestab.__file__).parent.glob("*.py")):
@@ -200,13 +235,19 @@ def package_caches() -> dict:
         assert len(names) == len(decorators), path.name
         for name in names:
             found[f"{module.__name__}.{name}"] = getattr(module, name)
+        for name in re.findall(r"^(\w+)(?:: [^=\n]+)? = ", source, re.M):
+            if hasattr(getattr(module, name, None), "cache_clear"):
+                found[f"{module.__name__}.{name}"] = getattr(module, name)
     return found
 
 
 def test_clear_memos_clears_every_package_cache():
     caches = package_caches()
     assert set(UNCLEARED) <= set(caches)
-    assert len(caches) >= len(MEMOS) + len(UNCLEARED)
+    assert len(caches) >= len(MEMOS) + len(CONTENT_MEMOS) + len(UNCLEARED)
+    assert {"heckestab.hecke._checked", "heckestab.specht._decompositions"} <= set(
+        caches
+    )
     cleared = []
     with ExitStack() as stack:
         for name, memo in caches.items():
