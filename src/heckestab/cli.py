@@ -140,7 +140,9 @@ def _cmd_seq_multiplicities(args) -> int:
 
 
 def _cmd_seq_check_stable(args) -> int:
-    verdict = is_uniformly_stable(load_sequence(args.infile), a_max=args.amax)
+    V = load_sequence(args.infile)
+    a_max = min(2, V.n_max) if args.amax is None else args.amax
+    verdict = is_uniformly_stable(V, a_max=a_max)
     _emit(verdict)
     return 0 if verdict["stable"] else 1
 
@@ -211,7 +213,7 @@ def build_parser() -> _Parser:
 
     stable_p = seq_sub.add_parser("check-stable", help="uniform stability verdict")
     stable_p.add_argument("--in", dest="infile", required=True)
-    stable_p.add_argument("--amax", type=int, default=2)
+    stable_p.add_argument("--amax", type=int)
     stable_p.set_defaults(func=_cmd_seq_check_stable)
 
     shift_p = seq_sub.add_parser("shift-decompose", help="split the shifted M(m)")

@@ -367,6 +367,8 @@ class ModulePresentation:
     def __init__(self, n, dim, gen_action, label="", check=True):
         if n < 0:
             raise ValueError(f"rank n = {n} is negative")
+        if dim < 0:
+            raise ValueError(f"dim = {dim} is negative")
         gen_action = tuple(gen_action)
         if len(gen_action) != max(n - 1, 0):
             raise ValueError(f"H_{n} needs {max(n - 1, 0)} generators")
@@ -607,21 +609,18 @@ def _packed_product(a: list, b: list) -> list:
     return out
 
 
+@lru_cache(maxsize=None)
 def regular_representation(n: int) -> ModulePresentation:
     """Left multiplication of H_n on itself in the T_w basis (lex order).
 
     Built and verified once per rank, then shared by every caller; sound
-    because ModulePresentation and ExactMatrix are never mutated.
+    because ModulePresentation and ExactMatrix are never mutated.  A
+    refused rank raises, so nothing is kept for it.
     """
     if n < 0:
         raise ValueError(f"rank n = {n} is negative")
     if n > REGULAR_BOUND:
         raise ValueError(f"size bound: n = {n} exceeds {REGULAR_BOUND}")
-    return _verified_regular(n)
-
-
-@lru_cache(maxsize=None)
-def _verified_regular(n: int) -> ModulePresentation:
     basis = [w.one_line for w in permutations_of(n)]
     index = {w: t for t, w in enumerate(basis)}
     steps = _kept_steps(n).steps

@@ -22,7 +22,6 @@ bound n_max: nothing here certifies behaviour beyond the computed window.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import random
@@ -910,6 +909,8 @@ def _get(obj: dict, key: str, kind: type, path: str):
 
 def _get_size(obj: dict, key: str, path: str) -> int:
     value = _get(obj, key, int, path)
+    if value < 0:
+        raise ValueError(f"malformed tower file: {path}.{key} = {value} is negative")
     if value > FILE_DIM_BOUND:
         raise ValueError(
             f"malformed tower file: {path}.{key} = {value} exceeds {FILE_DIM_BOUND}"
@@ -964,39 +965,37 @@ def sequence_from_json_obj(obj) -> ConsistentSequence:
 
 def save_sequence(V: ConsistentSequence, path) -> None:
     """Write V's tower file; a load of exactly these bytes returns V itself.
-    V keeps the bytes and their SHA-256, made on its first save."""
+    V keeps the bytes, made on its first save."""
     global _last_loaded
     if "file" not in V._memo:
         text = json.dumps(sequence_to_json_obj(V), sort_keys=True, indent=2)
-        data = (text + "\n").encode()
-        V._memo["file"] = (data, hashlib.sha256(data).digest())
-    data, digest = V._memo["file"]
+        V._memo["file"] = (text + "\n").encode()
+    data = V._memo["file"]
     with open(path, "wb") as fh:
         fh.write(data)
-    _last_loaded = (digest, V)
+    _last_loaded = (data, V)
 
 
-# (SHA-256 of a tower file's bytes, the tower they hold): the tower last
-# saved, or the last one parsed
+# (a tower file's bytes, the tower they hold): the tower last saved, or the
+# last one parsed
 _last_loaded = (None, None)
 
 
 def load_sequence(path) -> ConsistentSequence:
     """The tower a file holds, parsed and verified from its bytes.
 
-    The last tower saved or parsed is kept with the SHA-256 of its file's
-    bytes, and the same object is returned while a file's bytes match:
-    sound because a tower is never mutated, and it lets the reports kept
-    on it serve successive commands on one file.  A tower just saved is
-    the one in memory, so loading its bytes re-parses and re-verifies
-    nothing.  Other bytes are parsed and verified anew, and a file that
-    fails to parse leaves the kept tower as it was.
+    The last tower saved or parsed is kept with its file's bytes, and the
+    same object is returned while a file's bytes equal them: sound because
+    a tower is never mutated, and it lets the reports kept on it serve
+    successive commands on one file.  A tower just saved is the one in
+    memory, so loading its bytes re-parses and re-verifies nothing.  Other
+    bytes are parsed and verified anew, and a file that fails to parse
+    leaves the kept tower as it was.
     """
     global _last_loaded
     with open(path, "rb") as fh:
         data = fh.read()
-    digest = hashlib.sha256(data).digest()
-    if _last_loaded[0] == digest:
+    if _last_loaded[0] == data:
         return _last_loaded[1]
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
     try:
@@ -1004,5 +1003,5 @@ def load_sequence(path) -> ConsistentSequence:
     except RecursionError:
         raise ValueError("malformed tower file: nested too deeply") from None
     V = sequence_from_json_obj(obj)
-    _last_loaded = (digest, V)
+    _last_loaded = (data, V)
     return V

@@ -20,7 +20,7 @@ import math
 import sys
 import time
 
-from . import hecke, partitions, sequences, specht
+from . import sequences
 from .hecke import regular_representation
 from .partitions import (
     pad,
@@ -273,22 +273,20 @@ def run_criteria(n_max=6, err=None):
 
 
 def clear_memos() -> None:
-    """Forget the process memos a battery pass fills: verified modules,
-    the content keys whose relations held and the decompositions kept by
-    content key, character tables, S_n step memos, partition caches, the
-    M(m) and M(S^lam) towers with all they keep, the loaded tower."""
-    for memo in (
-        specht._verified_specht,
-        specht._decompositions,
-        specht.character_table,
-        hecke._checked,
-        hecke._verified_regular,
-        hecke._kept_steps,
-        partitions.partitions_of,
-        partitions._murnaghan_nakayama,
-        sequences._Mm_layout,
-        sequences._M_specht,
-    ):
+    """Forget the loaded tower and every process memo.
+
+    A memo is any object but a class (hecke.ContentMemo is one) with a
+    cache_clear at the top level of a package module, so declaring a memo
+    is what gets it cleared.  Modules not imported have no memo filled, and
+    cli is passed over: its build_parser cache is argparse set-up."""
+    memos = {
+        id(obj): obj
+        for name, module in list(sys.modules.items())
+        if name.startswith(f"{__package__}.") and name != f"{__package__}.cli"
+        for obj in vars(module).values()
+        if hasattr(obj, "cache_clear") and not isinstance(obj, type)
+    }
+    for memo in memos.values():
         memo.cache_clear()
     sequences._last_loaded = (None, None)
 

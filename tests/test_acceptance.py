@@ -6,6 +6,7 @@ test.  All comparisons are exact; there are no numeric tolerances
 anywhere in the battery.
 """
 
+import functools
 import importlib
 import io
 import re
@@ -29,7 +30,7 @@ GOLDEN = Path(__file__).parent / "golden" / "verify_all.txt"
 MEMOS = (
     specht._verified_specht,
     specht.character_table,
-    hecke._verified_regular,
+    hecke.regular_representation,
     hecke._kept_steps,
     partitions.partitions_of,
     partitions._murnaghan_nakayama,
@@ -258,6 +259,21 @@ def test_clear_memos_clears_every_package_cache():
             )
         verify.clear_memos()
     assert sorted(cleared) == sorted(set(caches) - set(UNCLEARED))
+
+
+def test_clear_memos_finds_a_memo_by_its_declaration(monkeypatch):
+    # memos that clear_memos names nowhere: one keyed by content and one
+    # functools cache, each declared at the top level of a package module.
+    # The ContentMemo class itself sits in hecke's namespace too, and an
+    # unbound cache_clear would raise there
+    content = hecke.ContentMemo({b"key": None})
+    cached = functools.cache(abs)
+    cached(-1)
+    monkeypatch.setattr(sequences, "_planted_content", content, raising=False)
+    monkeypatch.setattr(sequences, "_planted_cache", cached, raising=False)
+    verify.clear_memos()
+    assert not content
+    assert cached.cache_info().currsize == 0
 
 
 def test_12_fails_when_a_rebuilt_table_differs(monkeypatch):

@@ -1,16 +1,18 @@
 """Every package name the benchmark reaches still resolves.
 
 ``bench/tracer.py`` wraps functions and methods that it looks up by name,
-and ``bench/workloads.py`` calls the package as ``pkg.<name>``.  A name
-deleted from the package would break ``bench/run.py`` (with ``--trace 1``
-or on one workload) while the rest of the suite stays green, so this
-reads both files, as text, and resolves each name.  Nothing under
-``bench/`` is imported or changed.
+and ``bench/workloads.py`` calls the package as ``pkg.<name>`` and runs
+the battery through ``pkg.verify``.  A name deleted from the package would
+break ``bench/run.py`` (with ``--trace 1`` or on one workload) while the
+rest of the suite stays green, so this reads both files, as text, and
+resolves each name, and pins what the battery calls of ``verify``.
+Nothing under ``bench/`` is imported or changed.
 """
 
 import ast
 import importlib
 import inspect
+import io
 import re
 from pathlib import Path
 
@@ -86,3 +88,39 @@ def test_workload_name_resolves(dotted):
     obj = heckestab
     for part in dotted.split("."):
         obj = getattr(obj, part)
+
+
+def test_battery_signatures():
+    # bench/workloads.py's Battery wraps each criterion as fn(n_max) and
+    # calls run_criteria(n_max, err=...) and verify_all(n_max, out=..., err=...)
+    verify = heckestab.verify
+    assert verify.CRITERIA
+    for name, fn in verify.CRITERIA:
+        assert isinstance(name, str)
+        inspect.signature(fn).bind(6)
+    inspect.signature(verify.run_criteria).bind(6, err=io.StringIO())
+    inspect.signature(verify.verify_all).bind(6, out=io.StringIO(), err=io.StringIO())
+
+
+def test_battery_wrappers_are_reached(monkeypatch):
+    # the Battery replaces verify.CRITERIA and verify.run_criteria by
+    # assignment, so verify_all must read both from the module when it runs
+    verify = heckestab.verify
+    windows, passes = [], []
+
+    def probe(n_max):
+        windows.append(n_max)
+        return True, "ok"
+
+    run_criteria = verify.run_criteria
+
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return run_criteria(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "CRITERIA", (("probe", probe),))
+    monkeypatch.setattr(verify, "run_criteria", counted)
+    out = io.StringIO()
+    assert verify.verify_all(6, out=out, err=io.StringIO()) == 0
+    assert windows == [6, 6] and len(passes) == 2
+    assert out.getvalue().splitlines()[0] == "PASS  1 probe: ok"

@@ -189,6 +189,19 @@ class TestSeqPipeline:
         assert code == 1
         assert not json.loads(out)["stable"]
 
+    def test_check_stable_default_fits_a_short_tower(self, capsys, tmp_path):
+        # without --amax the probe reaches min(2, n_max): a tower built with
+        # --nmax 1 gets its verdict (M(1) at n_max 1 has no verified step)
+        out_file = str(tmp_path / "m1.json")
+        run(capsys, "seq", "build", "--kind", "Mm", "--m", "1",
+            "--nmax", "1", "--out", out_file)
+        code, out, err = run(capsys, "seq", "check-stable", "--in", out_file)
+        assert (code, err) == (1, "")
+        assert not json.loads(out)["stable"]
+        assert run(
+            capsys, "seq", "check-stable", "--in", out_file, "--amax", "1"
+        ) == (code, out, err)
+
     def test_shift_decompose(self, capsys):
         code, out, _ = run(
             capsys, "seq", "shift-decompose", "--m", "1", "--a", "1", "--nmax", "4"
@@ -550,8 +563,10 @@ class TestErrorsAndDeterminism:
             (("modules", 1, "dim"), 10**12, "modules[1].dim = 1000000000000 exceeds"),
             (("connectors", 0, "cols"), 10**12,
              "connectors[0].cols = 1000000000000 exceeds"),
+            # the negative dim is named, not found later as a matrix shape
+            (("modules", 1, "dim"), -2, "modules[1].dim = -2 is negative"),
         ],
-        ids=["exponent", "generator-rows", "dim", "connector-cols"],
+        ids=["exponent", "generator-rows", "dim", "connector-cols", "negative-dim"],
     )
     def test_tower_file_sizes_are_bounded(
         self, capsys, tmp_path, where, value, message

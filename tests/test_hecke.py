@@ -236,6 +236,12 @@ class TestPresentation:
         with pytest.raises(ValueError, match=f"^rank n = {n} is negative$"):
             build(n)
 
+    @pytest.mark.parametrize("dim", [-1, -2])
+    def test_negative_dim_refused(self, dim):
+        # with no generator to contradict it, a negative dim would construct
+        with pytest.raises(ValueError, match=f"^dim = {dim} is negative$"):
+            ModulePresentation(0, dim, [])
+
     @pytest.mark.parametrize("n", [-2, -5])
     def test_negative_regular_rank_keeps_no_steps(self, n):
         # refused before the S_n step memo is asked for: no empty entry is

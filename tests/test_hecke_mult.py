@@ -199,7 +199,7 @@ class TestStepMemo:
         # built afresh past its own cache, it fills the kept memo of its rank
         hecke._kept_steps.cache_clear()
         n = 4
-        V = hecke._verified_regular.__wrapped__(n)
+        V = hecke.regular_representation.__wrapped__(n)
         steps = hecke._kept_steps(n).steps
         assert sum(map(len, steps.values())) == math.factorial(n) * (n - 1)
         assert V.gen_action == hecke.regular_representation(n).gen_action
