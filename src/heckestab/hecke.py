@@ -44,9 +44,10 @@ of its own, which dies with the call.
 Modules are given concretely as ModulePresentation: one exact matrix per
 generator, acting on column vectors, with all defining relations verified
 at construction time.  Relation checks and traces run on packed integers
-too.  A module's integral form writes every generator as T_{s_i} = N_i / D
-over one D in Z[q] for all generators, with the N_i over Z[q].  One D
-makes each relation homogeneous: multiplied through by D^2 or D^3 it reads
+too.  A module's integral form, built for each check or trace, writes
+every generator as T_{s_i} = N_i / D over one D in Z[q] for all
+generators, with the N_i over Z[q].  One D makes each relation
+homogeneous: multiplied through by D^2 or D^3 it reads
 
     N_i^2 = (q-1) D N_i + q D^2 I,
     N_i N_j = N_j N_i,    N_a N_b N_a = N_b N_a N_b,
@@ -73,15 +74,15 @@ is read; each D^l is formed once, and the trace alone is decoded as
 tr(N_{i_1} ... N_{i_l}) / D^l: by one exact division, with no gcd, when
 D^l divides the trace in Z[q], as the quotient over 1 is already reduced.
 
-Both the relation check and a decomposition read a module's content
-alone: n, dim and the generator matrices.  A module's content key
-(ModulePresentation.content_key) is those as bytes, and equal keys mean
-equal modules and equal modules equal keys (the proof is at content_key).
-So the relation check runs once per key and process: _checked keeps every
-key whose relations held, and a module with that key is built unchecked.
-specht.decompose keeps its solutions by the same key.  This is sound
-because a module is never mutated: gen_action is a tuple of ExactMatrix,
-whose entries are set only at construction.
+A module is its content alone: n, dim and the generator matrices, and
+that is all the relation check and a decomposition read.  Its content
+key (ModulePresentation.content_key) is those as bytes, and equal keys
+mean equal modules and equal modules equal keys (the proof is at
+content_key).  So the relation check runs once per key and process:
+_checked keeps every key whose relations held, and a module with that key
+is built unchecked.  specht.decompose keeps its solutions by the same
+key.  This is sound because a module is never mutated: gen_action is a
+tuple of ExactMatrix, whose entries are set only at construction.
 """
 
 from __future__ import annotations
@@ -356,15 +357,15 @@ class ModulePresentation:
     unless check=False (used internally for data already validated), once
     per content key and process: a key in _checked has passed the check,
     and a key is added only after it passes, so a module that fails raises
-    at every construction.  Relation checks and traces run on the integral
-    form, built on first use and kept, and each induced module
-    Ind(V boxtimes index_k) is kept per k; these and the content key are
-    sound because a module is never mutated.
+    at every construction.  Relation checks and traces build the integral
+    form when they run.  Each induced module Ind(V boxtimes index_k) is
+    kept per k; it and the content key are sound because a module is
+    never mutated.
     """
 
-    __slots__ = ("n", "dim", "gen_action", "label", "_form", "_induced", "_key")
+    __slots__ = ("n", "dim", "gen_action", "_induced", "_key")
 
-    def __init__(self, n, dim, gen_action, label="", check=True):
+    def __init__(self, n, dim, gen_action, *, check=True):
         if n < 0:
             raise ValueError(f"rank n = {n} is negative")
         if dim < 0:
@@ -378,8 +379,6 @@ class ModulePresentation:
         self.n = n
         self.dim = dim
         self.gen_action = gen_action
-        self.label = label
-        self._form = None
         self._induced = {}
         self._key = None
         if check:
@@ -397,8 +396,7 @@ class ModulePresentation:
 
         Equal keys mean equal modules.  marshal.loads inverts marshal.dumps,
         and c < dim, so the key gives back n, dim and, for every generator,
-        each nonzero entry's (r, c) and its num/den: the whole matrix.  The
-        label is left out; no computation reads it.
+        each nonzero entry's (r, c) and its num/den: the whole matrix.
         Equal modules mean equal keys.  A Scalar is kept in its unique
         reduced normal form, so equal entries share one table index; an
         ExactMatrix keeps no zero entry; the order is fixed by the content;
@@ -424,11 +422,6 @@ class ModulePresentation:
             self._key = marshal.dumps([self.n, dim, gens, values], 2)
         return self._key
 
-    def integral_form(self) -> "IntegralForm":
-        if self._form is None:
-            self._form = IntegralForm(self.dim, self.gen_action)
-        return self._form
-
     def induced_by_index(self, k: int) -> "ModulePresentation":
         """induce_pair(self, index_rep(k)), built and verified once per k.
 
@@ -446,7 +439,7 @@ class ModulePresentation:
         so k is taken from the bound on both sides of every relation.  The
         braid sides N_i (N_{i+1} N_i) and (N_{i+1} N_i) N_{i+1} share N_{i+1} N_i.
         """
-        form = self.integral_form()
+        form = IntegralForm(self.dim, self.gen_action)
         bound = form.bound
         r = len(self.gen_action)
         d1 = _l1(form.den)
@@ -504,7 +497,7 @@ class ModulePresentation:
         [Scalar(2), Scalar(q-1), Scalar(-q), Scalar(q-1)]
         """
         words = [tuple(w) for w in words]
-        form = self.integral_form()
+        form = IntegralForm(self.dim, self.gen_action)
         k = pack_width(max((self.dim * form.bound(w) for w in words), default=0))
         gens = {i: form.packed(i, k) for i in {i for w in words for i in w}}
         # stack[j] = (i_j, N_{i_0} ... N_{i_j} packed) along the prefix
@@ -541,8 +534,7 @@ class ModulePresentation:
         return out
 
     def __repr__(self):
-        tag = f" {self.label!r}" if self.label else ""
-        return f"ModulePresentation(H_{self.n}, dim {self.dim}{tag})"
+        return f"ModulePresentation(H_{self.n}, dim {self.dim})"
 
 
 class IntegralForm:
@@ -636,15 +628,13 @@ def regular_representation(n: int) -> ModulePresentation:
                 entries[(index[sw], t)] = Q
                 entries[(t, t)] = Q_MINUS_ONE
         gens.append(ExactMatrix(len(basis), len(basis), entries))
-    return ModulePresentation(n, len(basis), gens, label=f"regular H_{n}")
+    return ModulePresentation(n, len(basis), gens)
 
 
 def index_rep(n: int) -> ModulePresentation:
     """The one-dimensional module on which every generator acts by q."""
     g = ExactMatrix(1, 1, {(0, 0): Q})
-    return ModulePresentation(
-        n, 1, [g] * max(n - 1, 0), label=f"index H_{n}", check=False
-    )
+    return ModulePresentation(n, 1, [g] * max(n - 1, 0), check=False)
 
 
 def induce_pair(V: ModulePresentation, W: ModulePresentation) -> ModulePresentation:
@@ -700,5 +690,4 @@ def induce_pair(V: ModulePresentation, W: ModulePresentation) -> ModulePresentat
                         entries[(idx(di, i, jj), idx(di, i, j))] = c
         gens.append(ExactMatrix(dim, dim, entries))
     assert dim == math.comb(n, m) * p * r
-    label = f"Ind({V.label or 'V'}, {W.label or 'W'})"
-    return ModulePresentation(n, dim, gens, label=label)
+    return ModulePresentation(n, dim, gens)

@@ -76,7 +76,7 @@ class ConsistentSequence:
     Each commuting square phi_n T_{s_i} = T_{s_i} phi_n is checked once, by
     this constructor, as M(W) and parsed files are built.  Towers derived
     from a checked one (shift, span, kernel, C_a) pass check=False; where
-    each is built, one line proves its squares.  Tower modules have no label.
+    each is built, one line proves its squares.
 
     ``_memo`` keeps the reports of ``multiplicity_table`` and ``degrees``,
     the ``_generated`` flags and the saved file's bytes, each made on first
@@ -184,7 +184,10 @@ def _block_diagonal(blocks) -> ExactMatrix:
 
 
 def _presentation_direct_sum(n, parts) -> ModulePresentation:
-    """Block-diagonal sum of presentations of the same rank."""
+    """Block-diagonal sum of presentations of the same rank: the sum of one
+    part is that part, shared, not copied."""
+    if len(parts) == 1:
+        return parts[0]
     gens = [
         _block_diagonal([p.gen_action[i] for p in parts])
         for i in range(max(n - 1, 0))
@@ -955,7 +958,7 @@ def sequence_from_json_obj(obj) -> ConsistentSequence:
             for i, g in enumerate(_get(rec, "generators", list, path))
         ]
         n, dim = _get(rec, "n", int, path), _get_size(rec, "dim", path)
-        modules.append(ModulePresentation(n, dim, gens, label=""))
+        modules.append(ModulePresentation(n, dim, gens))
     connectors = [
         _matrix_from_json(f, f"connectors[{k}]")
         for k, f in enumerate(_get(obj, "connectors", list, ""))

@@ -41,7 +41,6 @@ from .hecke import ContentMemo, ModulePresentation
 from .linalg import EchelonBasis, ExactMatrix
 from .partitions import (
     hecke_character,
-    partition_label,
     partitions_of,
     syt_count,
     syt_enumerate,
@@ -126,7 +125,7 @@ def _verified_specht(lam: tuple) -> ModulePresentation:
                 entries[(a, a)] = _diag(d)
                 entries[(b, a)] = ONE if d > 0 else _cross(-d)
         gens.append(ExactMatrix(dim, dim, entries))
-    return ModulePresentation(n, dim, gens, label=f"S({partition_label(lam)})")
+    return ModulePresentation(n, dim, gens)
 
 
 def character(V: ModulePresentation, w: Permutation) -> Scalar:
@@ -332,12 +331,6 @@ def coinvariant_quotients(V: ModulePresentation, ranks) -> dict:
             for col in (V.gen_action[fed - 1] + minus_q_eye).columns():
                 basis.insert(col)
         qs = basis.quotient(V.dim, V.gen_action[: max(a - 1, 0)])
-        quotient = ModulePresentation(
-            a,
-            qs.quotient_dim,
-            qs.induced,
-            label=f"{V.label or 'V'}/Q(tail>{a})",
-            check=False,
-        )
+        quotient = ModulePresentation(a, qs.quotient_dim, qs.induced, check=False)
         out[a] = (quotient, qs)
     return out

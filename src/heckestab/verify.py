@@ -277,12 +277,11 @@ def clear_memos() -> None:
 
     A memo is any object but a class (hecke.ContentMemo is one) with a
     cache_clear at the top level of a package module, so declaring a memo
-    is what gets it cleared.  Modules not imported have no memo filled, and
-    cli is passed over: its build_parser cache is argparse set-up."""
+    is what gets it cleared.  Modules not imported have no memo filled."""
     memos = {
         id(obj): obj
         for name, module in list(sys.modules.items())
-        if name.startswith(f"{__package__}.") and name != f"{__package__}.cli"
+        if name.startswith(f"{__package__}.")
         for obj in vars(module).values()
         if hasattr(obj, "cache_clear") and not isinstance(obj, type)
     }

@@ -47,11 +47,5 @@ def coinvariant_quotient(V: ModulePresentation, a: int):
         subspace.extend(g.columns())
     front = V.gen_action[: max(a - 1, 0)]
     qs = quotient_structure(V.dim, subspace, front)
-    quotient = ModulePresentation(
-        a,
-        qs.quotient_dim,
-        qs.induced,
-        label=f"{V.label or 'V'}/Q(tail>{a})",
-        check=False,
-    )
+    quotient = ModulePresentation(a, qs.quotient_dim, qs.induced, check=False)
     return quotient, qs

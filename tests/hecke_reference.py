@@ -115,8 +115,8 @@ def _simple_index(u: Permutation):
 
 
 def induce_pair(V: ModulePresentation, W: ModulePresentation) -> ModulePresentation:
-    """Ind(V boxtimes W) with the basis and label of
-    ``heckestab.hecke.induce_pair``, its relations unchecked."""
+    """Ind(V boxtimes W) with the basis of ``heckestab.hecke.induce_pair``,
+    its relations unchecked."""
     m, k = V.n, W.n
     n = m + k
     comp = (m, k)
@@ -157,5 +157,4 @@ def induce_pair(V: ModulePresentation, W: ModulePresentation) -> ModulePresentat
                         for i in range(p):
                             entries[(idx(di, i, jj), idx(di, i, j))] = c
         gens.append(ExactMatrix(dim, dim, entries))
-    label = f"Ind({V.label or 'V'}, {W.label or 'W'})"
-    return ModulePresentation(n, dim, gens, label=label, check=False)
+    return ModulePresentation(n, dim, gens, check=False)

@@ -55,9 +55,7 @@ def all_reduced_words(w: Permutation) -> list:
 def sign_rep(n: int) -> ModulePresentation:
     """The one-dimensional module on which every generator acts by -1."""
     g = ExactMatrix(1, 1, {(0, 0): scal(-1)})
-    return ModulePresentation(
-        n, 1, [g] * max(n - 1, 0), label=f"sign H_{n}", check=False
-    )
+    return ModulePresentation(n, 1, [g] * max(n - 1, 0), check=False)
 
 
 def is_constant(c: Scalar) -> bool:

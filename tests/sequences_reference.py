@@ -137,9 +137,7 @@ def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:
             matches = matches and b_block == fresh.modules[n].generator(i)
             c_gens.append(c_block)
         c_modules.append(
-            ModulePresentation(
-                n, len(c_positions[n]), c_gens, label=f"C_{a}_{n}", check=False
-            )
+            ModulePresentation(n, len(c_positions[n]), c_gens, check=False)
         )
     c_connectors = []
     for n in range(n_max):

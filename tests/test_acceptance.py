@@ -38,12 +38,6 @@ MEMOS = (
     sequences._M_specht,
 )
 
-# the package's functools caches that verify.clear_memos leaves, and why
-UNCLEARED = {
-    "heckestab.cli.build_parser": "argparse set-up: no algebra, alike in every pass",
-}
-
-
 # the memos keyed by module content, with the computation each one saves
 CONTENT_MEMOS = {
     "_check_relations": hecke._checked,
@@ -244,11 +238,12 @@ def package_caches() -> dict:
 
 def test_clear_memos_clears_every_package_cache():
     caches = package_caches()
-    assert set(UNCLEARED) <= set(caches)
-    assert len(caches) >= len(MEMOS) + len(CONTENT_MEMOS) + len(UNCLEARED)
-    assert {"heckestab.hecke._checked", "heckestab.specht._decompositions"} <= set(
-        caches
-    )
+    assert len(caches) >= len(MEMOS) + len(CONTENT_MEMOS) + 1
+    assert {
+        "heckestab.hecke._checked",
+        "heckestab.specht._decompositions",
+        "heckestab.cli.build_parser",
+    } <= set(caches)
     cleared = []
     with ExitStack() as stack:
         for name, memo in caches.items():
@@ -258,7 +253,7 @@ def test_clear_memos_clears_every_package_cache():
                 )
             )
         verify.clear_memos()
-    assert sorted(cleared) == sorted(set(caches) - set(UNCLEARED))
+    assert sorted(cleared) == sorted(caches)
 
 
 def test_clear_memos_finds_a_memo_by_its_declaration(monkeypatch):

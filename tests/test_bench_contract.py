@@ -64,9 +64,18 @@ def test_counted_scalar_operator_exists(meth):
 
 
 def test_verified_module_hook_finds_check():
-    # the tracer reads ``check`` as the 5th positional argument after self
-    params = list(inspect.signature(_module("hecke").ModulePresentation).parameters)
-    assert params[4] == "check"
+    # the tracer reads ``check`` from the keywords, or as the 5th positional
+    # argument after self, else takes True.  With three positional parameters
+    # and ``check`` keyword-only, no call reaches a 5th positional argument,
+    # so the tracer reads the value the constructor sees
+    params = inspect.signature(_module("hecke").ModulePresentation).parameters
+    positional = [
+        name for name, p in params.items()
+        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+    ]
+    assert positional == ["n", "dim", "gen_action"]
+    assert params["check"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert params["check"].default is True
 
 
 @pytest.mark.parametrize("short, attr, param", [

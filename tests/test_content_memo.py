@@ -4,8 +4,8 @@
 ``decompose`` solves once per content key.  These tests hold the memoised
 answers against a fresh computation over the modules a benchmark pass
 builds, check that the key tells modules apart exactly when their content
-differs, and that a failure, a caller's change to a result or a label
-never reaches a later answer.
+differs, and that a failure or a caller's change to a result never
+reaches a later answer.
 """
 
 from unittest import mock
@@ -119,10 +119,8 @@ def test_equal_keys_exactly_when_equal_content(deck):
     assert sorted(by_key.values()) == sorted(by_content.values())
 
 
-def test_key_ignores_the_label_and_is_kept():
+def test_key_is_kept():
     V = specht_module((2, 1))
-    twin = ModulePresentation(V.n, V.dim, V.gen_action, label="another name")
-    assert twin.content_key() == V.content_key()
     assert V.content_key() is V.content_key()
 
 

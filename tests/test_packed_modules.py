@@ -251,7 +251,7 @@ def outcome(check, V):
 
 
 def packed_check(V):
-    ModulePresentation(V.n, V.dim, V.gen_action, label=V.label)
+    ModulePresentation(V.n, V.dim, V.gen_action)
 
 
 VALID = (
@@ -323,9 +323,3 @@ class TestRelationCheckAgainstReference:
         calls = counting_products(monkeypatch)
         induce_pair(V, W)
         assert len(calls) == 6 + 10 * 2 + 5 * 3 == 41
-
-    def test_check_builds_the_integral_form_once(self):
-        V = induce_pair(specht_module((2, 1)), index_rep(1))
-        form = V.integral_form()
-        character(V, Permutation.simple(4, 2))
-        assert V.integral_form() is form

@@ -216,11 +216,44 @@ class TestKeptWork:
         assert regular_representation(2) is W
         block = W.induced_by_index(3)
         assert W.induced_by_index(3) is block
+        # the tower's module is the kept block itself, not a copy of it
+        assert build_Mm(2, 5).modules[5] is block
         fresh = hecke.induce_pair(W, hecke.index_rep(3))
         assert block is not fresh
-        assert (block.dim, block.gen_action, block.label) == (
-            fresh.dim, fresh.gen_action, fresh.label
-        )
+        assert (block.dim, block.gen_action) == (fresh.dim, fresh.gen_action)
+
+    @pytest.mark.parametrize("m, lam", [(1, None), (2, None), (3, None), (3, (2, 1))])
+    def test_every_window_holds_the_induced_blocks(self, m, lam):
+        # a one-summand M(W) holds the blocks kept on W, so the windows
+        # 6 and 7 share each module, and none is a copy
+        if lam is None:
+            W, short, long = regular_representation(m), build_Mm(m, 6), build_Mm(m, 7)
+        else:
+            W = specht_module(lam)
+            short, long = build_M_specht(lam, 6), build_M_specht(lam, 7)
+        for n in range(m, 7):
+            block = W.induced_by_index(n - m)
+            assert long.modules[n] is short.modules[n] is block
+
+    def test_several_summands_are_summed(self):
+        # non_finitely_generated(4) has a summand per k <= n: each V_n is
+        # the block-diagonal sum of its induced parts, in order of k
+        V = non_finitely_generated(4)
+        for n, module in enumerate(V.modules):
+            parts = [
+                specht_module((k,) if k else ()).induced_by_index(n - k)
+                for k in range(n + 1)
+            ]
+            gens = []
+            for i in range(n - 1):
+                entries, offset = {}, 0
+                for part in parts:
+                    for (r, c), v in part.gen_action[i].entries.items():
+                        entries[(offset + r, offset + c)] = v
+                    offset += part.dim
+                gens.append(entries)
+            assert (module.n, module.dim) == (n, sum(p.dim for p in parts))
+            assert [g.entries for g in module.gen_action] == gens
 
     def test_reports_are_kept_on_the_tower(self, monkeypatch):
         decomposed, eliminated = [], []
@@ -305,9 +338,9 @@ class TestTowerMemo:
             again = kept(n_max) if lam is None else build_M_specht(list(lam), n_max)
             assert again is V
             assert (again.label, again.n_max) == (fresh.label, n_max)
-            assert [
-                (mod.n, mod.dim, mod.gen_action, mod.label) for mod in again.modules
-            ] == [(mod.n, mod.dim, mod.gen_action, mod.label) for mod in fresh.modules]
+            assert [(mod.n, mod.dim, mod.gen_action) for mod in again.modules] == [
+                (mod.n, mod.dim, mod.gen_action) for mod in fresh.modules
+            ]
             assert again.connectors == fresh.connectors
             assert sequence_to_json_obj(again) == sequence_to_json_obj(fresh)
             if lam is None:
@@ -985,14 +1018,12 @@ class TestSerialization:
     )
     def test_saved_and_parsed_towers_agree(self, tmp_path, monkeypatch, m, lam):
         # the nine towers of the towers benchmark: the tower a save keeps
-        # and the tower parsed from its file have the same (empty) module
-        # labels and give the same reports
+        # and the tower parsed from its file give the same reports
         V = build_Mm(m, 6) if lam is None else build_M_specht(lam, 6)
         path = tmp_path / "t.json"
         self.save_unkept(V, path, monkeypatch)
         parsed = load_sequence(path)
         assert parsed is not V
-        assert {mod.label for mod in V.modules + parsed.modules} == {""}
         assert sequence_to_json_obj(parsed) == sequence_to_json_obj(V)
         assert degrees(parsed, 2) == degrees(V, 2)
         assert is_uniformly_stable(parsed, 2) == is_uniformly_stable(V, 2)

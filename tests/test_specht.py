@@ -147,6 +147,10 @@ class TestSeminormal:
         assert specht_module((4,)).gen_action == index_rep(4).gen_action
         assert specht_module((1, 1, 1)).gen_action == sign_rep(3).gen_action
 
+    def test_repr_is_rank_and_dim(self):
+        # a module is its content: its repr names no shape
+        assert repr(specht_module((2, 1))) == "ModulePresentation(H_3, dim 2)"
+
     def test_two_dimensional_block(self):
         V = specht_module((2, 1))
         # basis order: ((1,3),(2,)) then ((1,2),(3,))
@@ -469,9 +473,7 @@ class TestCoinvariants:
                 assert qs.section == want_qs.section
                 assert qs.induced == want_qs.induced
                 assert quotient.gen_action == want.gen_action
-                assert (quotient.n, quotient.dim, quotient.label) == (
-                    want.n, want.dim, want.label
-                )
+                assert (quotient.n, quotient.dim) == (want.n, want.dim)
 
     def test_rank_outside_range(self):
         V = specht_module((2, 1))
