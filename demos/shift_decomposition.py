@@ -25,7 +25,8 @@ print(
     report["bound_ok"],
 )
 
-# The complement is returned as a live tower; it can be fed back into
-# any of the measurement functions.
+# The complement is returned as a live tower, the one every call with the
+# same (m, a, n_max) shares; it is never mutated, so it can be fed back
+# into any of the measurement functions.
 comp = report["complement"]
 print("complement consistency:", comp.dims() == report["complement_dims"])

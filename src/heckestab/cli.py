@@ -140,7 +140,17 @@ def _cmd_seq_multiplicities(args) -> int:
 
 
 def _cmd_seq_check_stable(args) -> int:
+    """Print the uniform stability verdict; exit 1 when it is negative.
+
+    A tower that is zero in every degree of its window gives no evidence
+    either way (M(3) built with --nmax 2, say), so it is refused as bad
+    input rather than certified stable.
+    """
     V = load_sequence(args.infile)
+    if not any(V.dims()):
+        raise ValueError(
+            f"every V_n is zero within n_max = {V.n_max}: no evidence for a verdict"
+        )
     a_max = min(2, V.n_max) if args.amax is None else args.amax
     verdict = is_uniformly_stable(V, a_max=a_max)
     _emit(verdict)

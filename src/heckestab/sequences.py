@@ -705,6 +705,40 @@ def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:
     preserves the subset-lex order), and the remaining vectors form the
     complement C_a, a consistent subsequence of generation degree <= m-1.
 
+    The split is made once per (m, a, n_max) and kept (_shift_split); each
+    call builds a new report from the kept parts.  The report's complement
+    is the kept C_a, shared by every caller and never mutated, like the
+    towers build_Mm returns, so it keeps its generated flags and C_a is
+    closed once per process.
+    """
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    if a < 0:
+        raise ValueError("a must be nonnegative")
+    shifted_dims, sizes, matches, complement = _shift_split(m, a, n_max)
+    gen_deg = generation_degree(complement)
+    return {
+        "m": m,
+        "a": a,
+        "n_max": n_max,
+        "shifted_dims": list(shifted_dims),
+        "summand_dims": [size[0] for size in sizes],
+        "complement_dims": complement.dims(),
+        "direct_sum_ok": all(
+            sum(size) == dim for size, dim in zip(sizes, shifted_dims)
+        ),
+        "matches_fresh_Mm": matches,
+        "complement_generation_degree": gen_deg,
+        "bound_ok": gen_deg <= m - 1,
+        "complement": complement,
+    }
+
+
+@cache
+def _shift_split(m: int, a: int, n_max: int) -> tuple:
+    """(shifted dims, per-degree (summand, C_a) dims, matches_fresh_Mm, C_a)
+    of shift_decompose_Mm, made once per (m, a, n_max).
+
     M(m) on the window n_max + a and its labels come from build_Mm's memo;
     S_{+a}M(m) is shift(M(m), a).  The degree-(n + a) coset representatives
     sort the shifted basis.  C_a is unchecked: split certifies that every map of
@@ -713,10 +747,6 @@ def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:
     and connectors of M(m), which depend only on n and m, not on the
     window, so equal those of a fresh M(m).
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if a < 0:
-        raise ValueError("a must be nonnegative")
     base, labels = _Mm_layout(m, n_max + a)
     shifted = shift(base, a)
     # where[n][j]: (0 for the M(m) summand or 1 for C_a, index there) of
@@ -732,10 +762,14 @@ def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:
             positions.append((part, size[part]))
             size[part] += 1
         where.append(positions)
-        sizes.append(size)
+        sizes.append(tuple(size))
 
     def split(mat, target, source):
-        """The (summand, C_a) blocks of a degree source -> target map."""
+        """The (summand, C_a) blocks of a degree source -> target map.
+
+        Each entry is a nonzero Scalar of mat, placed inside its block's
+        shape by where and sizes, so the blocks need no constructor checks.
+        """
         blocks = ({}, {})
         for (i, j), v in mat.entries.items():
             (part, row), (col_part, col) = where[target][i], where[source][j]
@@ -745,7 +779,8 @@ def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:
                 )
             blocks[part][(row, col)] = v
         return [
-            ExactMatrix(sizes[target][k], sizes[source][k], blocks[k]) for k in (0, 1)
+            ExactMatrix._new(sizes[target][k], sizes[source][k], blocks[k])
+            for k in (0, 1)
         ]
 
     matches = True
@@ -765,23 +800,7 @@ def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:
     complement = ConsistentSequence(
         c_modules, c_connectors, label=f"C_{a} of S+{a}M({m})", check=False
     )
-    gen_deg = generation_degree(complement)
-    shifted_dims = shifted.dims()
-    return {
-        "m": m,
-        "a": a,
-        "n_max": n_max,
-        "shifted_dims": shifted_dims,
-        "summand_dims": [size[0] for size in sizes],
-        "complement_dims": complement.dims(),
-        "direct_sum_ok": all(
-            sum(size) == dim for size, dim in zip(sizes, shifted_dims)
-        ),
-        "matches_fresh_Mm": matches,
-        "complement_generation_degree": gen_deg,
-        "bound_ok": gen_deg <= m - 1,
-        "complement": complement,
-    }
+    return tuple(shifted.dims()), tuple(sizes), matches, complement
 
 
 def noetherian_experiment(m: int, trials: int, seed: int, n_max: int) -> dict:

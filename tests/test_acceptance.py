@@ -36,6 +36,7 @@ MEMOS = (
     partitions._murnaghan_nakayama,
     sequences._Mm_layout,
     sequences._M_specht,
+    sequences._shift_split,
 )
 
 # the memos keyed by module content, with the computation each one saves
@@ -48,17 +49,22 @@ CONTENT_MEMOS = {
 @pytest.fixture(scope="module")
 def battery():
     """verify_all from cleared memos, with each pass's report, misses, M(W)
-    builds (label and n_max), relation checks and decompositions made, and
-    the content keys kept at its end."""
-    reports, misses, builds, kept = [], [], [], []
+    builds (label and n_max), shifts split (label, window and a), relation
+    checks and decompositions made, and the content keys kept at its end."""
+    reports, misses, builds, shifts, kept = [], [], [], [], []
     run_criteria = verify.run_criteria
     build = sequences._build_M_layout
+    shift = sequences.shift
     check = hecke.ModulePresentation._check_relations
     multiplicities = specht._multiplicities
 
     def counted(W, n_max, label):
         builds[-1].append((label, n_max))
         return build(W, n_max, label)
+
+    def counted_shift(V, a):
+        shifts[-1].append((V.label, V.n_max, a))
+        return shift(V, a)
 
     def counted_check(module):
         misses[-1]["_check_relations"] += 1
@@ -70,6 +76,7 @@ def battery():
 
     def recorded(n_max, err):
         builds.append([])
+        shifts.append([])
         misses.append(dict.fromkeys(CONTENT_MEMOS, 0))
         before = [memo.cache_info().misses for memo in MEMOS]
         ok, report = run_criteria(n_max, err=err)
@@ -89,6 +96,7 @@ def battery():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "run_criteria", recorded)
         mp.setattr(sequences, "_build_M_layout", counted)
+        mp.setattr(sequences, "shift", counted_shift)
         mp.setattr(hecke.ModulePresentation, "_check_relations", counted_check)
         mp.setattr(specht, "_multiplicities", counted_multiplicities)
         code = verify.verify_all(N_MAX, out=out, err=err)
@@ -105,6 +113,7 @@ def battery():
         "second": reports[1],
         "misses": misses,
         "builds": builds,
+        "shifts": shifts,
         "kept": kept,
         "timings": timings,
         "total": total,
@@ -198,6 +207,17 @@ def test_12_each_tower_built_once_per_pass(battery):
     assert ("M(2)", 6) in first and ("M(S(2,1))", 6) in first
     assert max(Counter(first).values()) == 1
     assert second == first
+
+
+def test_12_each_shift_split_once_per_pass(battery):
+    # criterion 8 splits S_+a M(m) for m <= 3 and a <= 2 at n_max 6; the
+    # split memo makes each (m, a) once per pass, and pass 2 splits again
+    first, second = battery["shifts"]
+    assert sorted(first) == [
+        (f"M({m})", 6 + a, a) for m in (1, 2, 3) for a in (0, 1, 2)
+    ]
+    assert second == first
+    assert [made["_shift_split"] for made in battery["misses"]] == [9, 9]
 
 
 def test_12_each_module_checked_and_decomposed_once_per_pass(battery):

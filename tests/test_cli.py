@@ -202,6 +202,20 @@ class TestSeqPipeline:
             capsys, "seq", "check-stable", "--in", out_file, "--amax", "1"
         ) == (code, out, err)
 
+    @pytest.mark.parametrize("m, nmax", [(2, 1), (3, 2)])
+    def test_check_stable_refuses_a_zero_window(self, capsys, tmp_path, m, nmax):
+        # M(m) is zero below degree m: a window that ends before it holds
+        # no evidence, so no verdict, with or without --amax
+        out_file = str(tmp_path / "zero.json")
+        run(capsys, "seq", "build", "--kind", "Mm", "--m", str(m),
+            "--nmax", str(nmax), "--out", out_file)
+        want = {"error": f"every V_n is zero within n_max = {nmax}: "
+                         "no evidence for a verdict"}
+        for extra in ([], ["--amax", "1"]):
+            code, out, err = run(capsys, "seq", "check-stable", "--in", out_file, *extra)
+            assert (code, out) == (2, "")
+            assert json.loads(err) == want
+
     def test_shift_decompose(self, capsys):
         code, out, _ = run(
             capsys, "seq", "shift-decompose", "--m", "1", "--a", "1", "--nmax", "4"

@@ -351,8 +351,11 @@ class TestTowerMemo:
     def test_shift_decompose_matches_a_fresh_build(self, m, a, monkeypatch):
         kept = [shift_decompose_Mm(m, a, 4) for _ in range(2)]
         assert sequences._Mm_layout(m, 4 + a)[0] is build_Mm(m, 4 + a)
-        monkeypatch.setattr(sequences, "_Mm_layout", sequences._Mm_layout.__wrapped__)
+        # past both memos: M(m) built and the split made afresh
+        for name in ("_Mm_layout", "_shift_split"):
+            monkeypatch.setattr(sequences, name, getattr(sequences, name).__wrapped__)
         fresh = shift_decompose_Mm(m, a, 4)
+        assert fresh["complement"] is not kept[0]["complement"]
         for report in kept:
             assert report.keys() == fresh.keys()
             for key, value in report.items():
@@ -360,8 +363,44 @@ class TestTowerMemo:
                     assert sequence_to_json_obj(value) == sequence_to_json_obj(
                         fresh[key]
                     )
+                    assert sequences._generated(value) == sequences._generated(
+                        fresh[key]
+                    )
                 else:
                     assert value == fresh[key]
+
+    @pytest.mark.parametrize("m, a", [(1, 1), (2, 2), (3, 1)])
+    def test_repeat_split_reads_the_kept_parts(self, m, a, monkeypatch):
+        first = shift_decompose_Mm(m, a, 5)
+        calls = []
+        for name in ("_closure", "shift", "_Mm_layout", "_build_M_layout"):
+            original = getattr(sequences, name)
+            monkeypatch.setattr(
+                sequences,
+                name,
+                lambda *args, name=name, original=original: calls.append(name)
+                or original(*args),
+            )
+        again = shift_decompose_Mm(m, a, 5)
+        assert calls == []
+        assert again is not first and again == first
+        assert again["complement"] is first["complement"]
+        for key in ("shifted_dims", "summand_dims", "complement_dims"):
+            assert again[key] is not first[key]
+        # a caller that edits its report changes no later report
+        for key in ("shifted_dims", "summand_dims", "complement_dims"):
+            first[key].append(-1)
+        first["matches_fresh_Mm"] = first["bound_ok"] = False
+        assert shift_decompose_Mm(m, a, 5) == again
+        assert calls == []
+
+    def test_refused_splits_are_not_kept(self):
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            shift_decompose_Mm(0, 1, 4)
+        with pytest.raises(ValueError, match="a must be nonnegative"):
+            shift_decompose_Mm(1, -1, 4)
+        assert sequences._shift_split.cache_info().misses == 0
+        assert sequences._Mm_layout.cache_info().misses == 0
 
     def test_commands_share_one_build(self, monkeypatch):
         builds = []
