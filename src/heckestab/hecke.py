@@ -338,8 +338,9 @@ def tau(x: HeckeElement) -> HeckeElement:
 
 
 class ContentMemo(dict):
-    """A process memo keyed by ModulePresentation.content_key.  cache_clear
-    empties it, as it does a functools cache."""
+    """A process memo keyed by bytes: a ModulePresentation.content_key, or
+    a tower file's contents.  cache_clear empties it, as it does a
+    functools cache."""
 
     def cache_clear(self) -> None:
         self.clear()

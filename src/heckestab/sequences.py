@@ -27,8 +27,9 @@ import json
 import random
 from collections import deque
 from functools import cache
+from math import factorial
 
-from .hecke import ModulePresentation, regular_representation
+from .hecke import ContentMemo, ModulePresentation, regular_representation
 from .linalg import EchelonBasis, ExactMatrix, kernel_basis, rank
 from .partitions import pad, partition_label, unpad
 from .qfield import ONE, Scalar, scal
@@ -246,15 +247,11 @@ def build_M(W: dict, n_max: int, label: str = "") -> ConsistentSequence:
     return seq
 
 
-def build_Mm(m: int, n_max: int) -> ConsistentSequence:
-    """M(m): the sequence induced from the regular H_m-module (see _Mm_layout)."""
-    return _Mm_layout(m, n_max)[0]
-
-
 @cache
-def _Mm_layout(m: int, n_max: int):
-    """(M(m), its labels), built once per (m, n_max): a tower is never mutated."""
-    return _build_M_layout({m: regular_representation(m)}, n_max, f"M({m})")
+def build_Mm(m: int, n_max: int) -> ConsistentSequence:
+    """M(m): the sequence induced from the regular H_m-module, built once per
+    (m, n_max) and shared: a tower is never mutated."""
+    return build_M({m: regular_representation(m)}, n_max, f"M({m})")
 
 
 def build_M_specht(lam, n_max: int) -> ConsistentSequence:
@@ -331,7 +328,9 @@ def _restriction_matrix(basis_from, basis_to, mat) -> ExactMatrix:
 def _subsequence(V: ConsistentSequence, bases, label: str) -> ConsistentSequence:
     """The subsequence of V spanned in degree n by bases[n], in its coordinates.
 
-    Unchecked: its squares are V's, restricted to spans _restriction_matrix certifies.
+    span, seq_kernel and the shift split (_shift_split) build their towers
+    here.  Unchecked: its squares are V's, restricted to spans
+    _restriction_matrix certifies.
     """
     modules = [
         ModulePresentation(
@@ -705,27 +704,37 @@ def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:
     preserves the subset-lex order), and the remaining vectors form the
     complement C_a, a consistent subsequence of generation degree <= m-1.
 
-    The split is made once per (m, a, n_max) and kept (_shift_split); each
-    call builds a new report from the kept parts.  The report's complement
-    is the kept C_a, shared by every caller and never mutated, like the
-    towers build_Mm returns, so it keeps its generated flags and C_a is
-    closed once per process.
+    The bounds are checked before the memo is read.  A window with
+    n_max + a < m is refused: S_{+a}M(m) is zero in every degree there, so
+    its report would certify nothing.  The split is made once per
+    (m, a, n_max) and kept (_shift_split); each call builds a new report
+    from the kept parts.  The report's complement is the kept C_a, shared
+    by every caller and never mutated, like the towers build_Mm returns,
+    so it keeps its generated flags and C_a is closed once per process.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     if a < 0:
         raise ValueError("a must be nonnegative")
-    shifted_dims, sizes, matches, complement = _shift_split(m, a, n_max)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    if n_max + a < m:
+        raise ValueError(
+            f"S+{a}M({m}) is zero in every degree up to n_max = {n_max}: "
+            "no evidence for a verdict"
+        )
+    shifted_dims, summand_dims, matches, complement = _shift_split(m, a, n_max)
     gen_deg = generation_degree(complement)
     return {
         "m": m,
         "a": a,
         "n_max": n_max,
         "shifted_dims": list(shifted_dims),
-        "summand_dims": [size[0] for size in sizes],
+        "summand_dims": list(summand_dims),
         "complement_dims": complement.dims(),
         "direct_sum_ok": all(
-            sum(size) == dim for size, dim in zip(sizes, shifted_dims)
+            b + c == dim
+            for b, c, dim in zip(summand_dims, complement.dims(), shifted_dims)
         ),
         "matches_fresh_Mm": matches,
         "complement_generation_degree": gen_deg,
@@ -736,71 +745,37 @@ def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:
 
 @cache
 def _shift_split(m: int, a: int, n_max: int) -> tuple:
-    """(shifted dims, per-degree (summand, C_a) dims, matches_fresh_Mm, C_a)
-    of shift_decompose_Mm, made once per (m, a, n_max).
+    """(shifted dims, summand dims, matches_fresh_Mm, C_a) of
+    shift_decompose_Mm, made once per (m, a, n_max).
 
-    M(m) on the window n_max + a and its labels come from build_Mm's memo;
-    S_{+a}M(m) is shift(M(m), a).  The degree-(n + a) coset representatives
-    sort the shifted basis.  C_a is unchecked: split certifies that every map of
-    the shift is block diagonal, so C_a's squares are blocks of its squares.
-    matches_fresh_Mm compares the summand blocks with the degree-n modules
-    and connectors of M(m), which depend only on n and m, not on the
-    window, so equal those of a fresh M(m).
+    S_{+a}M(m) is shift(build_Mm(m, n_max + a), a).  Its degree-n basis
+    vector j is T_d (x) w_i with d the (j // m!)-th coset representative
+    of coset_min_reps(n + a, (m, n + a - m)), and it lies in C_a exactly
+    when d puts a new letter of {1..a} in its first m places.  The summand
+    and C_a are the subsequences spanned by those unit vectors, so
+    _restriction_matrix certifies that every map of the shift preserves
+    both and C_a is unchecked, as a span is.  matches_fresh_Mm compares
+    the summand's generators and connectors with the degree-n modules and
+    connectors of M(m), which depend only on n and m, not on the window,
+    so equal those of a fresh M(m).
     """
-    base, labels = _Mm_layout(m, n_max + a)
+    base = build_Mm(m, n_max + a)
     shifted = shift(base, a)
-    # where[n][j]: (0 for the M(m) summand or 1 for C_a, index there) of
-    # basis vector j of the shift in degree n, in the summand when its d
-    # keeps {1..m} off the new letters {1..a}; sizes[n]: the two dims
-    where = []
-    sizes = []
+    parts = ([], [])  # per degree, the unit vectors of (summand, C_a)
     for n in range(n_max + 1):
-        size = [0, 0]
-        positions = []
-        for _, d, _ in labels[n + a]:
-            part = 0 if min(d[:m]) > a else 1
-            positions.append((part, size[part]))
-            size[part] += 1
-        where.append(positions)
-        sizes.append(tuple(size))
-
-    def split(mat, target, source):
-        """The (summand, C_a) blocks of a degree source -> target map.
-
-        Each entry is a nonzero Scalar of mat, placed inside its block's
-        shape by where and sizes, so the blocks need no constructor checks.
-        """
-        blocks = ({}, {})
-        for (i, j), v in mat.entries.items():
-            (part, row), (col_part, col) = where[target][i], where[source][j]
-            if part != col_part:
-                raise ValueError(
-                    f"degree {source} -> {target} map mixes M({m}) and C_{a}"
-                )
-            blocks[part][(row, col)] = v
-        return [
-            ExactMatrix._new(sizes[target][k], sizes[source][k], blocks[k])
-            for k in (0, 1)
-        ]
-
-    matches = True
-    c_modules = []
-    for n, module in enumerate(shifted.modules):
-        c_gens = []
-        for g, fresh in zip(module.gen_action, base.modules[n].gen_action):
-            b_block, c_block = split(g, n, n)
-            matches = matches and b_block == fresh
-            c_gens.append(c_block)
-        c_modules.append(ModulePresentation(n, sizes[n][1], c_gens, check=False))
-    c_connectors = []
-    for n, f in enumerate(shifted.connectors):
-        b_block, c_block = split(f, n + 1, n)
-        matches = matches and b_block == base.connectors[n]
-        c_connectors.append(c_block)
-    complement = ConsistentSequence(
-        c_modules, c_connectors, label=f"C_{a} of S+{a}M({m})", check=False
+        for part in parts:
+            part.append(EchelonBasis())
+        reps = coset_min_reps(n + a, (m, n + a - m)) if n + a >= m else []
+        for j in range(shifted.modules[n].dim):
+            in_complement = min(reps[j // factorial(m)].one_line[:m]) <= a
+            parts[in_complement][n].insert({j: ONE})
+    summand = _subsequence(shifted, parts[0], f"M({m}) in S+{a}M({m})")
+    complement = _subsequence(shifted, parts[1], f"C_{a} of S+{a}M({m})")
+    matches = summand.connectors == base.connectors[:n_max] and all(
+        mine.gen_action == fresh.gen_action
+        for mine, fresh in zip(summand.modules, base.modules)
     )
-    return tuple(shifted.dims()), tuple(sizes), matches, complement
+    return tuple(shifted.dims()), tuple(summand.dims()), matches, complement
 
 
 def noetherian_experiment(m: int, trials: int, seed: int, n_max: int) -> dict:
@@ -988,19 +963,19 @@ def sequence_from_json_obj(obj) -> ConsistentSequence:
 def save_sequence(V: ConsistentSequence, path) -> None:
     """Write V's tower file; a load of exactly these bytes returns V itself.
     V keeps the bytes, made on its first save."""
-    global _last_loaded
     if "file" not in V._memo:
         text = json.dumps(sequence_to_json_obj(V), sort_keys=True, indent=2)
         V._memo["file"] = (text + "\n").encode()
     data = V._memo["file"]
     with open(path, "wb") as fh:
         fh.write(data)
-    _last_loaded = (data, V)
+    _last_loaded.clear()
+    _last_loaded[data] = V
 
 
-# (a tower file's bytes, the tower they hold): the tower last saved, or the
-# last one parsed
-_last_loaded = (None, None)
+# {a tower file's bytes: the tower they hold}, one entry: the tower last
+# saved, or the last one parsed
+_last_loaded = ContentMemo()
 
 
 def load_sequence(path) -> ConsistentSequence:
@@ -1014,16 +989,16 @@ def load_sequence(path) -> ConsistentSequence:
     bytes are parsed and verified anew, and a file that fails to parse
     leaves the kept tower as it was.
     """
-    global _last_loaded
     with open(path, "rb") as fh:
         data = fh.read()
-    if _last_loaded[0] == data:
-        return _last_loaded[1]
+    if data in _last_loaded:
+        return _last_loaded[data]
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
     try:
         obj = json.load(text)
     except RecursionError:
         raise ValueError("malformed tower file: nested too deeply") from None
     V = sequence_from_json_obj(obj)
-    _last_loaded = (data, V)
+    _last_loaded.clear()
+    _last_loaded[data] = V
     return V

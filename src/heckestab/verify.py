@@ -20,7 +20,6 @@ import math
 import sys
 import time
 
-from . import sequences
 from .hecke import regular_representation
 from .partitions import (
     pad,
@@ -273,7 +272,7 @@ def run_criteria(n_max=6, err=None):
 
 
 def clear_memos() -> None:
-    """Forget the loaded tower and every process memo.
+    """Forget every process memo, the loaded tower included.
 
     A memo is any object but a class (hecke.ContentMemo is one) with a
     cache_clear at the top level of a package module, so declaring a memo
@@ -287,7 +286,6 @@ def clear_memos() -> None:
     }
     for memo in memos.values():
         memo.cache_clear()
-    sequences._last_loaded = (None, None)
 
 
 def verify_all(n_max=6, out=None, err=None) -> int:

@@ -6,9 +6,9 @@ default 200 ms deadline only makes the suite flaky on slow machines.
 
 The package keeps towers, splits, verified modules, relation checks and
 decompositions per process.  Each test starts and ends with none kept:
-``verify.clear_memos`` finds every memo by its declaration, the same
-discovery the battery uses between its passes, and forgets the loaded
-tower.  So a test that patches a build step, the relation check or a
+``verify.clear_memos`` finds every memo by its declaration, the loaded
+tower's included: the same discovery the battery uses between its
+passes.  So a test that patches a build step, the relation check or a
 decomposition sees it run, what it made under a patch dies with it, and
 a new memo needs no entry here.
 """

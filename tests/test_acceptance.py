@@ -20,6 +20,7 @@ import pytest
 
 import heckestab
 from heckestab import hecke, partitions, sequences, specht, verify
+from heckestab.linalg import ExactMatrix
 
 N_MAX = 6
 
@@ -34,7 +35,7 @@ MEMOS = (
     hecke._kept_steps,
     partitions.partitions_of,
     partitions._murnaghan_nakayama,
-    sequences._Mm_layout,
+    sequences.build_Mm,
     sequences._M_specht,
     sequences._shift_split,
 )
@@ -262,6 +263,7 @@ def test_clear_memos_clears_every_package_cache():
     assert {
         "heckestab.hecke._checked",
         "heckestab.specht._decompositions",
+        "heckestab.sequences._last_loaded",
         "heckestab.cli.build_parser",
     } <= set(caches)
     cleared = []
@@ -289,6 +291,23 @@ def test_clear_memos_finds_a_memo_by_its_declaration(monkeypatch):
     verify.clear_memos()
     assert not content
     assert cached.cache_info().currsize == 0
+
+
+def test_08_fails_when_a_restriction_is_wrong(monkeypatch):
+    # a _restriction_matrix that doubles every off-diagonal coordinate: the
+    # summand of S_+a M(m) it restricts to no longer equals M(m)
+    restrict = sequences._restriction_matrix
+
+    def doubled(basis_from, basis_to, mat):
+        f = restrict(basis_from, basis_to, mat)
+        entries = {(i, j): v + v if i != j else v for (i, j), v in f.entries.items()}
+        return ExactMatrix(f.rows, f.cols, entries)
+
+    monkeypatch.setattr(sequences, "_restriction_matrix", doubled)
+    assert verify.shift_decomposition(N_MAX) == (
+        False,
+        "decomposition failed at m=1, a=0",
+    )
 
 
 def test_12_fails_when_a_rebuilt_table_differs(monkeypatch):

@@ -109,12 +109,12 @@ class TestGoldenTowersLoad:
         sorted({tuple(c["tower"]) for c in GOLDEN_SEQ if c["tower"]}),
         ids=" ".join,
     )
-    def test_saved_again_byte_identically(self, capsys, monkeypatch, tmp_path, tower):
+    def test_saved_again_byte_identically(self, capsys, tmp_path, tower):
         # every tower file the golden cases read parses under the wire
         # grammar and is written back unchanged
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         assert run(capsys, "seq", "build", *tower, "--out", str(first))[0] == 0
-        monkeypatch.setattr(sequences, "_last_loaded", (None, None))
+        sequences._last_loaded.cache_clear()
         save_sequence(load_sequence(str(first)), str(second))
         assert second.read_bytes() == first.read_bytes()
 
@@ -226,6 +226,28 @@ class TestSeqPipeline:
         assert report["complement_generation_degree"] == 0
         assert "complement" not in report
 
+    @pytest.mark.parametrize("a", [0, 1])
+    def test_shift_decompose_refuses_a_zero_window(self, capsys, a):
+        # S+a M(3) is zero in every degree up to 1 when a <= 1: no verdict
+        code, out, err = run(
+            capsys, "seq", "shift-decompose", "--m", "3", "--a", str(a), "--nmax", "1"
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": f"S+{a}M(3) is zero in every degree up to n_max = 1: "
+                     "no evidence for a verdict"
+        }
+
+    def test_shift_decompose_on_the_first_nonzero_window(self, capsys):
+        # n_max + a = m: only the top degree is nonzero, and it is all C_a
+        code, out, err = run(
+            capsys, "seq", "shift-decompose", "--m", "3", "--a", "2", "--nmax", "1"
+        )
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["summand_dims"] == [0, 0]
+        assert report["complement_dims"] == [0, 6]
+
     def test_noetherian(self, capsys):
         code, out, _ = run(
             capsys, "seq", "noetherian", "--m", "1", "--trials", "2",
@@ -251,8 +273,8 @@ class TestTowerMemo:
     )
 
     @pytest.fixture(autouse=True)
-    def forget_loaded_tower(self, monkeypatch):
-        monkeypatch.setattr(sequences, "_last_loaded", (None, None))
+    def forget_loaded_tower(self):
+        sequences._last_loaded.cache_clear()
 
     def test_one_session_decomposes_and_eliminates_once(
         self, capsys, tmp_path, monkeypatch
@@ -271,14 +293,14 @@ class TestTowerMemo:
         run(capsys, "seq", "build", "--kind", "Mm", "--m", "2", "--nmax", "6",
             "--out", tower)
         # the commands share the tower parsed from the file, not the one built
-        monkeypatch.setattr(sequences, "_last_loaded", (None, None))
+        sequences._last_loaded.cache_clear()
         for command in self.TOWER_COMMANDS[:5]:
             assert run(capsys, "seq", *command, "--in", tower)[0] == 0
         V = sequences.load_sequence(tower)
         assert decomposed == [module for module in V.modules if module.dim]
         assert eliminated == list(V.modules)
 
-    def test_cached_reports_print_the_same_bytes(self, capsys, tmp_path, monkeypatch):
+    def test_cached_reports_print_the_same_bytes(self, capsys, tmp_path):
         # a caller that edited a kept report would change the second output
         tower = str(tmp_path / "tower.json")
         run(capsys, "seq", "build", "--kind", "M-specht", "--lambda", "2,1",
@@ -291,7 +313,7 @@ class TestTowerMemo:
         assert outputs() == first
         fresh = []
         for command in self.TOWER_COMMANDS:
-            monkeypatch.setattr(sequences, "_last_loaded", (None, None))
+            sequences._last_loaded.cache_clear()
             fresh.append(run(capsys, "seq", *command, "--in", tower))
         assert fresh == first
         assert all(code == 0 and not err for code, _, err in first)
@@ -315,11 +337,11 @@ class TestTowerMemo:
             "rows": {"": [0, 0, 1, 1, 1], "1": [0, 0, 0, 1, 1], "2": [0, 0, 0, 0, 1]},
         }
 
-    def test_malformed_rewrite_is_bad_input(self, capsys, tmp_path, monkeypatch):
+    def test_malformed_rewrite_is_bad_input(self, capsys, tmp_path):
         tower = tmp_path / "tower.json"
         run(capsys, "seq", "build", "--kind", "Mm", "--m", "1", "--nmax", "3",
             "--out", str(tower))
-        monkeypatch.setattr(sequences, "_last_loaded", (None, None))
+        sequences._last_loaded.cache_clear()
         good = tower.read_bytes()
         kept = sequences.load_sequence(tower)
         tower.write_text('{"schema": "hecke-stab/1", "modules": [')

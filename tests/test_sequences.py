@@ -334,7 +334,7 @@ class TestTowerMemo:
         for n_max in (4, 6, 4):
             V = kept(n_max)
             reports = self.reports(V)
-            fresh, labels = self.fresh(m, lam, n_max)
+            fresh, _ = self.fresh(m, lam, n_max)
             again = kept(n_max) if lam is None else build_M_specht(list(lam), n_max)
             assert again is V
             assert (again.label, again.n_max) == (fresh.label, n_max)
@@ -344,15 +344,19 @@ class TestTowerMemo:
             assert again.connectors == fresh.connectors
             assert sequence_to_json_obj(again) == sequence_to_json_obj(fresh)
             if lam is None:
-                assert sequences._Mm_layout(m, n_max) == (V, labels)
+                hits = build_Mm.cache_info().hits
+                assert build_Mm(m, n_max) is V
+                assert build_Mm.cache_info().hits == hits + 1
             assert self.reports(again) == reports == self.reports(fresh)
 
     @pytest.mark.parametrize("m, a", [(1, 0), (1, 2), (2, 1), (3, 2)])
     def test_shift_decompose_matches_a_fresh_build(self, m, a, monkeypatch):
         kept = [shift_decompose_Mm(m, a, 4) for _ in range(2)]
-        assert sequences._Mm_layout(m, 4 + a)[0] is build_Mm(m, 4 + a)
+        # the split filled build_Mm's memo, at the window 4 + a
+        build_Mm(m, 4 + a)
+        assert build_Mm.cache_info().misses == 1
         # past both memos: M(m) built and the split made afresh
-        for name in ("_Mm_layout", "_shift_split"):
+        for name in ("build_Mm", "_shift_split"):
             monkeypatch.setattr(sequences, name, getattr(sequences, name).__wrapped__)
         fresh = shift_decompose_Mm(m, a, 4)
         assert fresh["complement"] is not kept[0]["complement"]
@@ -373,7 +377,7 @@ class TestTowerMemo:
     def test_repeat_split_reads_the_kept_parts(self, m, a, monkeypatch):
         first = shift_decompose_Mm(m, a, 5)
         calls = []
-        for name in ("_closure", "shift", "_Mm_layout", "_build_M_layout"):
+        for name in ("_closure", "shift", "build_Mm", "_build_M_layout"):
             original = getattr(sequences, name)
             monkeypatch.setattr(
                 sequences,
@@ -399,8 +403,15 @@ class TestTowerMemo:
             shift_decompose_Mm(0, 1, 4)
         with pytest.raises(ValueError, match="a must be nonnegative"):
             shift_decompose_Mm(1, -1, 4)
+        # n_max + a >= m here, so only the n_max check refuses the window
+        with pytest.raises(ValueError, match="n_max must be nonnegative"):
+            shift_decompose_Mm(1, 2, -1)
+        # S+a M(3) is zero in every degree up to 1 when a <= 1
+        for a in (0, 1):
+            with pytest.raises(ValueError, match="zero in every degree"):
+                shift_decompose_Mm(3, a, 1)
         assert sequences._shift_split.cache_info().misses == 0
-        assert sequences._Mm_layout.cache_info().misses == 0
+        assert build_Mm.cache_info().misses == 0
 
     def test_commands_share_one_build(self, monkeypatch):
         builds = []
@@ -429,14 +440,14 @@ class TestTowerMemo:
         with pytest.raises(ValueError, match="is negative"):
             build_Mm(-1, 3)
         assert sequences._M_specht.cache_info().currsize == 0
-        assert sequences._Mm_layout.cache_info().currsize == 0
+        assert build_Mm.cache_info().currsize == 0
 
-    def test_second_save_writes_the_same_bytes(self, tmp_path, monkeypatch):
+    def test_second_save_writes_the_same_bytes(self, tmp_path):
         V = build_Mm(2, 5)
         want = json.dumps(sequence_to_json_obj(V), sort_keys=True, indent=2) + "\n"
         path = tmp_path / "t.json"
         for _ in range(2):
-            monkeypatch.setattr(sequences, "_last_loaded", (None, None))
+            sequences._last_loaded.cache_clear()
             save_sequence(V, path)
             assert path.read_bytes() == want.encode()
             # the save filled the slot, so the load is V itself
@@ -444,7 +455,7 @@ class TestTowerMemo:
             path.unlink()
         # a parsed tower's first save makes its own bytes: the same ones
         save_sequence(V, path)
-        monkeypatch.setattr(sequences, "_last_loaded", (None, None))
+        sequences._last_loaded.cache_clear()
         parsed = load_sequence(path)
         assert parsed is not V
         other = tmp_path / "u.json"
@@ -917,15 +928,17 @@ class TestShift:
         assert sorted(calls) == ["_build_M_layout", "regular_representation"]
 
     def test_split_rejects_cross_entries(self, monkeypatch):
-        # misplaced coset representatives mislabel the summand and C_a
-        original = sequences._build_M_layout
+        # misplaced coset representatives put the wrong unit vectors in the
+        # summand and C_a; M(1) is built first, so only the split reads them
+        build_Mm(1, 5)
+        original = sequences.coset_min_reps
 
-        def rotated(W, n_max, label):
-            seq, labels = original(W, n_max, label)
-            return seq, [degree[1:] + degree[:1] for degree in labels]
+        def rotated(n, comp):
+            reps = original(n, comp)
+            return reps[1:] + reps[:1]
 
-        monkeypatch.setattr(sequences, "_build_M_layout", rotated)
-        with pytest.raises(ValueError, match=r"mixes M\(1\) and C_1"):
+        monkeypatch.setattr(sequences, "coset_min_reps", rotated)
+        with pytest.raises(ValueError, match="map does not preserve the subspaces"):
             shift_decompose_Mm(1, 1, 4)
 
     def test_decompose_shifts_once(self, monkeypatch):
@@ -989,39 +1002,52 @@ class TestSerialization:
             assert a.gen_action == b.gen_action
 
     @staticmethod
-    def save_unkept(V, path, monkeypatch):
+    def save_unkept(V, path):
         # a save keeps V for the next load; forget it so that load parses
         save_sequence(V, path)
-        monkeypatch.setattr(sequences, "_last_loaded", (None, None))
+        sequences._last_loaded.cache_clear()
 
-    def test_files_are_byte_identical(self, tmp_path, monkeypatch):
+    def test_files_are_byte_identical(self, tmp_path):
         V = build_M_specht((2,), 4)
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
-        self.save_unkept(V, p1, monkeypatch)
+        self.save_unkept(V, p1)
         parsed = load_sequence(p1)
         assert parsed is not V
         save_sequence(parsed, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_same_bytes_load_the_same_tower(self, tmp_path, monkeypatch):
+    def test_same_bytes_load_the_same_tower(self, tmp_path):
         V = build_M_specht((2,), 4)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_sequence(V, p1)
-        self.save_unkept(V, p2, monkeypatch)
+        self.save_unkept(V, p2)
         first = load_sequence(p1)
         assert first is not V
         assert load_sequence(p1) is first
         # the key is the content, not the path
         assert load_sequence(p2) is first
-        self.save_unkept(build_Mm(1, 4), p2, monkeypatch)
+        self.save_unkept(build_Mm(1, 4), p2)
         other = load_sequence(p2)
         assert other is not first
         assert other.dims() == build_Mm(1, 4).dims()
         assert load_sequence(p1) is not first
 
+    def test_the_slot_keeps_one_tower(self, tmp_path):
+        # each parse and each save replaces the kept tower
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        self.save_unkept(build_Mm(1, 4), p1)
+        self.save_unkept(build_Mm(2, 4), p2)
+        first = load_sequence(p1)
+        second = load_sequence(p2)
+        assert list(sequences._last_loaded.values()) == [second]
+        assert load_sequence(p1) is not first
+        save_sequence(second, p2)
+        assert list(sequences._last_loaded.values()) == [second]
+        assert load_sequence(p2) is second
+
     def test_saved_tower_loads_as_itself(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sequences, "_last_loaded", (None, None))
+        sequences._last_loaded.cache_clear()
         parsed = []
         original = sequences.sequence_from_json_obj
         monkeypatch.setattr(
@@ -1055,12 +1081,12 @@ class TestSerialization:
         [(m, None) for m in (1, 2, 3)]
         + [(None, lam) for lam in [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]],
     )
-    def test_saved_and_parsed_towers_agree(self, tmp_path, monkeypatch, m, lam):
+    def test_saved_and_parsed_towers_agree(self, tmp_path, m, lam):
         # the nine towers of the towers benchmark: the tower a save keeps
         # and the tower parsed from its file give the same reports
         V = build_Mm(m, 6) if lam is None else build_M_specht(lam, 6)
         path = tmp_path / "t.json"
-        self.save_unkept(V, path, monkeypatch)
+        self.save_unkept(V, path)
         parsed = load_sequence(path)
         assert parsed is not V
         assert sequence_to_json_obj(parsed) == sequence_to_json_obj(V)
