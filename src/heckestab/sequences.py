@@ -81,7 +81,8 @@ class ConsistentSequence:
 
     ``_memo`` keeps the reports of ``multiplicity_table`` and ``degrees``,
     the ``_generated`` flags and the saved file's bytes, each made on first
-    use: sound because a tower is never mutated, nor a report by its caller.
+    use (a span's flags, as span builds it): sound because a tower is
+    never mutated, nor a report by its caller.
     """
 
     __slots__ = ("n_max", "modules", "connectors", "label", "_memo")
@@ -279,9 +280,11 @@ def non_finitely_generated(n_max: int) -> ConsistentSequence:
     return build_M(W, n_max, label="sum_k M(S(k))")
 
 
-def _closure(module: ModulePresentation, vectors) -> EchelonBasis:
+def _closure(module: ModulePresentation, vectors, basis=None) -> EchelonBasis:
     """H-span of the vectors: close a reduced echelon basis under the generators.
 
+    Given an H-stable ``basis``, it continues from it in place: H maps
+    span(basis) into itself, so only the vectors that enter are queued.
     A queued vector may be cleared of later pivots in place before its turn.
     It then differs from the vector inserted by a combination of vectors
     inserted after it, each queued too, so the generators still reach the
@@ -289,7 +292,8 @@ def _closure(module: ModulePresentation, vectors) -> EchelonBasis:
     later vector can be independent: the closure stops there, with the
     basis it would end with.
     """
-    basis = EchelonBasis()
+    if basis is None:
+        basis = EchelonBasis()
     queue = deque()
     full = module.dim
     for v in vectors:
@@ -311,9 +315,22 @@ def _restriction_matrix(basis_from, basis_to, mat) -> ExactMatrix:
 
     basis_to is reduced, so an image in its span has coordinate image[p]
     on the stored vector with pivot p, and an image with a nonzero residue
-    is outside the span.
+    is outside the span.  When both bases are unit vectors (a stored vector
+    with one entry), as in the shift split, the image of a unit vector is
+    mat's column and its residue the part off basis_to's pivots: so one
+    pass over mat's entries selects the block, and builds no column index.
     """
     entries = {}
+    if all(len(v) == 1 for b in (basis_from, basis_to) for v in b.vectors):
+        for (i, j), c in mat.entries.items():
+            k = basis_from.pivots.get(j)
+            if k is None:
+                continue
+            t = basis_to.pivots.get(i)
+            if t is None:
+                raise ValueError("map does not preserve the subspaces")
+            entries[(t, k)] = c
+        return ExactMatrix._new(len(basis_to), len(basis_from), entries)
     for k, v in enumerate(basis_from.vectors):
         image = mat.apply(v)
         if basis_to.reduce(image):
@@ -330,10 +347,17 @@ def _subsequence(V: ConsistentSequence, bases, label: str) -> ConsistentSequence
 
     span, seq_kernel and the shift split (_shift_split) build their towers
     here.  Unchecked: its squares are V's, restricted to spans
-    _restriction_matrix certifies.
+    _restriction_matrix certifies.  A reduced basis with pivots 0..d-1 in
+    order, d = dim V_n, is e_0..e_{d-1}, so its degree is V.modules[n]
+    itself, and between two such degrees the connector is V.connectors[n]:
+    a restriction would rebuild them entry for entry.  A reused module keeps
+    its content key, and so the memos keyed by it.
     """
+    whole = [list(b.pivots) == list(range(mod.dim)) for b, mod in zip(bases, V.modules)]
     modules = [
-        ModulePresentation(
+        V.modules[n]
+        if whole[n]
+        else ModulePresentation(
             n,
             len(basis),
             [_restriction_matrix(basis, basis, g) for g in V.modules[n].gen_action],
@@ -342,7 +366,9 @@ def _subsequence(V: ConsistentSequence, bases, label: str) -> ConsistentSequence
         for n, basis in enumerate(bases)
     ]
     connectors = [
-        _restriction_matrix(bases[n], bases[n + 1], V.connectors[n])
+        V.connectors[n]
+        if whole[n] and whole[n + 1]
+        else _restriction_matrix(bases[n], bases[n + 1], V.connectors[n])
         for n in range(V.n_max)
     ]
     return ConsistentSequence(modules, connectors, label=label, check=False)
@@ -359,7 +385,8 @@ def _generated(V: ConsistentSequence) -> tuple:
     every n <= d; above d no seed is added, so by induction on n they give
     V_n exactly when generated[d], ..., generated[n-1] all hold.  Hence
     the seeds of degree <= d span V iff all(generated[d:]); the full
-    bases in degrees <= d are one such seed set.  V keeps them, as a tuple.
+    bases in degrees <= d are one such seed set.  V keeps them, as a tuple;
+    a span's are recorded by span as it is built.
     """
     if "generated" not in V._memo:
         V._memo["generated"] = tuple(
@@ -375,6 +402,11 @@ def span(V: ConsistentSequence, seeds, label: str = "") -> ConsistentSequence:
 
     Its degree-n part is the H_n-span of the degree-n seeds and of phi_{n-1}
     of its degree-(n-1) part, in the coordinates of a reduced echelon basis.
+    The carried vectors are closed first and the seeds on top, so the
+    generated flags are recorded as the span is built.  A degree that fills
+    V_n gets the unit basis in index order, which _subsequence reads as V_n
+    itself; the degree after it is V_n too, with no closure, where V is
+    generated.
     """
     by_degree = {}
     for deg, vec in seeds:
@@ -384,11 +416,35 @@ def span(V: ConsistentSequence, seeds, label: str = "") -> ConsistentSequence:
             if not 0 <= i < V.modules[deg].dim:
                 raise ValueError(f"seed coordinate {i} outside V_{deg}")
         by_degree.setdefault(deg, []).append(vec)
-    bases = []
-    for n in range(V.n_max + 1):
+    bases, generated = [], []
+    for n, module in enumerate(V.modules):
+        # flag n-1: is the degree-n part the H_n-span C of phi(bases[n-1])?
+        # It contains C, and C is V_n when bases[n-1] is V_{n-1} and V is
+        # generated there; else it is C plus the seeds' closure, which is C
+        # exactly when the seeds add no dimension.
+        if n and len(bases[-1]) == V.modules[n - 1].dim and _generated(V)[n - 1]:
+            bases.append(_unit_basis(range(module.dim)))
+            generated.append(True)
+            continue
         carried = [V.connectors[n - 1].apply(v) for v in bases[-1].vectors] if n else []
-        bases.append(_closure(V.modules[n], carried + by_degree.get(n, [])))
-    return _subsequence(V, bases, label or "span")
+        basis = _closure(module, carried)
+        carried_dim = len(basis)
+        _closure(module, by_degree.get(n, []), basis)
+        if n:
+            generated.append(len(basis) == carried_dim)
+        full = len(basis) == module.dim
+        bases.append(_unit_basis(range(module.dim)) if full else basis)
+    sub = _subsequence(V, bases, label or "span")
+    sub._memo["generated"] = tuple(generated)
+    return sub
+
+
+def _unit_basis(indices) -> EchelonBasis:
+    """The unit vectors e_j, j in indices, in that order: already reduced."""
+    basis = EchelonBasis()
+    basis.vectors = [{j: ONE} for j in indices]
+    basis.pivots = {j: t for t, j in enumerate(indices)}
+    return basis
 
 
 def generation_degree(V: ConsistentSequence) -> int:
@@ -706,7 +762,9 @@ def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:
 
     The bounds are checked before the memo is read.  A window with
     n_max + a < m is refused: S_{+a}M(m) is zero in every degree there, so
-    its report would certify nothing.  The split is made once per
+    its report would certify nothing.  So is one with n_max < m, where the
+    M(m) summand is zero: matches_fresh_Mm would compare empty matrices,
+    and bound_ok would hold for any C_a, as n_max <= m - 1.  The split is made once per
     (m, a, n_max) and kept (_shift_split); each call builds a new report
     from the kept parts.  The report's complement is the kept C_a, shared
     by every caller and never mutated, like the towers build_Mm returns,
@@ -721,6 +779,11 @@ def shift_decompose_Mm(m: int, a: int, n_max: int) -> dict:
     if n_max + a < m:
         raise ValueError(
             f"S+{a}M({m}) is zero in every degree up to n_max = {n_max}: "
+            "no evidence for a verdict"
+        )
+    if n_max < m:
+        raise ValueError(
+            f"the M({m}) summand is zero in every degree up to n_max = {n_max}: "
             "no evidence for a verdict"
         )
     shifted_dims, summand_dims, matches, complement = _shift_split(m, a, n_max)
@@ -754,21 +817,22 @@ def _shift_split(m: int, a: int, n_max: int) -> tuple:
     when d puts a new letter of {1..a} in its first m places.  The summand
     and C_a are the subsequences spanned by those unit vectors, so
     _restriction_matrix certifies that every map of the shift preserves
-    both and C_a is unchecked, as a span is.  matches_fresh_Mm compares
+    both and C_a is unchecked, as a span is; at a = 0 the summand is all of
+    M(m), which _subsequence reuses.  matches_fresh_Mm compares
     the summand's generators and connectors with the degree-n modules and
     connectors of M(m), which depend only on n and m, not on the window,
     so equal those of a fresh M(m).
     """
     base = build_Mm(m, n_max + a)
     shifted = shift(base, a)
-    parts = ([], [])  # per degree, the unit vectors of (summand, C_a)
+    parts = ([], [])  # per degree, the unit bases of (summand, C_a)
     for n in range(n_max + 1):
-        for part in parts:
-            part.append(EchelonBasis())
         reps = coset_min_reps(n + a, (m, n + a - m)) if n + a >= m else []
+        indices = ([], [])
         for j in range(shifted.modules[n].dim):
-            in_complement = min(reps[j // factorial(m)].one_line[:m]) <= a
-            parts[in_complement][n].insert({j: ONE})
+            indices[min(reps[j // factorial(m)].one_line[:m]) <= a].append(j)
+        for part, chosen in zip(parts, indices):
+            part.append(_unit_basis(chosen))
     summand = _subsequence(shifted, parts[0], f"M({m}) in S+{a}M({m})")
     complement = _subsequence(shifted, parts[1], f"C_{a} of S+{a}M({m})")
     matches = summand.connectors == base.connectors[:n_max] and all(
@@ -790,8 +854,11 @@ def noetherian_experiment(m: int, trials: int, seed: int, n_max: int) -> dict:
     submodule born in the last degree would be flagged unstable on
     vacuous evidence, which measures the truncation, not the module.
     A trial's generation degree and its report read the generated flags
-    and the multiplicity table its verdict kept on the trial, so each trial
-    closes the flags once and decomposes each module once.  Evidence, not
+    span recorded and the multiplicity table its verdict kept on the trial,
+    so no trial closes anything after its span, and each module is
+    decomposed once.  M(m) is generated from degree m on, so once a trial
+    fills a degree of M(m) it is M(m)'s own modules from there, with no
+    closure or decomposition of its own.  Evidence, not
     proof; identical seeds give identical reports.
     At least one trial and n_max >= 1 are required: zero trials, or a
     window with no connector, would be a vacuous verdict.  So is

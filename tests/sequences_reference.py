@@ -6,9 +6,15 @@ commuting squares before one intertwining test served every map.  It is
 kept only as the slow, obviously correct side of the differential tests:
 
   * ``generation_degree`` spans the full bases of degrees <= d, for
-    d = 0, 1, ..., and stops at the first d whose span is all of V;
+    d = 0, 1, ..., and stops at the first d whose span is all of V.  It
+    spans with its own closure loop (``unstopped_closure``), as ``span``
+    did before it read generated flags and skipped the degrees after a
+    full one, so it never reads the flags it is compared with;
   * ``stability_clauses`` decides "V_{n+1} is generated by phi_n(V_n)" by
     spanning the full basis of V_n alone;
+  * ``restriction_matrix`` restricts a map to two reduced bases by
+    applying it to each vector and reducing the image, as
+    ``_restriction_matrix`` does for any bases but unit vectors;
   * ``check_consistency`` compares phi_n T_{s_i} with T_{s_i} phi_n square
     by square;
   * ``shift_decompose_Mm`` builds M(m) twice, on the windows n_max + a and
@@ -18,7 +24,7 @@ kept only as the slow, obviously correct side of the differential tests:
 """
 
 from heckestab.hecke import ModulePresentation, regular_representation
-from heckestab.linalg import ExactMatrix, rank
+from heckestab.linalg import EchelonBasis, ExactMatrix, rank
 from heckestab.qfield import ONE
 from heckestab.sequences import (
     ConsistentSequence,
@@ -26,7 +32,6 @@ from heckestab.sequences import (
     generation_degree as package_generation_degree,
     multiplicity_table,
     shift,
-    span,
 )
 from heckestab.symgroup import coset_min_reps
 
@@ -35,8 +40,33 @@ def _full_basis_seeds(V, degrees):
     return [(n, {i: ONE}) for n in degrees for i in range(V.modules[n].dim)]
 
 
+def unstopped_closure(module, vectors):
+    """H-span of the vectors: every queued vector meets every generator."""
+    basis = EchelonBasis()
+    queue = []
+    for v in vectors:
+        if v and basis.insert(dict(v)) is not None:
+            queue.append(basis.vectors[-1])
+    while queue:
+        v = queue.pop(0)
+        for g in module.gen_action:
+            w = g.apply(v)
+            if w and basis.insert(w) is not None:
+                queue.append(basis.vectors[-1])
+    return basis
+
+
 def _span_dims(V, seeds) -> list:
-    return span(V, seeds).dims()
+    """The dims of the span of the seeds, each degree closed in full."""
+    by_degree = {}
+    for deg, vec in seeds:
+        by_degree.setdefault(deg, []).append(vec)
+    dims = []
+    for n, module in enumerate(V.modules):
+        carried = [V.connectors[n - 1].apply(v) for v in basis.vectors] if n else []
+        basis = unstopped_closure(module, carried + by_degree.get(n, []))
+        dims.append(len(basis))
+    return dims
 
 
 def generation_degree(V):
@@ -64,6 +94,19 @@ def stability_clauses(V) -> list:
             }
         )
     return clauses
+
+
+def restriction_matrix(basis_from, basis_to, mat) -> ExactMatrix:
+    entries = {}
+    for k, v in enumerate(basis_from.vectors):
+        image = mat.apply(v)
+        if basis_to.reduce(image):
+            raise ValueError("map does not preserve the subspaces")
+        for i, c in image.items():
+            t = basis_to.pivots.get(i)
+            if t is not None:
+                entries[(t, k)] = c
+    return ExactMatrix(len(basis_to.vectors), len(basis_from.vectors), entries)
 
 
 def check_consistency(V) -> dict:

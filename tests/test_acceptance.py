@@ -295,7 +295,9 @@ def test_clear_memos_finds_a_memo_by_its_declaration(monkeypatch):
 
 def test_08_fails_when_a_restriction_is_wrong(monkeypatch):
     # a _restriction_matrix that doubles every off-diagonal coordinate: the
-    # summand of S_+a M(m) it restricts to no longer equals M(m)
+    # summand of S_+a M(m) it restricts to no longer equals M(m).  At a = 0
+    # the summand is all of M(m), which _subsequence reuses unrestricted,
+    # so the first split the mutant reaches is a = 1
     restrict = sequences._restriction_matrix
 
     def doubled(basis_from, basis_to, mat):
@@ -306,7 +308,7 @@ def test_08_fails_when_a_restriction_is_wrong(monkeypatch):
     monkeypatch.setattr(sequences, "_restriction_matrix", doubled)
     assert verify.shift_decomposition(N_MAX) == (
         False,
-        "decomposition failed at m=1, a=0",
+        "decomposition failed at m=1, a=1",
     )
 
 

@@ -226,27 +226,30 @@ class TestSeqPipeline:
         assert report["complement_generation_degree"] == 0
         assert "complement" not in report
 
-    @pytest.mark.parametrize("a", [0, 1])
+    @pytest.mark.parametrize("a", [0, 1, 2])
     def test_shift_decompose_refuses_a_zero_window(self, capsys, a):
-        # S+a M(3) is zero in every degree up to 1 when a <= 1: no verdict
+        # S+a M(3) is zero in every degree up to 1 when a <= 1, and its M(3)
+        # summand is zero there for every a: no verdict
         code, out, err = run(
             capsys, "seq", "shift-decompose", "--m", "3", "--a", str(a), "--nmax", "1"
         )
+        zero = f"S+{a}M(3)" if a <= 1 else "the M(3) summand"
         assert (code, out) == (2, "")
         assert json.loads(err) == {
-            "error": f"S+{a}M(3) is zero in every degree up to n_max = 1: "
+            "error": f"{zero} is zero in every degree up to n_max = 1: "
                      "no evidence for a verdict"
         }
 
     def test_shift_decompose_on_the_first_nonzero_window(self, capsys):
-        # n_max + a = m: only the top degree is nonzero, and it is all C_a
+        # n_max = m: only the top degree of the M(m) summand is nonzero
         code, out, err = run(
-            capsys, "seq", "shift-decompose", "--m", "3", "--a", "2", "--nmax", "1"
+            capsys, "seq", "shift-decompose", "--m", "3", "--a", "2", "--nmax", "3"
         )
         assert (code, err) == (0, "")
         report = json.loads(out)
-        assert report["summand_dims"] == [0, 0]
-        assert report["complement_dims"] == [0, 6]
+        assert report["summand_dims"] == [0, 0, 0, 6]
+        assert report["complement_dims"] == [0, 6, 24, 54]
+        assert report["matches_fresh_Mm"] and report["bound_ok"]
 
     def test_noetherian(self, capsys):
         code, out, _ = run(

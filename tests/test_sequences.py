@@ -280,22 +280,6 @@ class TestKeptWork:
         assert eliminated == 2 * list(V.modules)
 
 
-def unstopped_closure(module, vectors):
-    """_closure without its stop: every queued vector meets every generator."""
-    basis = EchelonBasis()
-    queue = []
-    for v in vectors:
-        if v and basis.insert(dict(v)) is not None:
-            queue.append(basis.vectors[-1])
-    while queue:
-        v = queue.pop(0)
-        for g in module.gen_action:
-            w = g.apply(v)
-            if w and basis.insert(w) is not None:
-                queue.append(basis.vectors[-1])
-    return basis
-
-
 # the nine towers of the towers benchmark: (m, None) is M(m), (None, lam) M(S^lam)
 BENCH_TOWERS = [(m, None) for m in (1, 2, 3)] + [
     (None, lam) for lam in [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
@@ -410,6 +394,9 @@ class TestTowerMemo:
         for a in (0, 1):
             with pytest.raises(ValueError, match="zero in every degree"):
                 shift_decompose_Mm(3, a, 1)
+        # S+2 M(3) is not zero in degree 1, but its M(3) summand is
+        with pytest.raises(ValueError, match=r"M\(3\) summand is zero"):
+            shift_decompose_Mm(3, 2, 1)
         assert sequences._shift_split.cache_info().misses == 0
         assert build_Mm.cache_info().misses == 0
 
@@ -539,7 +526,7 @@ class TestSkippedWork:
                     )
                     basis = sequences._closure(watched, vectors)
                     assert all(size < module.dim for size in sizes)
-                    reference = unstopped_closure(module, vectors)
+                    reference = ref.unstopped_closure(module, vectors)
                     assert list(basis.pivots.items()) == list(reference.pivots.items())
                     assert basis.vectors == reference.vectors
                     filled += len(basis) == module.dim and bool(sizes)
@@ -600,6 +587,86 @@ class TestSpan:
         assert all(a <= b for a, b in zip(small.dims(), big.dims()))
         assert_squares_hold(small)
         assert_squares_hold(big)
+
+    # a seed of M(1)_2 whose H_2-span is all of M(1)_2
+    GENERIC = [(2, {0: ONE, 1: scal(3)})]
+
+    def test_full_degrees_are_the_ambient_objects(self):
+        V = build_Mm(1, 6)
+        sub = span(V, self.GENERIC)
+        full = [n for n, mod in enumerate(sub.modules) if mod.dim == V.modules[n].dim]
+        assert full == [0, 2, 3, 4, 5, 6]
+        for n in full:
+            assert sub.modules[n] is V.modules[n]
+        for n in range(V.n_max):
+            assert (sub.connectors[n] is V.connectors[n]) == (
+                n in full and n + 1 in full
+            )
+        assert_squares_hold(sub)
+
+    def test_no_closure_after_a_full_generated_degree(self, monkeypatch):
+        V = build_Mm(1, 6)
+        flags = sequences._generated(V)
+        degree_of = {id(g): n for n, mod in enumerate(V.modules) for g in mod.gen_action}
+        degree_of.update({id(f): n + 1 for n, f in enumerate(V.connectors)})
+        reached = []
+        closure, restrict = sequences._closure, sequences._restriction_matrix
+
+        def spied_closure(module, *args):
+            reached.append(module.n)
+            return closure(module, *args)
+
+        def spied_restrict(basis_from, basis_to, mat):
+            reached.append(degree_of[id(mat)])
+            return restrict(basis_from, basis_to, mat)
+
+        monkeypatch.setattr(sequences, "_closure", spied_closure)
+        monkeypatch.setattr(sequences, "_restriction_matrix", spied_restrict)
+        for seeds in (self.GENERIC, [(1, {0: ONE})], [(3, {0: ONE})]):
+            reached.clear()
+            sub = span(V, seeds)
+            skipped = [
+                n
+                for n in range(1, V.n_max + 1)
+                if sub.dims()[n - 1] == V.dims()[n - 1] and flags[n - 1]
+            ]
+            assert skipped and set(skipped).isdisjoint(reached)
+            assert set(reached) | set(skipped) >= set(range(1, V.n_max + 1))
+            # the recorded flags serve every later reader
+            reached.clear()
+            generation_degree(sub)
+            is_uniformly_stable(sub)
+            assert reached == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_continued_closure_is_the_closure_of_the_union(self, data):
+        # M(2) up to degree 4, as in test_span_commutes_with_ambient: in
+        # larger modules a closure of rational seeds can take seconds
+        V = build_Mm(2, 4)
+        n = data.draw(st.integers(2, V.n_max))
+        module = V.modules[n]
+
+        def vectors():
+            return data.draw(
+                st.lists(
+                    st.dictionaries(
+                        st.integers(0, module.dim - 1), small_scalars, max_size=3
+                    ),
+                    max_size=3,
+                )
+            )
+
+        first, then = vectors(), vectors()
+        basis = sequences._closure(module, first)
+        assert sequences._closure(module, then, basis) is basis
+        fresh = sequences._closure(module, first + then)
+
+        def by_pivot(b):
+            return {p: b.vectors[t] for p, t in b.pivots.items()}
+
+        event(f"grew: {len(basis) > len(sequences._closure(module, first))}")
+        assert by_pivot(basis) == by_pivot(fresh)
 
 
 small_scalars = st.sampled_from(
@@ -677,6 +744,39 @@ class TestRestriction:
         for n in range(V.n_max):
             assert B[n + 1] @ U.connectors[n] == V.connectors[n] @ B[n]
         assert_squares_hold(U)
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_unit_bases_match_the_generic_path(self, data):
+        dim = data.draw(st.integers(1, 5))
+        m = ExactMatrix.from_rows(
+            [[data.draw(small_scalars) for _ in range(dim)] for _ in range(dim)]
+        )
+        indices = st.sets(st.integers(0, dim - 1))
+        source = data.draw(indices)
+        target = data.draw(indices)
+        if data.draw(st.booleans()):
+            # a target that holds the source's image
+            target |= {i for i, j in m.entries if j in source}
+        bases = []
+        for chosen in (source, target):
+            basis = EchelonBasis()
+            for j in data.draw(st.permutations(sorted(chosen))):
+                basis.insert({j: ONE})
+            bases.append(basis)
+        try:
+            want = ref.restriction_matrix(*bases, m)
+        except ValueError as exc:
+            want = exc
+        m = ExactMatrix(dim, dim, m.entries)  # no column index built yet
+        event(f"preserved: {not isinstance(want, ValueError)}")
+        if isinstance(want, ValueError):
+            with pytest.raises(ValueError, match=str(want)):
+                sequences._restriction_matrix(*bases, m)
+        else:
+            assert sequences._restriction_matrix(*bases, m) == want
+        # the one pass over the entries keeps no column index
+        assert m._by_column is None
 
 
 class TestFreeCover:
