@@ -183,7 +183,10 @@ def build_parser() -> _Parser:
 
     Parsing does not change it.  Sharing it matters for memory, not only
     time: a parser is a web of reference cycles, so one parser per call
-    is garbage that only the cyclic collector reclaims.
+    is garbage that only the cyclic collector reclaims.  Its ``leaves``
+    attribute maps each (group, command) to that command's own parser,
+    the object ``add_parser`` returned here, so each command is defined
+    once and ``main`` can parse with it alone.
     """
     parser = _Parser(prog="heckestab", description=__doc__)
     top = parser.add_subparsers(dest="group", required=True, parser_class=_Parser)
@@ -244,13 +247,31 @@ def build_parser() -> _Parser:
     all_p = verify_sub.add_parser("all", help="run every criterion")
     all_p.set_defaults(func=_cmd_verify_all)
 
+    parser.leaves = {
+        (group, command): leaf
+        for group, sub in (("hecke", hecke_sub), ("seq", seq_sub), ("verify", verify_sub))
+        for command, leaf in sub.choices.items()
+    }
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    Argv whose first two tokens name a command is parsed by that
+    command's parser alone; any other argv goes through the full parser,
+    which prints its usage or error.  Both routes parse alike: the full
+    parser hands the command's parser every later token unchanged, and
+    ``_Parser.error`` prints only the message, so an error reads the same
+    at either level.  The leaf's namespace lacks only ``group`` and
+    ``command``, which no command reads.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
     parser = build_parser()
+    leaf = parser.leaves.get(tuple(argv[:2]))
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv) if leaf is None else leaf.parse_args(argv[2:])
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -43,10 +43,11 @@ class ExactMatrix:
     """An immutable sparse matrix over Q(q).
 
     ``entries`` is set only by ``__init__`` and ``_new``, so the column
-    index that ``apply`` builds on first use stays valid.
+    index that ``apply`` builds on first use, and the rank that
+    :func:`rank` keeps in ``_rank``, stay valid.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_by_column")
+    __slots__ = ("rows", "cols", "entries", "_by_column", "_rank")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
@@ -62,6 +63,7 @@ class ExactMatrix:
                 clean[(i, j)] = v
         self.entries = clean
         self._by_column = None
+        self._rank = None
 
     # -- constructors ---------------------------------------------------
 
@@ -73,6 +75,7 @@ class ExactMatrix:
         self.cols = cols
         self.entries = entries
         self._by_column = None
+        self._rank = None
         return self
 
     @classmethod
@@ -317,11 +320,18 @@ class EchelonBasis:
 
 
 def rank(matrix: ExactMatrix) -> int:
-    """Exact rank over Q(q): the size of an echelon basis of the columns."""
-    basis = EchelonBasis()
-    for col in matrix.columns():
-        basis.insert(col)
-    return len(basis)
+    """Exact rank over Q(q): the size of an echelon basis of the columns.
+
+    It is computed on the first call and kept on the matrix, whose
+    ``entries`` no code assigns outside a constructor; so a connector
+    that several towers or verdicts share is eliminated once.
+    """
+    if matrix._rank is None:
+        basis = EchelonBasis()
+        for col in matrix.columns():
+            basis.insert(col)
+        matrix._rank = len(basis)
+    return matrix._rank
 
 
 def _graph_basis(matrix: ExactMatrix) -> tuple:

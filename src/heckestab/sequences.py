@@ -31,7 +31,7 @@ from math import factorial
 
 from .hecke import ContentMemo, ModulePresentation, regular_representation
 from .linalg import EchelonBasis, ExactMatrix, kernel_basis, rank
-from .partitions import pad, partition_label, unpad
+from .partitions import partition_label
 from .qfield import ONE, Scalar, scal
 from .specht import coinvariant_quotients, decompose, specht_module
 from .symgroup import Permutation, coset_min_reps
@@ -658,14 +658,17 @@ def multiplicity_table(V: ConsistentSequence) -> dict:
 
 
 def _multiplicity_table(V: ConsistentSequence) -> dict:
+    """The table of ``multiplicity_table``; key mu of decompose(V_n) is row mu[1:].
+
+    That key is a row of character_table(n), a partition of n, so
+    pad(mu[1:], n) == mu: there is nothing to check.
+    """
     rows = {}
     for n, module in enumerate(V.modules):
         if module.dim == 0:
             continue
         for mu, c in decompose(module).items():
-            lam = unpad(mu)
-            assert pad(lam, n) == mu
-            rows.setdefault(lam, [0] * (V.n_max + 1))[n] = c
+            rows.setdefault(mu[1:], [0] * (V.n_max + 1))[n] = c
     order = sorted(rows, key=lambda lam: (sum(lam), lam))
     return {
         "label": V.label,

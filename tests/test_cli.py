@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from heckestab import sequences
-from heckestab.cli import MULT_N_BOUND, main
+from heckestab.cli import MULT_N_BOUND, build_parser, main
 from heckestab.sequences import (
     build_Mm,
     load_sequence,
@@ -117,6 +117,113 @@ class TestGoldenTowersLoad:
         sequences._last_loaded.cache_clear()
         save_sequence(load_sequence(str(first)), str(second))
         assert second.read_bytes() == first.read_bytes()
+
+
+M1 = ["--kind", "Mm", "--m", "1", "--nmax", "4"]
+# (tower to build and pass as --in, argv): every golden command, then the
+# other commands and the error cases; "OUT" is a file path the case writes
+ROUTE_CASES = [(c["tower"], c["argv"]) for c in GOLDEN_SEQ] + [
+    (None, ["hecke", "mult", "--n", str(c["n"]), "--left", c["left"], "--right", c["right"]])
+    for c in GOLDEN_MULT[:3]
+] + [
+    (None, ["seq", "build", *M1, "--out", "OUT"]),
+    (None, ["seq", "build", "--kind", "M-specht", "--lambda", "2,1", "--nmax", "3",
+            "--out", "OUT"]),
+    (M1, ["seq", "weight"]),
+    (M1, ["seq", "multiplicities", "--format", "csv"]),
+    (M1, ["seq", "multiplicities"]),
+    # a missing required option, a bad int, bad choices, unrecognized arguments
+    (None, ["seq", "degrees", "--amax", "2"]),
+    (None, ["hecke", "mult", "--n", "3", "--left", "1"]),
+    (M1, ["seq", "degrees", "--amax", "two"]),
+    (None, ["hecke", "mult", "--n", "x", "--left", "1", "--right", "2"]),
+    (None, ["seq", "build", "--kind", "Mx", "--m", "1", "--nmax", "3", "--out", "OUT"]),
+    (M1, ["seq", "multiplicities", "--format", "xml"]),
+    (M1, ["seq", "weight", "--bogus"]),
+    (M1, ["seq", "weight", "extra", "-"]),
+    (None, ["verify", "all", "--nmax", "2"]),
+    # abbreviations, "--", help after the command
+    (None, ["seq", "build", "--kind", "Mm", "--m", "1", "--nma", "3", "--out", "OUT"]),
+    (None, ["seq", "noetherian", "--m", "1", "--tr", "1", "--seed", "3", "--nmax", "4"]),
+    (M1, ["seq", "weight", "--"]),
+    (None, ["seq", "weight", "--", "--in", "x.json"]),
+    (None, ["seq", "degrees", "-h"]),
+    (None, ["hecke", "mult", "--he"]),
+    (None, ["verify", "all", "-h"]),
+    (None, ["seq", "weight", "-hx"]),
+]
+# argv whose first two tokens name no command
+NO_COMMAND = [
+    [], ["seq"], ["seq", "nope"], ["hecke", "build"], ["--help"], ["verify"],
+    ["seq", "--", "weight"],
+]
+
+
+class TestParseRoutes:
+    """main parses argv that names a command with that command's parser
+    alone; the full parser, with the leaves hidden, must agree with it."""
+
+    def outcomes(self, capsys, tmp_path, argv):
+        """(exit code, stdout, stderr, bytes written to OUT) of main(argv)."""
+        out_file = tmp_path / "out.json"
+        out_file.unlink(missing_ok=True)
+        code, out, err = run(
+            capsys, *[str(out_file) if a == "OUT" else a for a in argv]
+        )
+        return code, out, err, out_file.read_bytes() if out_file.exists() else None
+
+    @pytest.mark.parametrize(
+        "tower, argv", ROUTE_CASES, ids=[" ".join(a) for _, a in ROUTE_CASES]
+    )
+    def test_both_routes_print_the_same(self, capsys, tmp_path, monkeypatch, tower, argv):
+        argv = list(argv)
+        if tower:
+            path = str(tmp_path / "tower.json")
+            assert run(capsys, "seq", "build", *tower, "--out", path)[0] == 0
+            argv += ["--in", path]
+        leaf = self.outcomes(capsys, tmp_path, argv)
+        monkeypatch.setattr(build_parser(), "leaves", {})
+        assert self.outcomes(capsys, tmp_path, argv) == leaf
+
+    @pytest.mark.parametrize(
+        "argv",
+        [a + (["--in", "x.json"] if t else []) for t, a in ROUTE_CASES[:9]]
+        + [["hecke", "mult", "--n", "3", "--left", "1", "--right", "2"],
+           ["seq", "build", *M1, "--nma", "5", "--out", "x.json"],
+           ["seq", "multiplicities", "--in", "x.json"]],
+    )
+    def test_namespaces_agree_but_for_the_route(self, argv):
+        parser = build_parser()
+        full = vars(parser.parse_args(argv))
+        assert (full.pop("group"), full.pop("command")) == tuple(argv[:2])
+        assert vars(parser.leaves[tuple(argv[:2])].parse_args(argv[2:])) == full
+
+    def test_a_command_is_parsed_once(self, capsys, tmp_path, monkeypatch):
+        parser = build_parser()
+        calls = []
+        parse = parser.parse_known_args
+        monkeypatch.setattr(
+            parser, "parse_known_args", lambda *a: calls.append(a) or parse(*a)
+        )
+        path = str(tmp_path / "tower.json")
+        assert run(capsys, "seq", "build", *M1, "--out", path)[0] == 0
+        assert run(capsys, "seq", "weight", "--in", path)[0] == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("argv", NO_COMMAND, ids=repr)
+    def test_argv_naming_no_command_reaches_the_full_parser(
+        self, capsys, monkeypatch, argv
+    ):
+        parser = build_parser()
+        calls = []
+        parse = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda a: calls.append(a) or parse(a))
+        code, out, err = run(capsys, *argv)
+        assert calls == [argv]
+        if argv == ["--help"]:
+            assert (code, err) == (0, "") and out.startswith("usage: heckestab")
+        else:
+            assert (code, out) == (2, "") and "error" in json.loads(err)
 
 
 class TestSeqPipeline:

@@ -158,6 +158,41 @@ class TestEchelonBasis:
         assert rank(mat) == r
 
 
+class TestKeptRank:
+    """rank keeps its result on the matrix; no new matrix inherits one."""
+
+    def test_second_rank_inserts_nothing(self, monkeypatch):
+        inserts = []
+        insert = EchelonBasis.insert
+        monkeypatch.setattr(
+            EchelonBasis, "insert", lambda self, v: inserts.append(v) or insert(self, v)
+        )
+        a = M([[1, Q], [Q, Q * Q], [0, 1]])
+        assert rank(a) == 2
+        assert len(inserts) == 2
+        assert rank(a) == 2
+        assert len(inserts) == 2
+
+    def test_every_new_matrix_starts_unranked(self):
+        a = M([[Q, 1], [0, 2]])
+        b = M([[1, 1], [1, 1]])
+        assert (rank(a), rank(b)) == (2, 1)
+        fresh = [
+            ExactMatrix(2, 2, {(0, 0): ONE}),
+            ExactMatrix._new(2, 2, {(0, 1): Q}),
+            ExactMatrix.identity(2),
+            M([[1, 0], [0, 0]]),
+            a + b,
+            a - b,
+            -a,
+            a.scale(Q),
+            a @ b,
+            b @ a,
+        ]
+        assert all(f._rank is None for f in fresh)
+        assert [rank(f) for f in fresh] == [1, 1, 2, 1, 2, 2, 2, 2, 1, 1]
+
+
 @st.composite
 def qq_vector_lists(draw, dim=6, max_size=6):
     """Lists of sparse vectors over Q(q) with coordinates below ``dim``."""

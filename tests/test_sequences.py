@@ -15,7 +15,7 @@ from helpers import assert_squares_hold, direct_sum, from_columns, zero_sequence
 from heckestab import hecke, sequences, verify
 from heckestab.hecke import ModulePresentation, regular_representation
 from heckestab.linalg import EchelonBasis, ExactMatrix
-from heckestab.partitions import partition_label, pieri_add, syt_count, unpad
+from heckestab.partitions import pad, partition_label, pieri_add, syt_count, unpad
 from heckestab.qfield import ONE, Q, ZERO, scal
 from heckestab.sequences import (
     FILE_DIM_BOUND,
@@ -43,7 +43,7 @@ from heckestab.sequences import (
     span,
     weight,
 )
-from heckestab.specht import specht_module
+from heckestab.specht import decompose, specht_module
 from heckestab.symgroup import permutations_of
 
 
@@ -904,6 +904,23 @@ class TestWeightAndMultiplicities:
             (1,): [0, 0, 1, 1, 1, 1],
         }
 
+    def test_rows_pad_back_to_the_decompose_keys(self, monkeypatch):
+        # each row is its key with the first part cut: padded at n, the
+        # rows nonzero there are exactly decompose(V_n), with its counts
+        trials = []
+        real_span = sequences.span
+        monkeypatch.setattr(
+            sequences, "span", lambda *a, **k: trials.append(real_span(*a, **k)) or trials[-1]
+        )
+        noetherian_experiment(1, 2, 7, 6)
+        towers = [build_Mm(2, 6), build_M_specht((2, 1), 6), *trials]
+        assert any(any(t.dims()) for t in trials)
+        for V in towers:
+            rows = multiplicity_table(V)["rows"]
+            for n, module in enumerate(V.modules):
+                padded = {pad(lam, n): c[n] for lam, c in rows.items() if c[n]}
+                assert padded == (decompose(module) if module.dim else {})
+
 
 class TestUniformStability:
     def test_column_specht(self):
@@ -931,6 +948,18 @@ class TestUniformStability:
         assert not verdict["stable"]
         assert verdict["observed_N"] is None
         assert not verdict["within_predicted"]
+
+    def test_second_verdict_ranks_nothing(self, monkeypatch):
+        V = build_Mm(3, 6)
+        first = is_uniformly_stable(V)
+        inserts = []
+        insert = EchelonBasis.insert
+        monkeypatch.setattr(
+            EchelonBasis, "insert", lambda self, v: inserts.append(v) or insert(self, v)
+        )
+        assert is_uniformly_stable(V) == first
+        assert inserts == []
+        assert all(f._rank == f.cols for f in V.connectors)
 
     def test_doubling_tower_fails(self):
         verdict = is_uniformly_stable(non_finitely_generated(5))
@@ -1241,6 +1270,23 @@ class TestNoetherianExperiment:
         report = noetherian_experiment(1, 2, 7, 6)
         nonzero = [d for row in report["per_trial"] for d in row["dims"] if d]
         assert len(calls) == len(nonzero) == 9
+
+    def test_steady_trials_rank_no_connector_of_mm_again(self, monkeypatch):
+        # from a trial's first full degree on, its connectors are M(1)'s
+        # own, ranked once and then read off the matrix
+        ranked = []
+        real_rank = sequences.rank
+        monkeypatch.setattr(
+            sequences,
+            "rank",
+            lambda f: (f._rank is None and ranked.append(f)) or real_rank(f),
+        )
+        ambient = [id(f) for f in build_Mm(1, 6).connectors]
+        first = noetherian_experiment(1, 2, 7, 6)
+        assert any(id(f) in ambient for f in ranked)
+        ranked.clear()
+        assert noetherian_experiment(1, 2, 7, 6) == first
+        assert not any(id(f) in ambient for f in ranked)
 
     @pytest.mark.parametrize("n_max", [0, -1])
     def test_needs_a_connector(self, n_max):
