@@ -158,8 +158,6 @@ def _cmd_seq_check_stable(args) -> int:
 
 
 def _cmd_seq_shift_decompose(args) -> int:
-    if args.nmax < 1:
-        raise ValueError("nmax must be at least 1")
     report = shift_decompose_Mm(args.m, args.a, args.nmax)
     report = {k: v for k, v in report.items() if k != "complement"}
     _emit(report)

@@ -259,7 +259,7 @@ class EchelonBasis:
         return len(self.vectors)
 
     def reduce(self, vec: dict) -> dict:
-        """Return the residue of ``vec`` after reduction, as a fresh dict."""
+        """The residue of ``vec`` after reduction, as a fresh dict; ``vec`` is unchanged."""
         v = {i: c for i, c in vec.items() if c}
         for p in [p for p in v if p in self.pivots]:
             _cancel_pivot(v, self.vectors[self.pivots[p]], p)
@@ -269,7 +269,8 @@ class EchelonBasis:
         """Reduce and, if independent, insert; returns the new pivot or None.
 
         The new vector is normalised at its pivot, which is then cleared
-        from the stored vectors, in place.  A residue whose pivot is
+        from the stored vectors, in place.  ``vec`` itself is left unchanged
+        and never stored, so a caller may keep it.  A residue whose pivot is
         already stored means the basis is no longer reduced; that raises
         ValueError instead of growing the basis past the dimension.
         """

@@ -285,26 +285,26 @@ def _closure(module: ModulePresentation, vectors, basis=None) -> EchelonBasis:
 
     Given an H-stable ``basis``, it continues from it in place: H maps
     span(basis) into itself, so only the vectors that enter are queued.
-    A queued vector may be cleared of later pivots in place before its turn.
-    It then differs from the vector inserted by a combination of vectors
-    inserted after it, each queued too, so the generators still reach the
-    whole span.  A basis of module.dim vectors spans the module, so no
-    later vector can be independent: the closure stops there, with the
-    basis it would end with.
+    Each vector is queued as it entered (a seed, or an image that raised
+    the rank), not as the basis stores it after later pivots are cleared:
+    the queued vectors span what the basis spans beyond its start, and each
+    meets every generator, so the final span is H-stable.  A basis of
+    module.dim vectors spans the module, so no later vector can be
+    independent: the closure stops there, with the basis it would end with.
     """
     if basis is None:
         basis = EchelonBasis()
     queue = deque()
     full = module.dim
     for v in vectors:
-        if v and len(basis.vectors) < full and basis.insert(dict(v)) is not None:
-            queue.append(basis.vectors[-1])
+        if v and len(basis.vectors) < full and basis.insert(v) is not None:
+            queue.append(v)
     while queue and len(basis.vectors) < full:
         v = queue.popleft()
         for g in module.gen_action:
             w = g.apply(v)
             if w and basis.insert(w) is not None:
-                queue.append(basis.vectors[-1])
+                queue.append(w)
                 if len(basis.vectors) == full:
                     return basis
     return basis
@@ -876,7 +876,7 @@ def noetherian_experiment(m: int, trials: int, seed: int, n_max: int) -> dict:
         raise ValueError(f"n_max must be at least 2m + 1 = {2 * m + 1}")
     V = build_Mm(m, n_max)
     rng = random.Random(seed)
-    deg_cap = max(0, n_max - m - 1)
+    deg_cap = n_max - m - 1
     per_trial = []
     for t in range(trials):
         n_seeds = rng.randint(1, 3)

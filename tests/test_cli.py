@@ -347,6 +347,19 @@ class TestSeqPipeline:
                      "no evidence for a verdict"
         }
 
+    @pytest.mark.parametrize(
+        "m, a, nmax", [(1, 0, 0), (1, 1, 0), (3, 2, 0), (1, 0, -1), (0, 1, 0), (1, -1, 0)]
+    )
+    def test_shift_decompose_reports_the_library_refusal(self, capsys, m, a, nmax):
+        # the CLI adds no window check of its own below n_max = 1
+        with pytest.raises(ValueError) as refusal:
+            sequences.shift_decompose_Mm(m, a, nmax)
+        code, out, err = run(
+            capsys, "seq", "shift-decompose", "--m", str(m), "--a", str(a), "--nmax", str(nmax)
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": str(refusal.value)}
+
     def test_shift_decompose_on_the_first_nonzero_window(self, capsys):
         # n_max = m: only the top degree of the M(m) summand is nonzero
         code, out, err = run(

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import linalg_reference as ref
 from hecke_reference import matrix_trace
@@ -233,6 +233,22 @@ class TestReducedBasis:
         basis, reference = reduced_and_reference(vectors)
         for probe in probes:
             assert basis.reduce(probe) == reference.reduce(probe)
+
+    @given(qq_vector_lists(), qq_vector_lists(max_size=4))
+    @example([{0: ONE, 1: Q}, {1: ONE}], [{1: Q}])
+    @settings(max_examples=40)
+    def test_arguments_are_left_unchanged(self, vectors, probes):
+        # _closure queues the vectors it inserts, so neither call may
+        # change its argument, and insert may not store it: a stored
+        # vector is cleared of later pivots in place
+        basis = EchelonBasis()
+        copies = [dict(v) for v in vectors + probes]
+        for v in vectors:
+            basis.insert(v)
+            assert all(u is not v for u in basis.vectors)
+        for probe in probes:
+            basis.reduce(probe)
+        assert vectors + probes == copies
 
     @given(qq_vector_lists(), st.data())
     @settings(max_examples=40)

@@ -638,13 +638,29 @@ class TestSpan:
             is_uniformly_stable(sub)
             assert reached == []
 
-    @settings(max_examples=30, deadline=None)
+    def test_closure_applies_generators_to_the_vectors_that_entered(self, monkeypatch):
+        # a rational seed whose closure is all of M(S^(2,1))_5; the stored
+        # vectors, which insert rewrites in place, reach degree 344 here,
+        # so the generators must meet each vector as it entered
+        module = build_M_specht((2, 1), 5).modules[5]
+        degrees = []
+        apply = ExactMatrix.apply
+
+        def spied_apply(g, v):
+            degrees.extend(max(len(c.num), len(c.den)) - 1 for c in v.values())
+            return apply(g, v)
+
+        monkeypatch.setattr(ExactMatrix, "apply", spied_apply)
+        seed = {5: scal(Fraction(1, 3)), 1: Q - 1, 6: Q}
+        basis = sequences._closure(module, [seed])
+        assert len(basis) == module.dim == 20
+        assert degrees and max(degrees) <= 12
+
+    @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_continued_closure_is_the_closure_of_the_union(self, data):
-        # M(2) up to degree 4, as in test_span_commutes_with_ambient: in
-        # larger modules a closure of rational seeds can take seconds
-        V = build_Mm(2, 4)
-        n = data.draw(st.integers(2, V.n_max))
+        V = build_M_specht((2, 1), 5)
+        n = data.draw(st.integers(3, V.n_max))
         module = V.modules[n]
 
         def vectors():
