@@ -43,11 +43,13 @@ of its own, which dies with the call.
 
 Modules are given concretely as ModulePresentation: one exact matrix per
 generator, acting on column vectors, with all defining relations verified
-at construction time.  Relation checks and traces run on packed integers
-too.  A module's integral form, built for each check or trace, writes
-every generator as T_{s_i} = N_i / D over one D in Z[q] for all
-generators, with the N_i over Z[q].  One D makes each relation
-homogeneous: multiplied through by D^2 or D^3 it reads
+at construction time unless they are inherited: Ind(V boxtimes W)
+satisfies them whenever V and W do (the proof is at induce_pair).
+Relation checks and traces run on packed integers too.  A module's
+integral form, built for each check or trace, writes every generator as
+T_{s_i} = N_i / D over one D in Z[q] for all generators, with the N_i
+over Z[q].  One D makes each relation homogeneous: multiplied through
+by D^2 or D^3 it reads
 
     N_i^2 = (q-1) D N_i + q D^2 I,
     N_i N_j = N_j N_i,    N_a N_b N_a = N_b N_a N_b,
@@ -78,11 +80,13 @@ A module is its content alone: n, dim and the generator matrices, and
 that is all the relation check and a decomposition read.  Its content
 key (ModulePresentation.content_key) is those as bytes, and equal keys
 mean equal modules and equal modules equal keys (the proof is at
-content_key).  So the relation check runs once per key and process:
+content_key).  So a relation check runs once per key and process:
 _checked keeps every key whose relations held, and a module with that key
-is built unchecked.  specht.decompose keeps its solutions by the same
-key.  This is sound because a module is never mutated: gen_action is a
-tuple of ExactMatrix, whose entries are set only at construction.
+is built unchecked.  Specht, regular and loaded modules reach it; induced
+modules and a tower's block sums of them are built unchecked.
+specht.decompose keeps its solutions by the same key.  This is sound
+because a module is never mutated: gen_action is a tuple of ExactMatrix,
+whose entries are set only at construction.
 """
 
 from __future__ import annotations
@@ -90,13 +94,14 @@ from __future__ import annotations
 import marshal
 import math
 from functools import lru_cache
+from itertools import repeat
 
 from .linalg import ExactMatrix, vec_add_scaled, vec_scale
 from .qfield import MINUS_ONE, ONE, Q, Scalar, _make, _quotient, pack_width
 from .qfield import poly_div_exact, poly_gcd, poly_mul, poly_pack, poly_unpack, scal
 from .symgroup import (
     Permutation,
-    coset_min_reps,
+    _coset_one_lines,
     first_descent,
     left_step,
     permutations_of,
@@ -355,13 +360,13 @@ class ModulePresentation:
 
     Matrices act on column vectors; gen_action[i-1] is the action of
     T_{s_i}.  The defining relations are verified exactly at construction
-    unless check=False (used internally for data already validated), once
-    per content key and process: a key in _checked has passed the check,
-    and a key is added only after it passes, so a module that fails raises
-    at every construction.  Relation checks and traces build the integral
-    form when they run.  Each induced module Ind(V boxtimes index_k) is
-    kept per k; it and the content key are sound because a module is
-    never mutated.
+    unless check=False (for data already validated, or whose relations
+    follow from its parts', as induce_pair's do), once per content key and
+    process: a key in _checked has passed the check, and a key is added
+    only after it passes, so a module that fails raises at every
+    construction.  Relation checks and traces build the integral form when
+    they run.  Each induced module Ind(V boxtimes index_k) is kept per k;
+    it and the content key are sound because a module is never mutated.
     """
 
     __slots__ = ("n", "dim", "gen_action", "_induced", "_key")
@@ -424,7 +429,7 @@ class ModulePresentation:
         return self._key
 
     def induced_by_index(self, k: int) -> "ModulePresentation":
-        """induce_pair(self, index_rep(k)), built and verified once per k.
+        """induce_pair(self, index_rep(k)), built once per k.
 
         The cache lives on this module and dies with it.
         """
@@ -642,53 +647,80 @@ def induce_pair(V: ModulePresentation, W: ModulePresentation) -> ModulePresentat
     """The induced module H_{m+k} tensor_{H_(m,k)} (V boxtimes W).
 
     Basis T_d (x) (v_i (x) w_j) with d over the distinguished coset
-    representatives of S_(m,k), ordered like coset_min_reps.  A generator
-    T_s acts by one of three cases on the coset factor: move to the longer
-    coset, act through the parabolic on a tensor slot, or the quadratic
-    combination when the coset gets shorter.
+    representatives of S_(m,k), ordered like coset_min_reps: d's block is
+    p r consecutive positions, with v_i (x) w_j at i r + j in it.
 
-    The case is read off the positions a and b of s and s+1 in d, which
-    increases on the position blocks 1..m and m+1..m+k (Deodhar's lemma).
-    No value lies strictly between s and s+1.  So if a and b lie in two
-    blocks, exchanging s and s+1 keeps both increasing: s d is again
-    distinguished, and longer than d exactly when a < b.  If they lie in
-    one block, then b = a + 1, so s d = d s_a with l(s d) = l(d) + 1 and
-    T_s T_d = T_d T_{s_a}; a != m as positions a and a + 1 share a block,
-    and T_{s_a} acts by V's generator a if a < m, by W's a - m if a > m.
+    T_s acts by a case read off the positions a and b of s and s+1 in d,
+    which increases on the position blocks 1..m and m+1..m+k (Deodhar's
+    lemma).  No value lies strictly between s and s+1.  So if a and b lie
+    in two blocks, exchanging s and s+1 keeps both increasing: s d is again
+    distinguished, and longer than d exactly when a < b; T_s moves to the
+    longer coset, or gives the quadratic combination from the longer one.
+    If they lie in one block, then b = a + 1, so s d = d s_a with
+    l(s d) = l(d) + 1 and T_s T_d = T_d T_{s_a}; a != m as positions a and
+    a + 1 share a block, and T_{s_a} acts by V's generator a if a < m, by
+    W's a - m if a > m.  So a move is one offset over all of d's block, and
+    a slot action copies each entry of V's generator at stride r, or W's
+    at stride 1.
+
+    The result satisfies the defining relations whenever V and W do, so it
+    is built unchecked.  Write A for the values in d's first m places; s is
+    split at A when just one of s, s+1 is in A (a move), inside otherwise
+    (a slot generator G).  T_s maps d's block into those of A and s A, so a
+    relation in T_s and T_t holds if it holds on the blocks of each orbit
+    of <s_s, s_t> on the sets A, where each block of T_s or T_t is a
+    multiple of the identity or a slot generator.  On an orbit:
+    - quadratic: at A inside, it is V's or W's quadratic relation for G;
+      on a split pair {A, s A}, shorter first, T_s is [[0, q], [1, q-1]],
+      whose square is (q-1) T_s + q.
+    - commutation, |s - t| > 1: s_t moves no value across s or s+1, so the
+      case of s, its direction and its slot are the same on A and s_t A,
+      and vice versa.  So T_s and T_t act on two tensor factors of the
+      orbit's blocks and commute, unless both are inside the same one of V
+      and W, at slots two or more apart: V's or W's commutation relation.
+    - braid, t = s + 1: if none or all of s, s+1, s+2 lie in A, both act
+      inside one slot at consecutive positions: V's or W's braid relation.
+      Otherwise the orbit is three blocks, ordered by length.  Each of T_s
+      and T_t moves between two of them and acts by G on the third, the
+      same G for both, as the values outside s..s+2 are the same in all
+      three sets.  They are [[0, q, 0], [1, q-1, 0], [0, 0, G]] and
+      [[G, 0, 0], [0, 0, q], [0, 1, q-1]], in either order.  Their blocks
+      lie in Q(q)[G], which G's quadratic relation splits by G -> q and
+      G -> -1, and both sides of the braid relation agree at each.
     """
     m, k = V.n, W.n
     n = m + k
-    reps = [d.one_line for d in coset_min_reps(n, (m, k))]
+    reps = _coset_one_lines(n, (m, k))
     rep_index = {d: t for t, d in enumerate(reps)}
     p, r = V.dim, W.dim
-    dim = len(reps) * p * r
-
-    def idx(di, i, j):
-        return (di * p + i) * r + j
-
+    size = p * r
+    dim = len(reps) * size
     gens = []
     for s in range(1, n):
         entries: dict = {}
-        for di, d in enumerate(reps):
+        start = 0  # of d's block
+        for d in reps:
             a, b = d.index(s), d.index(s + 1)  # 0-based, 1 below the a and b above
             if (a < m) != (b < m):
-                ti = rep_index[left_step(d, s)[0]]
-                for i in range(p):
-                    for j in range(r):
-                        x, y = idx(di, i, j), idx(ti, i, j)
-                        if a < b:
-                            entries[(y, x)] = ONE
-                        else:
-                            entries[(y, x)] = Q
-                            entries[(x, x)] = Q_MINUS_ONE
+                block = range(start, start + size)
+                off = rep_index[left_step(d, s)[0]] * size - start
+                if a < b:
+                    moved = range(start + off, start + off + size)
+                    entries.update(zip(zip(moved, block), repeat(ONE)))
+                else:
+                    for x in block:
+                        entries[(x + off, x)] = Q
+                        entries[(x, x)] = Q_MINUS_ONE
             elif b < m:
                 for (ii, i), c in V.gen_action[a].entries.items():
-                    for j in range(r):
-                        entries[(idx(di, ii, j), idx(di, i, j))] = c
+                    rows = range(start + ii * r, start + ii * r + r)
+                    cols = range(start + i * r, start + i * r + r)
+                    entries.update(zip(zip(rows, cols), repeat(c)))
             else:
                 for (jj, j), c in W.gen_action[a - m].entries.items():
-                    for i in range(p):
-                        entries[(idx(di, i, jj), idx(di, i, j))] = c
-        gens.append(ExactMatrix(dim, dim, entries))
-    assert dim == math.comb(n, m) * p * r
-    return ModulePresentation(n, dim, gens)
+                    rows = range(start + jj, start + size, r)
+                    cols = range(start + j, start + size, r)
+                    entries.update(zip(zip(rows, cols), repeat(c)))
+            start += size
+        gens.append(ExactMatrix._new(dim, dim, entries))
+    return ModulePresentation(n, dim, gens, check=False)

@@ -34,7 +34,7 @@ from .linalg import EchelonBasis, ExactMatrix, kernel_basis, rank
 from .partitions import partition_label
 from .qfield import ONE, Scalar, scal
 from .specht import coinvariant_quotients, decompose, specht_module
-from .symgroup import Permutation, coset_min_reps
+from .symgroup import Permutation, _coset_one_lines
 
 __all__ = [
     "ConsistentSequence",
@@ -182,7 +182,7 @@ def _block_diagonal(blocks) -> ExactMatrix:
             entries[(rows + i, cols + j)] = v
         rows += b.rows
         cols += b.cols
-    return ExactMatrix(rows, cols, entries)
+    return ExactMatrix._new(rows, cols, entries)
 
 
 def _presentation_direct_sum(n, parts) -> ModulePresentation:
@@ -217,9 +217,9 @@ def _build_M_layout(W: dict, n_max: int, label: str):
         modules.append(_presentation_direct_sum(n, parts))
         labels.append(
             [
-                (m, d.one_line, i)
+                (m, d, i)
                 for m in summands
-                for d in coset_min_reps(n, (m, n - m))
+                for d in _coset_one_lines(n, (m, n - m))
                 for i in range(W[m].dim)
             ]
         )
@@ -830,10 +830,10 @@ def _shift_split(m: int, a: int, n_max: int) -> tuple:
     shifted = shift(base, a)
     parts = ([], [])  # per degree, the unit bases of (summand, C_a)
     for n in range(n_max + 1):
-        reps = coset_min_reps(n + a, (m, n + a - m)) if n + a >= m else []
+        reps = _coset_one_lines(n + a, (m, n + a - m)) if n + a >= m else []
         indices = ([], [])
         for j in range(shifted.modules[n].dim):
-            indices[min(reps[j // factorial(m)].one_line[:m]) <= a].append(j)
+            indices[min(reps[j // factorial(m)][:m]) <= a].append(j)
         for part, chosen in zip(parts, indices):
             part.append(_unit_basis(chosen))
     summand = _subsequence(shifted, parts[0], f"M({m}) in S+{a}M({m})")

@@ -211,19 +211,21 @@ def coset_min_reps(n: int, comp) -> list:
     [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
     """
     comp = _check_composition(n, comp)
-    reps = []
+    return [Permutation._new(d) for d in _coset_one_lines(n, comp)]
 
-    def assign(remaining: tuple, parts: tuple, acc: tuple):
-        if not parts:
-            reps.append(Permutation(acc))
-            return
-        k = parts[0]
-        for chosen in itertools.combinations(remaining, k):
-            rest = tuple(v for v in remaining if v not in set(chosen))
-            assign(rest, parts[1:], acc + chosen)
 
-    assign(tuple(range(1, n + 1)), comp, ())
-    return reps
+def _coset_one_lines(n: int, comp: tuple) -> list:
+    """The one-line tuples of coset_min_reps(n, comp), in its order, for a
+    composition comp of n: block by block, each takes an increasing choice
+    of the values still free."""
+    reps = [((), tuple(range(1, n + 1)))]
+    for part in comp:
+        reps = [
+            (acc + chosen, tuple(v for v in free if v not in chosen))
+            for acc, free in reps
+            for chosen in itertools.combinations(free, part)
+        ]
+    return [acc for acc, _ in reps]
 
 
 def double_coset_min_reps(n: int, mu, lam) -> list:

@@ -229,6 +229,9 @@ def test_12_each_module_checked_and_decomposed_once_per_pass(battery):
         for name in CONTENT_MEMOS:
             assert made[name] == kept[name] > 0, name
     assert battery["kept"][0] == battery["kept"][1]
+    # only the 28 Specht and 6 regular modules a pass builds are checked:
+    # induced modules and the towers' sums inherit their relations
+    assert [made["_check_relations"] for made in battery["misses"]] == [34, 34]
 
 
 def package_caches() -> dict:

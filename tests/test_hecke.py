@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import hecke_reference as ref
 from hecke_reference import matrix_trace
 from helpers import from_word, sign_rep
-from heckestab import hecke
+from heckestab import hecke, sequences
 from heckestab.hecke import (
     HeckeElement,
     ModulePresentation,
@@ -274,10 +274,14 @@ class TestInduce:
         assert ind.dim == comb(4, 2) * V.dim * W.dim
 
     def test_relations_verified_at_construction(self):
-        # the constructor would raise if the case analysis were wrong
-        induce_pair(regular_representation(2), sign_rep(2))
-        induce_pair(sign_rep(3), index_rep(1))
-        induce_pair(index_rep(0), regular_representation(2))
+        # induce_pair builds unchecked, as its factors' relations carry over;
+        # the check raises if the case analysis were wrong
+        for V, W in (
+            (regular_representation(2), sign_rep(2)),
+            (sign_rep(3), index_rep(1)),
+            (index_rep(0), regular_representation(2)),
+        ):
+            induce_pair(V, W)._check_relations()
 
     def test_degenerate_factors(self):
         V = regular_representation(2)
@@ -287,20 +291,35 @@ class TestInduce:
         assert right.gen_action == V.gen_action
 
 
+def plain_modules(n):
+    """An index, sign, regular (n <= 3) or Specht (1 <= n <= 4) module of
+    rank n."""
+    kinds = [st.just(index_rep(n)), st.just(sign_rep(n))]
+    if n <= 3:
+        kinds.append(st.just(regular_representation(n)))
+    if 1 <= n <= 4:
+        kinds.append(st.sampled_from(partitions_of(n)).map(specht_module))
+    return st.one_of(kinds)
+
+
 @st.composite
 def factor_modules(draw, max_rank):
-    """An index, sign, regular (rank <= 3) or Specht (rank <= 4) module of
-    rank at most max_rank, rank 0 included where the kind has one."""
-    kinds = ["index", "sign", "regular"] + ["specht"] * (max_rank > 0)
-    kind = draw(st.sampled_from(kinds))
-    if kind == "index":
-        return index_rep(draw(st.integers(0, max_rank)))
-    if kind == "sign":
-        return sign_rep(draw(st.integers(0, max_rank)))
-    if kind == "regular":
-        return regular_representation(draw(st.integers(0, min(3, max_rank))))
-    n = draw(st.integers(1, min(4, max_rank)))
-    return specht_module(draw(st.sampled_from(partitions_of(n))))
+    """A plain module (see plain_modules), an induced module or the direct
+    sum of two plain modules, of rank at most max_rank, rank 0 included.
+    A sum or an induced factor has rank at most 4.  An induced one is
+    induced, on either side, from a plain module of dimension at most 2
+    and an index or sign module, so its dimension is at most 12."""
+    kind = draw(st.sampled_from(["plain", "induced", "sum"]))
+    if kind == "plain":
+        return draw(plain_modules(draw(st.integers(0, max_rank))))
+    n = draw(st.integers(0, min(4, max_rank)))
+    if kind == "sum":
+        parts = draw(st.lists(plain_modules(n), min_size=2, max_size=2))
+        return sequences._presentation_direct_sum(n, parts)
+    m = draw(st.integers(max(0, n - 3), min(3, n)))
+    V = draw(plain_modules(m).filter(lambda P: P.dim <= 2))
+    W = draw(st.sampled_from((index_rep, sign_rep)))(n - m)
+    return induce_pair(*draw(st.permutations((V, W))))
 
 
 class TestInduceAgainstReference:
@@ -326,3 +345,23 @@ class TestInduceAgainstReference:
         assert [g.entries for g in got] == [
             g.entries for g in ref.induce_pair(V, W).gen_action
         ]
+
+
+class TestInducedRelations:
+    """induce_pair builds unchecked, as Ind(V boxtimes W) inherits its
+    relations from V and W (the proof is in its docstring).  The packed
+    check and the ExactMatrix reference must both accept every induced
+    module.  It fails under each of three mutants of the case table: V's
+    generator read at the wrong slot, the (q - 1) diagonal dropped, and a
+    move to the wrong block.  A fourth, q and 1 swapped in a move, gives
+    the same module in the basis q^l(d) T_d (x) v_i (x) w_j, so only the
+    entry-for-entry comparison with the reference catches it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_induced_modules_satisfy_the_relations(self, data):
+        V = data.draw(factor_modules(7))
+        W = data.draw(factor_modules(7 - V.n))
+        ind = induce_pair(V, W)
+        ind._check_relations()
+        ref.check_relations(ind)

@@ -1076,13 +1076,13 @@ class TestShift:
         # misplaced coset representatives put the wrong unit vectors in the
         # summand and C_a; M(1) is built first, so only the split reads them
         build_Mm(1, 5)
-        original = sequences.coset_min_reps
+        original = sequences._coset_one_lines
 
         def rotated(n, comp):
             reps = original(n, comp)
             return reps[1:] + reps[:1]
 
-        monkeypatch.setattr(sequences, "coset_min_reps", rotated)
+        monkeypatch.setattr(sequences, "_coset_one_lines", rotated)
         with pytest.raises(ValueError, match="map does not preserve the subspaces"):
             shift_decompose_Mm(1, 1, 4)
 
