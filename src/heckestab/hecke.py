@@ -80,11 +80,12 @@ A module is its content alone: n, dim and the generator matrices, and
 that is all the relation check and a decomposition read.  Its content
 key (ModulePresentation.content_key) is those as bytes, and equal keys
 mean equal modules and equal modules equal keys (the proof is at
-content_key).  So a relation check runs once per key and process:
-_checked keeps every key whose relations held, and a module with that key
-is built unchecked.  Specht, regular and loaded modules reach it; induced
-modules and a tower's block sums of them are built unchecked.
-specht.decompose keeps its solutions by the same key.  This is sound
+content_key); specht.decompose keeps its solutions by that key.  The
+relations are checked in three places only: once per Specht shape
+(specht._verified_specht), once per regular rank (regular_representation)
+and once per parsed tower file.  Every other module inherits them:
+induce_pair proves its relations from its factors', and a tower's block
+sums, submodules and quotients are built unchecked.  The key is sound
 because a module is never mutated: gen_action is a tuple of ExactMatrix,
 whose entries are set only at construction.
 """
@@ -351,22 +352,17 @@ class ContentMemo(dict):
         self.clear()
 
 
-# {content key: None} for every module whose relations were checked and held
-_checked = ContentMemo()
-
-
 class ModulePresentation:
     """An H_n-module given by one generator matrix per T_{s_i}.
 
     Matrices act on column vectors; gen_action[i-1] is the action of
-    T_{s_i}.  The defining relations are verified exactly at construction
-    unless check=False (for data already validated, or whose relations
-    follow from its parts', as induce_pair's do), once per content key and
-    process: a key in _checked has passed the check, and a key is added
-    only after it passes, so a module that fails raises at every
-    construction.  Relation checks and traces build the integral form when
-    they run.  Each induced module Ind(V boxtimes index_k) is kept per k;
-    it and the content key are sound because a module is never mutated.
+    T_{s_i}.  The defining relations are verified exactly at every
+    construction unless check=False (for data already validated, or whose
+    relations follow from its parts', as induce_pair's do), so a module
+    that fails raises each time it is built.  Relation checks and traces
+    build the integral form when they run.  Each induced module
+    Ind(V boxtimes index_k) is kept per k; it and the content key are sound
+    because a module is never mutated.
     """
 
     __slots__ = ("n", "dim", "gen_action", "_induced", "_key")
@@ -388,10 +384,7 @@ class ModulePresentation:
         self._induced = {}
         self._key = None
         if check:
-            key = self.content_key()
-            if key not in _checked:
-                self._check_relations()
-                _checked[key] = None
+            self._check_relations()
 
     def content_key(self) -> bytes:
         """The module's content as bytes, computed once and kept: marshal

@@ -351,7 +351,7 @@ def _subsequence(V: ConsistentSequence, bases, label: str) -> ConsistentSequence
     order, d = dim V_n, is e_0..e_{d-1}, so its degree is V.modules[n]
     itself, and between two such degrees the connector is V.connectors[n]:
     a restriction would rebuild them entry for entry.  A reused module keeps
-    its content key, and so the memos keyed by it.
+    its content key, and so its kept decomposition.
     """
     whole = [list(b.pivots) == list(range(mod.dim)) for b, mod in zip(bases, V.modules)]
     modules = [

@@ -4,8 +4,8 @@ Exact arithmetic over Q(q) has no useful per-example time limit: an
 example's cost depends on the degrees it draws and on the host, so the
 default 200 ms deadline only makes the suite flaky on slow machines.
 
-The package keeps towers, splits, verified modules, relation checks and
-decompositions per process.  Each test starts and ends with none kept:
+The package keeps towers, splits, verified Specht and regular modules
+and decompositions per process.  Each test starts and ends with none kept:
 ``verify.clear_memos`` finds every memo by its declaration, the loaded
 tower's included: the same discovery the battery uses between its
 passes.  So a test that patches a build step, the relation check or a

@@ -42,7 +42,6 @@ MEMOS = (
 
 # the memos keyed by module content, with the computation each one saves
 CONTENT_MEMOS = {
-    "_check_relations": hecke._checked,
     "_multiplicities": specht._decompositions,
 }
 
@@ -78,7 +77,7 @@ def battery():
     def recorded(n_max, err):
         builds.append([])
         shifts.append([])
-        misses.append(dict.fromkeys(CONTENT_MEMOS, 0))
+        misses.append(dict.fromkeys(("_check_relations", *CONTENT_MEMOS), 0))
         before = [memo.cache_info().misses for memo in MEMOS]
         ok, report = run_criteria(n_max, err=err)
         reports.append(report)
@@ -222,16 +221,20 @@ def test_12_each_shift_split_once_per_pass(battery):
 
 
 def test_12_each_module_checked_and_decomposed_once_per_pass(battery):
-    # the relation check and decompose run once per content key, and each
-    # pass starts from cleared memos: a pass that computed a key twice
-    # would keep fewer keys than it made computations
+    # decompose runs once per content key, and each pass starts from
+    # cleared memos: a pass that solved a key twice would keep fewer keys
+    # than it made solves
     for made, kept in zip(battery["misses"], battery["kept"]):
         for name in CONTENT_MEMOS:
             assert made[name] == kept[name] > 0, name
     assert battery["kept"][0] == battery["kept"][1]
-    # only the 28 Specht and 6 regular modules a pass builds are checked:
-    # induced modules and the towers' sums inherit their relations
-    assert [made["_check_relations"] for made in battery["misses"]] == [34, 34]
+    # a module is checked where it is built: the 30 Specht modules of ranks
+    # 0-6 once per shape and the 6 regular modules of ranks 0-5 once per
+    # rank.  Induced modules and the towers' sums inherit their relations.
+    # The regular and the Specht module of H_0, and those of H_1, have
+    # equal content; these four have no generator, so their checks do no
+    # work
+    assert [made["_check_relations"] for made in battery["misses"]] == [36, 36]
 
 
 def package_caches() -> dict:
@@ -264,7 +267,6 @@ def test_clear_memos_clears_every_package_cache():
     caches = package_caches()
     assert len(caches) >= len(MEMOS) + len(CONTENT_MEMOS) + 1
     assert {
-        "heckestab.hecke._checked",
         "heckestab.specht._decompositions",
         "heckestab.sequences._last_loaded",
         "heckestab.cli.build_parser",
@@ -294,6 +296,39 @@ def test_clear_memos_finds_a_memo_by_its_declaration(monkeypatch):
     verify.clear_memos()
     assert not content
     assert cached.cache_info().currsize == 0
+
+
+def refuse_every_generator(monkeypatch):
+    """Make the relation check fail on every module with a generator."""
+    check = hecke.ModulePresentation._check_relations
+
+    def refused(module):
+        if module.gen_action:
+            raise ValueError(f"relation failure: planted at H_{module.n}")
+        return check(module)
+
+    monkeypatch.setattr(hecke.ModulePresentation, "_check_relations", refused)
+
+
+def test_01_fails_when_a_regular_module_fails_its_check(monkeypatch):
+    # regular_representation(2) is the first module the suite checks that
+    # has a generator
+    refuse_every_generator(monkeypatch)
+    ok, report = verify.run_criteria(N_MAX, err=io.StringIO())
+    assert not ok
+    assert report.splitlines()[0] == (
+        "FAIL  1 relation-suite: ValueError: relation failure: planted at H_2"
+    )
+
+
+def test_02_fails_when_a_specht_module_fails_its_check(monkeypatch):
+    # S^(2) is the first shape the suite builds that has a generator
+    refuse_every_generator(monkeypatch)
+    ok, report = verify.run_criteria(N_MAX, err=io.StringIO())
+    assert not ok
+    assert report.splitlines()[1] == (
+        "FAIL  2 seminormal-suite: ValueError: relation failure: planted at H_2"
+    )
 
 
 def test_08_fails_when_a_restriction_is_wrong(monkeypatch):

@@ -1,11 +1,12 @@
-"""The content key of a module, and the two memos keyed by it.
+"""The content key of a module, and the decomposition memo keyed by it.
 
-``ModulePresentation`` runs its relation check once per content key, and
 ``decompose`` solves once per content key.  These tests hold the memoised
 answers against a fresh computation over the modules a benchmark pass
 builds, check that the key tells modules apart exactly when their content
 differs, and that a failure or a caller's change to a result never
-reaches a later answer.
+reaches a later answer.  The relation check keeps nothing: it runs at
+every checked construction, once per Specht shape, regular rank and
+parsed tower file, and every other module inherits its relations.
 """
 
 from unittest import mock
@@ -197,7 +198,7 @@ def test_M1_and_M_S1_share_each_decomposition(monkeypatch):
 
 
 @pytest.mark.parametrize("lam, k", [((2, 1), 2), ((3,), 3)])
-def test_two_induce_pair_calls_share_one_check_and_one_solve(monkeypatch, lam, k):
+def test_two_induce_pair_calls_make_no_check_and_share_one_solve(monkeypatch, lam, k):
     # an induced module inherits its relations from its factors, so neither
     # call checks; the two share one decomposition by their content key
     specht_module(lam)

@@ -178,6 +178,19 @@ def counting_products(monkeypatch):
     return calls
 
 
+def counting_checks(monkeypatch):
+    """A list that grows by one on each relation check."""
+    calls = []
+    check = ModulePresentation._check_relations
+
+    def counted(module):
+        calls.append(None)
+        return check(module)
+
+    monkeypatch.setattr(ModulePresentation, "_check_relations", counted)
+    return calls
+
+
 class TestWordTraces:
     """word_traces takes every word of a list at one width, over a stack
     of prefix products; each trace must equal the ExactMatrix trace."""
@@ -291,9 +304,11 @@ def perturbed(draw):
 
 class TestRelationCheckAgainstReference:
     @pytest.mark.parametrize("make", VALID)
-    def test_valid_modules_accepted(self, make):
+    def test_valid_modules_accepted(self, make, monkeypatch):
         V = make()
+        checks = counting_checks(monkeypatch)
         assert outcome(packed_check, V) is None
+        assert len(checks) == 1
         assert outcome(ref.check_relations, V) is None
 
     @settings(max_examples=120)
